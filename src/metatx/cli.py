@@ -23,19 +23,12 @@ from . import __version__
 from . import modem as md
 from . import precoder as pc
 from . import simulator as sim
-from .channel import PathComponent, TerminalArray, write_complex_csv
+from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray, write_complex_csv
 from .geometry import ArrayGeometry, Direction, hemisphere_grid
-from .mixer import DiodeModel
-from .reflection import SurfaceConfig
 from .sensing import RotorSpec, write_spectrogram
 from .simulator import ScenarioConfig
 
-SPEED_OF_LIGHT = 299792458.0
 OUT_DIR_ENV = "METATX_OUT"
-
-SUBCOMMANDS = (
-    "simulate", "precode", "ber-sweep", "diversity-sweep", "two-stream", "sense",
-)
 
 
 class ConfigError(ValueError):
@@ -86,11 +79,6 @@ _DEFAULT_CONFIG = {
         "pulse": "raised_cosine",
         "rolloff": 0.35,
         "span_symbols": 8,
-    },
-    "diode": {
-        "saturation_current_a": 1e-6,
-        "alpha_per_volt": 38.0,
-        "bias_voltage_v": 0.0,
     },
     "simulate": {"n_symbols": 500},
     "sweep": {
@@ -213,14 +201,6 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
         md.QamConstellation(cfg["modem"]["order"])
     except ValueError as exc:
         raise ConfigError(f"modem: {exc}") from exc
-    try:
-        diode = DiodeModel(
-            saturation_current_a=cfg["diode"]["saturation_current_a"],
-            alpha_per_volt=cfg["diode"]["alpha_per_volt"],
-            bias_voltage_v=cfg["diode"]["bias_voltage_v"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"diode: {exc}") from exc
     tx = TerminalArray.ula(cfg["tx"]["antennas"], cfg["tx"]["spacing_wavelengths"])
     rx = TerminalArray.ula(cfg["rx"]["antennas"], cfg["rx"]["spacing_wavelengths"])
     beam = np.ones(tx.n_antennas, dtype=complex) / np.sqrt(tx.n_antennas)
@@ -244,9 +224,7 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
             tx_beam=beam,
             carrier_envelope=_complex(cfg["carrier_envelope"]),
             modem=params,
-            order=cfg["modem"]["order"],
             pulse=pulse,
-            diode=diode,
             sigma2=cfg["sigma2"],
             seed=cfg["seed"],
             pattern_exponent=cfg["pattern_exponent"],
@@ -335,46 +313,14 @@ def _json_dump(path, payload) -> None:
         fh.write("\n")
 
 
-def _run_simulate(scenario, cfg, out):
-    n_symbols = cfg["simulate"]["n_symbols"]
-    order = cfg["modem"]["order"]
-    rng = np.random.default_rng([scenario.seed, 0x5117])
-    const = md.QamConstellation(order)
-    bits = rng.integers(0, 2, n_symbols * const.bits_per_symbol)
-    wave = md.duc(md.qam_map(bits, order), scenario.modem, scenario.pulse)
-    alpha, scale = sim._magnitude_drive(wave.samples)
-    link = sim.build_link(scenario)
-    solution = pc.closed_form_phases(link.h_out, link.h_eff)
-    surface = SurfaceConfig.uniform(np.angle(solution.phases[0]), alpha)
-    y = sim.simulate_rx(scenario, surface, link)
-    gain = (link.h_out * link.h_eff[np.newaxis, :]) @ solution.phases[0]
-    gain = gain * scenario.carrier_envelope
-    z = (gain.conj() @ y) / np.linalg.norm(gain) ** 2
-    x_hat = np.real(z - np.mean(z)) / scale
-    symbols = md.ddc(
-        md.IFWaveform(x_hat, scenario.modem.sample_rate_hz),
-        scenario.modem,
-        scenario.pulse,
-        n_symbols=n_symbols,
-    )
-    ref = md.qam_map(bits, order)[: symbols.size]
-    fit = np.vdot(symbols, ref) / np.vdot(symbols, symbols)
-    aligned = symbols * fit
-    write_complex_csv(out.path("tx_symbols.csv"), ref.reshape(-1, 1))
-    write_complex_csv(out.path("rx_symbols.csv"), aligned.reshape(-1, 1))
-    rx_bits = md.qam_demap(aligned, order)
-    _json_dump(
-        out.path("simulate_metrics.json"),
-        {
-            "evm_db": md.evm_db(aligned, ref),
-            "ber": md.ber(rx_bits, bits[: rx_bits.size]),
-            "n_symbols": int(symbols.size),
-            "order": order,
-        },
-    )
+def _run_simulate(scenario, cfg, out, trials):
+    report = sim.simulate(scenario, cfg["simulate"]["n_symbols"], cfg["modem"]["order"])
+    write_complex_csv(out.path("tx_symbols.csv"), report.pop("tx_symbols").reshape(-1, 1))
+    write_complex_csv(out.path("rx_symbols.csv"), report.pop("rx_symbols").reshape(-1, 1))
+    _json_dump(out.path("simulate_metrics.json"), report)
 
 
-def _run_precode(scenario, cfg, out):
+def _run_precode(scenario, cfg, out, trials):
     link = sim.build_link(scenario)
     solution = pc.closed_form_phases(link.h_out, link.h_eff)
     with open(out.path("precode.json"), "w") as fh:
@@ -390,24 +336,23 @@ def _run_precode(scenario, cfg, out):
     )
 
 
-def _run_ber_sweep(scenario, cfg, out, trials_override):
+def _run_ber_sweep(scenario, cfg, out, trials):
     sweep = cfg["sweep"]
-    trials = trials_override or sweep["trials"]
     result = sim.ber_sweep(
         scenario,
         sweep["snr_db"],
         sweep["order"],
         precoding=sweep["precoding"],
-        trials=trials,
+        trials=sweep["trials"] if trials is None else trials,
         min_bits=sweep["min_bits"],
     )
     result.to_csv(out.path("ber_sweep.csv"))
     _json_dump(out.path("ber_sweep_meta.json"), result.seed_manifest)
 
 
-def _run_diversity_sweep(scenario, cfg, out, trials_override):
+def _run_diversity_sweep(scenario, cfg, out, trials):
     sweep = cfg["sweep"]
-    realizations = trials_override or sweep["realizations"]
+    realizations = sweep["realizations"] if trials is None else trials
     result = sim.diversity_sweep(scenario, sweep["k_list"], realizations)
     result.to_csv(out.path("diversity_sweep.csv"))
     _json_dump(
@@ -420,7 +365,7 @@ def _run_diversity_sweep(scenario, cfg, out, trials_override):
     )
 
 
-def _run_two_stream(scenario, cfg, out):
+def _run_two_stream(scenario, cfg, out, trials):
     settings = cfg["two_stream"]
     report = sim.two_stream_experiment(
         scenario,
@@ -441,7 +386,7 @@ def _run_two_stream(scenario, cfg, out):
     )
 
 
-def _run_sense(scenario, cfg, out):
+def _run_sense(scenario, cfg, out, trials):
     settings = cfg["sense"]
     rotors = [
         RotorSpec(r["rate_hz"], r["blades"], r["max_doppler_hz"])
@@ -475,6 +420,19 @@ def _run_sense(scenario, cfg, out):
     )
 
 
+# Every handler takes (scenario, cfg, out, trials): ``trials`` is the
+# --trials override (None when absent), read only by the sweeps.
+_HANDLERS = {
+    "simulate": _run_simulate,
+    "precode": _run_precode,
+    "ber-sweep": _run_ber_sweep,
+    "diversity-sweep": _run_diversity_sweep,
+    "two-stream": _run_two_stream,
+    "sense": _run_sense,
+}
+SUBCOMMANDS = tuple(_HANDLERS)
+
+
 def run(
     subcommand: str,
     config_path,
@@ -484,7 +442,7 @@ def run(
     quiet: bool = False,
 ) -> RunManifest:
     """Execute one experiment and write its artifacts plus a manifest."""
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     scenario, cfg = parse_config(config_path)
     if seed is not None:
@@ -496,18 +454,7 @@ def run(
     config_hash = hashlib.sha256(canonical).hexdigest()
     out = _Outputs(out_dir)
     try:
-        if subcommand == "simulate":
-            _run_simulate(scenario, cfg, out)
-        elif subcommand == "precode":
-            _run_precode(scenario, cfg, out)
-        elif subcommand == "ber-sweep":
-            _run_ber_sweep(scenario, cfg, out, trials)
-        elif subcommand == "diversity-sweep":
-            _run_diversity_sweep(scenario, cfg, out, trials)
-        elif subcommand == "two-stream":
-            _run_two_stream(scenario, cfg, out)
-        elif subcommand == "sense":
-            _run_sense(scenario, cfg, out)
+        _HANDLERS[subcommand](scenario, cfg, out, trials)
     except Exception:
         out.cleanup()
         raise

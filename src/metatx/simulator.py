@@ -35,13 +35,16 @@ from .geometry import (
     transform_matrix,
 )
 from .reflection import ElementPattern, SurfaceConfig
-from .mixer import DiodeModel
 from .sensing import RotorSpec, Spectrogram, doppler_signature, istft_synthesize, signature_fidelity, stft
 
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """Full description of one simulated deployment."""
+    """Full description of one simulated deployment.
+
+    ``fading`` selects the link of each ``ber_sweep`` trial: "rayleigh"
+    draws Rayleigh channels, "bypass" keeps only the carrier envelope (AWGN).
+    """
 
     geometry: ArrayGeometry
     grid: DirectionGrid
@@ -53,13 +56,11 @@ class ScenarioConfig:
     tx_beam: np.ndarray
     carrier_envelope: complex = 1.0 + 0.0j
     modem: md.IFParams = md.DEFAULT_IF_PARAMS
-    order: int = 256
     pulse: md.PulseShape = md.PulseShape()
-    diode: DiodeModel = DiodeModel()
     sigma2: float = 0.0
     seed: int = 0
     pattern_exponent: float = 1.0
-    fading: str = "paths"
+    fading: str = "rayleigh"
 
     def __post_init__(self):
         self.tx_beam = np.asarray(self.tx_beam, dtype=complex)
@@ -69,8 +70,8 @@ class ScenarioConfig:
             raise ValueError("tx_beam must have unit norm")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
-        if self.fading not in ("paths", "rayleigh", "bypass"):
-            raise ValueError("fading must be 'paths', 'rayleigh' or 'bypass'")
+        if self.fading not in ("rayleigh", "bypass"):
+            raise ValueError("fading must be 'rayleigh' or 'bypass'")
 
     @property
     def n_elements(self) -> int:
@@ -260,44 +261,41 @@ def ber_sweep(
     """
     if precoding not in ("none", "closed_form"):
         raise ValueError("precoding must be 'none' or 'closed_form'")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     snr_db_list = np.asarray(snr_db_list, dtype=float)
     const = md.QamConstellation(order)
     bits_per_symbol = const.bits_per_symbol
     n_rx = scenario.rx.n_antennas
     k = scenario.n_elements
     sym_per_trial = max(1, math.ceil(min_bits / bits_per_symbol / trials))
-    bypass = scenario.fading == "bypass"
+    envelope = scenario.carrier_envelope
 
-    # Baseline normalization: mean random-phase received power over trials.
-    if bypass:
+    # One channel draw per trial gives both the baseline normalization (mean
+    # random-phase received power) and the link gain every SNR point reuses.
+    if scenario.fading == "bypass":
         p_ref = 1.0
+        gains = [np.full(n_rx, envelope, dtype=complex)] * trials
     else:
-        acc = 0.0
+        acc, gains = 0.0, []
         for trial in range(trials):
             rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
             h_eff, h_out = _draw_channels(rng, n_rx, k)
             phi = np.exp(2j * np.pi * rng.random(k))
             acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
+            if precoding == "closed_form":
+                phi = pc.closed_form_phases(h_out, h_eff).phases[0]
+            gains.append((h_out @ (phi * h_eff)) * envelope)
         p_ref = acc / trials
-    p_ref *= abs(scenario.carrier_envelope) ** 2
+    p_ref *= abs(envelope) ** 2
 
     values, lo, hi, counts, error_counts = [], [], [], [], []
     for point, snr_db in enumerate(snr_db_list):
         sigma2 = p_ref / 10 ** (snr_db / 10)
         errors = 0
         total = 0
-        for trial in range(trials):
+        for trial, gain in enumerate(gains):
             rng = np.random.default_rng([scenario.seed, point, trial])
-            if bypass:
-                gain = np.full(n_rx, scenario.carrier_envelope, dtype=complex)
-            else:
-                ch_rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-                h_eff, h_out = _draw_channels(ch_rng, n_rx, k)
-                if precoding == "closed_form":
-                    phi = pc.closed_form_phases(h_out, h_eff).phases[0]
-                else:
-                    phi = np.exp(2j * np.pi * ch_rng.random(k))
-                gain = (h_out @ (phi * h_eff)) * scenario.carrier_envelope
             tx_bits = rng.integers(0, 2, sym_per_trial * bits_per_symbol)
             x = md.qam_map(tx_bits, order)
             y = gain[:, None] * x[None, :]
@@ -350,6 +348,8 @@ def diversity_sweep(
     singular value's scaling with K. The fitted log-log slope and the
     sigma1^2 bound average are reported in the extras.
     """
+    if realizations < 2:
+        raise ValueError("realizations must be >= 2")
     k_list = [int(k) for k in k_list]
     n_rx = scenario.rx.n_antennas
     means, lo, hi, bounds = [], [], [], []
@@ -390,6 +390,65 @@ def _magnitude_drive(x: np.ndarray, center: float = 0.5, span: float = 0.45):
     if peak == 0:
         return np.full(x.shape, center), 1.0
     return center + span * x / peak, span / peak
+
+
+def combine(y: np.ndarray, gain, scale: float) -> np.ndarray:
+    """Recover the IF drive waveform from the received signal.
+
+    Maximum-ratio combining by the link gain, z = gain^H y / ||gain||^2 on
+    ``y`` of shape (N_r, T) (or (T,) for one antenna), then the DC offset of
+    the magnitude drive is removed and its scale undone.
+    """
+    gain = np.atleast_1d(gain)
+    z = (gain.conj() @ np.atleast_2d(y)) / np.linalg.norm(gain) ** 2
+    return np.real(z - np.mean(z)) / scale
+
+
+def demodulate(scenario: ScenarioConfig, x_hat, bits, order: int, n_symbols: int):
+    """DDC, least-squares phase fit to the sent symbols, then EVM and BER.
+
+    Returns the reference symbols, the aligned received symbols and a dict
+    of ``evm_db`` and ``ber``.
+    """
+    params = scenario.modem
+    symbols = md.ddc(
+        md.IFWaveform(x_hat, params.sample_rate_hz), params, scenario.pulse,
+        n_symbols=n_symbols,
+    )
+    ref = md.qam_map(bits, order)[: symbols.size]
+    fit = np.vdot(symbols, ref) / np.vdot(symbols, symbols)
+    aligned = symbols * fit
+    rx_bits = md.qam_demap(aligned, order)
+    metrics = {
+        "evm_db": md.evm_db(aligned, ref),
+        "ber": md.ber(rx_bits, bits[: rx_bits.size]),
+    }
+    return ref, aligned, metrics
+
+
+def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
+    """One random QAM burst through the closed-form-precoded link and back.
+
+    Returns the sent and the aligned received symbols (``tx_symbols``,
+    ``rx_symbols``) with ``evm_db``, ``ber``, ``n_symbols`` and ``order``.
+    """
+    rng = np.random.default_rng([scenario.seed, 0x5117])
+    bits = rng.integers(0, 2, n_symbols * md.QamConstellation(order).bits_per_symbol)
+    wave = md.duc(md.qam_map(bits, order), scenario.modem, scenario.pulse)
+    alpha, scale = _magnitude_drive(wave.samples)
+    link = build_link(scenario)
+    phases = pc.closed_form_phases(link.h_out, link.h_eff).phases[0]
+    surface = SurfaceConfig.uniform(np.angle(phases), alpha)
+    y = simulate_rx(scenario, surface, link)
+    gain = (link.h_out * link.h_eff[np.newaxis, :]) @ phases * scenario.carrier_envelope
+    ref, aligned, metrics = demodulate(scenario, combine(y, gain, scale), bits, order, n_symbols)
+    return {
+        "tx_symbols": ref,
+        "rx_symbols": aligned,
+        **metrics,
+        "n_symbols": int(aligned.size),
+        "order": order,
+    }
 
 
 def two_stream_experiment(
@@ -452,14 +511,10 @@ def two_stream_experiment(
         np.exp(2j * np.pi * rng.random(half)), np.exp(2j * np.pi * rng.random(half))
     ]
 
-    h_eff_of = {1: h_eff_1, 2: h_eff_2}
+    rows = {(1, 1): ch.b1, (1, 2): ch.b2, (2, 1): ch.c1, (2, 2): ch.c2}
 
     def couplings(phis):
-        return {
-            (i, j): complex((h_o[(i, j)] * h_eff_of[j]) @ phis[j - 1])
-            for i in (1, 2)
-            for j in (1, 2)
-        }
+        return {(i, j): complex(row @ phis[j - 1]) for (i, j), row in rows.items()}
 
     def sinrs(g, sigma2):
         return (
@@ -513,28 +568,13 @@ def two_stream_experiment(
         g = couplings(phis)
         out = {}
         for i in (1, 2):
-            own = i
             y = (
                 g[(i, 1)] * drives[0] + g[(i, 2)] * drives[1]
             ) * scenario.carrier_envelope
             y = add_noise(y, noise_power[i], [seed, 0x51, i, stage])
-            z = y / (g[(i, own)] * scenario.carrier_envelope)
-            x_hat = np.real(z - np.mean(z)) / scales[own - 1]
-            order, bits, _ = streams[own - 1]
-            symbols = md.ddc(
-                md.IFWaveform(x_hat, params.sample_rate_hz), params, pulse,
-                n_symbols=n_symbols,
-            )
-            ref = md.qam_map(bits, order)[: symbols.size]
-            fit = np.vdot(symbols, ref) / np.vdot(symbols, symbols)
-            aligned = symbols * fit
-            k_bits = md.QamConstellation(order).bits_per_symbol
-            out[i] = {
-                "evm_db": md.evm_db(aligned, ref),
-                "ber": md.ber(
-                    md.qam_demap(aligned, order), bits[: symbols.size * k_bits]
-                ),
-            }
+            x_hat = combine(y, g[(i, i)] * scenario.carrier_envelope, scales[i - 1])
+            order, bits, _ = streams[i - 1]
+            out[i] = demodulate(scenario, x_hat, bits, order, n_symbols)[2]
         return g, out
 
     g_before, rx_before = run(phi_before, stage=0)
@@ -593,9 +633,8 @@ def doppler_spoof_experiment(
             recovered.append(None)
             fidelities.append(None)
             continue
-        y = c * alpha
-        y = add_noise(y, scenario.sigma2, np.random.default_rng([seed, 0x0B5, p]))
-        x_hat = (np.real(y / c) - np.mean(np.real(y / c))) / scale
+        y = add_noise(c * alpha, scenario.sigma2, np.random.default_rng([seed, 0x0B5, p]))
+        x_hat = combine(y, c, scale)
         spec = stft(x_hat, signal_rate_hz, window=None, hop=None)
         spec = Spectrogram(
             values=spec.magnitude / spec.magnitude.max(),

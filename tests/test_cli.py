@@ -91,6 +91,17 @@ class TestParseConfig:
         assert scenario1.seed == scenario2.seed
         assert scenario1.geometry == scenario2.geometry
 
+    def test_diode_section_rejected(self, tmp_path):
+        # no output depends on a diode model, so the section is not a knob
+        path = write_config(tmp_path, {"diode": {"bias_voltage_v": 0.1}})
+        with pytest.raises(ConfigError, match="diode: unknown key"):
+            parse_config(path)
+
+    def test_paths_fading_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"fading": "paths"})
+        with pytest.raises(ConfigError, match="fading"):
+            parse_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.json")
@@ -172,6 +183,19 @@ class TestRun:
         meta = json.loads((tmp_path / "t" / "ber_sweep_meta.json").read_text())
         assert meta["trials"] == 2
 
+    def test_two_stream_subcommand(self, tmp_path):
+        payload = dict(SMALL_CONFIG, geometry={"rows": 2, "cols": 4})
+        config = write_config(tmp_path, payload)
+        run("two-stream", config, tmp_path / "ts", quiet=True)
+        report = json.loads((tmp_path / "ts" / "two_stream.json").read_text())
+        assert report["orders"] == [16, 64]
+        after = [10 ** (db / 10) for db in report["sinr_after_db"]]
+        assert sum(after) == pytest.approx(report["sum_sinr"], rel=1e-9)
+        for stage in ("rx_before", "rx_after"):
+            for rx in ("1", "2"):
+                assert 0.0 <= report[stage][rx]["ber"] <= 1.0
+                assert np.isfinite(report[stage][rx]["evm_db"])
+
 
 class TestMain:
     def test_exit_zero_on_success(self, tmp_path, capsys):
@@ -189,6 +213,27 @@ class TestMain:
         )
         assert code == 1
         assert "sigma2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, sweep, flags, field",
+        [
+            ("ber-sweep", {"trials": 0}, [], "trials"),
+            ("ber-sweep", {}, ["--trials", "-3"], "trials"),
+            ("ber-sweep", {}, ["--trials", "0"], "trials"),
+            ("diversity-sweep", {"realizations": 0}, [], "realizations"),
+            ("diversity-sweep", {}, ["--trials", "1"], "realizations"),
+        ],
+        ids=["config-trials-0", "flag-trials-neg", "flag-trials-0",
+             "config-realizations-0", "flag-realizations-1"],
+    )
+    def test_bad_trial_count_exits_one(self, tmp_path, capsys, subcommand, sweep, flags, field):
+        payload = dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], **sweep))
+        config = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        code = main([subcommand, "--config", str(config), "--out", str(out_dir), *flags])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists() or os.listdir(out_dir) == []
 
     def test_out_dir_from_env(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, SMALL_CONFIG)

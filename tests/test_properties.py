@@ -1,0 +1,68 @@
+"""Property tests of the modem, manifold and isotropy invariants."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metatx.modem import QamConstellation, qam_demap, qam_map
+from metatx.precoder import retract, riemannian_project
+from metatx.reflection import SurfaceConfig
+from metatx.simulator import build_link, default_scenario, isotropy_check
+
+FAST = settings(max_examples=25, deadline=None)
+
+SCENARIO = default_scenario()
+LINK = build_link(SCENARIO)
+K = SCENARIO.n_elements
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+complex_entries = st.builds(complex, finite, finite)
+angles = st.floats(0.0, 2 * np.pi, allow_nan=False)
+
+
+@st.composite
+def bit_streams(draw):
+    order = draw(st.sampled_from((4, 16, 64, 256, 1024)))
+    k = QamConstellation(order).bits_per_symbol
+    n_symbols = draw(st.integers(1, 40))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n_symbols * k, max_size=n_symbols * k))
+    return order, np.array(bits)
+
+
+@FAST
+@given(bit_streams())
+def test_qam_round_trip(stream):
+    order, bits = stream
+    assert np.array_equal(qam_demap(qam_map(bits, order), order), bits)
+
+
+@FAST
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.lists(complex_entries, min_size=n, max_size=n),
+                        st.lists(angles, min_size=n, max_size=n))))
+def test_projection_is_tangent(args):
+    grad, theta = np.array(args[0]), np.array(args[1])
+    phi = np.exp(1j * theta)
+    result = riemannian_project(grad, phi)
+    scale = 1.0 + np.max(np.abs(grad))
+    assert np.all(np.abs(np.real(result * phi.conj())) <= 1e-12 * scale)
+
+
+@FAST
+@given(st.lists(complex_entries.filter(lambda z: abs(z) > 1e-6), min_size=1, max_size=16))
+def test_retract_is_unit_modulus(entries):
+    out = retract(np.array(entries))
+    assert np.all(np.abs(np.abs(out) - 1) <= 1e-12)
+
+
+@FAST
+@given(
+    st.lists(angles, min_size=K, max_size=K),
+    st.lists(st.floats(0.05, 1.0), min_size=2, max_size=60),
+    st.lists(st.integers(0, len(SCENARIO.grid) - 1), min_size=2, max_size=6, unique=True),
+)
+def test_uniform_magnitudes_are_isotropic(phases, magnitudes, probe_idx):
+    surface = SurfaceConfig.uniform(np.array(phases), np.array(magnitudes))
+    probes = [SCENARIO.grid.directions[i] for i in probe_idx]
+    out = isotropy_check(SCENARIO, surface, probes, LINK)
+    assert out["max_deviation"] < 1e-10

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from metatx.channel import TerminalArray, rayleigh_matrix
+from metatx.channel import TerminalArray, add_noise, rayleigh_matrix
 from metatx.geometry import ArrayGeometry, hemisphere_grid
 from metatx.reflection import SurfaceConfig
 from metatx.sensing import RotorSpec
 from metatx.simulator import (
     ber_sweep,
     build_link,
+    combine,
     default_scenario,
     diversity_sweep,
     doppler_spoof_experiment,
@@ -56,8 +57,16 @@ class TestScenarioValidation:
             default_scenario(tx_beam=np.array([1.0, 0.0]))
 
     def test_fading_mode_checked(self):
-        with pytest.raises(ValueError, match="fading"):
-            default_scenario(fading="ricean")
+        # "paths" is no mode: ber_sweep has no path-channel model to run
+        for mode in ("ricean", "paths"):
+            with pytest.raises(ValueError, match="fading"):
+                default_scenario(fading=mode)
+        assert default_scenario().fading == "rayleigh"
+
+    @pytest.mark.parametrize("field", ["order", "diode"])
+    def test_removed_fields_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            default_scenario(**{field: 256})
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError, match="sigma2"):
@@ -211,6 +220,11 @@ class TestBerSweep:
         with pytest.raises(ValueError):
             ber_sweep(scenario, [10.0], 16, precoding="zf")
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_count_checked(self, scenario, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ber_sweep(scenario, [10.0], 16, trials=trials)
+
     def test_low_confidence_points_flagged(self):
         # far too few bits at a low-error SNR point: the estimate is flagged
         sc = default_scenario(fading="bypass", seed=17)
@@ -247,6 +261,29 @@ class TestDiversitySweep:
         result = diversity_sweep(sc, [8, 16], realizations=50)
         bounds = np.array(result.extras["mean_power_bound"])
         assert np.all(result.values <= bounds * (1 + 1e-9))
+
+    @pytest.mark.parametrize("realizations", [0, 1])
+    def test_realization_count_checked(self, realizations):
+        # one realization has no standard error, zero has no mean
+        with pytest.raises(ValueError, match="realizations"):
+            diversity_sweep(default_scenario(), [4, 8], realizations=realizations)
+
+
+class TestCombine:
+    def test_single_antenna_matches_division(self):
+        rng = np.random.default_rng(8)
+        drive = 0.5 + 0.4 * rng.uniform(-1, 1, 300)
+        g = 0.3 - 1.7j
+        y = add_noise(g * drive, 1e-4, 1)
+        old = np.real(y / g)
+        assert_allclose(combine(y, g, 0.4), (old - old.mean()) / 0.4, rtol=0, atol=1e-13)
+
+    def test_mrc_recovers_drive_from_two_antennas(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, 200)
+        gain = np.array([0.2 + 1.1j, -0.9 + 0.4j])
+        y = gain[:, None] * (0.5 + 0.45 * x)[None, :]
+        assert_allclose(combine(y, gain, 0.45), x - x.mean(), rtol=0, atol=1e-13)
 
 
 class TestTwoStream:
