@@ -150,15 +150,10 @@ def channel_tx_to_surface(
 ) -> np.ndarray:
     """Antenna-to-angular channel H, shape (M, N_t).
 
-    H = sum_q gain_q exp(-j 2 pi f_c zeta_q) v(dir_surface) a_t(dir_terminal)^T.
+    H = sum_q gain_q exp(-j 2 pi f_c zeta_q) v(dir_surface) a_t(dir_terminal)^T,
+    the transpose of the rx-side sum over the same paths.
     """
-    h = np.zeros((len(grid), tx.n_antennas), dtype=complex)
-    for p in paths:
-        phase = np.exp(-2j * np.pi * carrier_hz * p.delay_s)
-        v = selection_vector(grid, p.direction_at_surface)
-        a = tx.response(p.direction_at_terminal)
-        h += p.gain * phase * np.outer(v, a)
-    return h
+    return channel_surface_to_rx(paths, tx, grid, carrier_hz).T
 
 
 def effective_channels(
@@ -180,7 +175,7 @@ def effective_channels(
     if w_t.shape[0] != h_tx_surface.shape[1]:
         raise ValueError("w_t length must match the tx antenna count")
     h_in = w_matrix @ h_tx_surface
-    h_out = h_surface_rx @ w_matrix.conj().T
+    h_out = (w_matrix @ h_surface_rx.conj().T).conj().T  # no K x M copy of W^H
     return EffectiveChannels(h_in=h_in, h_out=h_out, h_eff=h_in @ w_t)
 
 

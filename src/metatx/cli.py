@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -174,6 +174,12 @@ def _path_component(entry: dict, where: str) -> PathComponent:
 def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     """Validate a config dict into a ScenarioConfig plus the effective dict."""
     cfg = effective_config(user)
+    for section in ("simulate", "two_stream"):
+        n = cfg[section]["n_symbols"]
+        if not isinstance(n, int) or n < 1:
+            raise ConfigError(f"{section}.n_symbols: must be an integer >= 1, got {n!r}")
+    if not cfg["sense"]["probes"]:
+        raise ConfigError("sense.probes: needs at least one probe direction")
     try:
         geometry = ArrayGeometry(
             rows=cfg["geometry"]["rows"],
@@ -259,17 +265,6 @@ class RunManifest:
     finished_utc: str
     outputs: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "outputs": self.outputs,
-        }
-
 
 class _Outputs:
     """Tracks files written during a run so failures can clean up."""
@@ -309,7 +304,7 @@ class _Outputs:
 
 def _json_dump(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -467,7 +462,7 @@ def run(
         finished_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         outputs=out.index(),
     )
-    _json_dump(os.path.join(out_dir, "run_manifest.json"), manifest.to_dict())
+    _json_dump(os.path.join(out_dir, "run_manifest.json"), asdict(manifest))
     if not quiet:
         for entry in manifest.outputs:
             print(f"wrote {entry['name']} ({entry['bytes']} bytes)")

@@ -134,9 +134,15 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
 
 
 def phase_difference_matrix(geom: ArrayGeometry, grid: DirectionGrid) -> np.ndarray:
-    """Far-field phase matrix U, shape (K, M): U[k, m] = exp(-j u(O_m)^T p_k)."""
-    u = np.stack([unit_vector(d) for d in grid.directions], axis=1)  # (3, M)
-    return np.exp(-1j * element_positions(geom) @ u)
+    """Far-field phase matrix U, shape (K, M): U[k, m] = exp(-j u(O_m)^T p_k).
+
+    Separable on the planar grid, U[(i, j), m] = exp(-j s i u_x) exp(-j s j u_y)
+    with s = 2 pi spacing / wavelength: (K_r + K_c) M exponentials, row-major.
+    """
+    proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.thetas())
+    row = np.exp(-1j * np.outer(np.arange(1, geom.rows + 1), proj * np.cos(grid.phis())))
+    col = np.exp(-1j * np.outer(np.arange(1, geom.cols + 1), proj * np.sin(grid.phis())))
+    return (row[:, None, :] * col[None, :, :]).reshape(geom.n_elements, len(grid))
 
 
 def transform_matrix(u_matrix: np.ndarray, pattern: np.ndarray) -> np.ndarray:

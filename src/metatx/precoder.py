@@ -51,6 +51,7 @@ class PhaseSolution:
                 "power_bound": self.power_bound,
             },
             indent=1,
+            allow_nan=False,
         )
 
 
@@ -100,7 +101,7 @@ def closed_form_phases(h_out: np.ndarray, h_eff: np.ndarray) -> PhaseSolution:
         raise ValueError("h_out columns must match h_eff length")
     if not np.any(np.abs(h_out)) or not np.any(np.abs(h_eff)):
         raise ValueError("degenerate all-zero channel")
-    _, sing, vh = np.linalg.svd(h_out)
+    _, sing, vh = np.linalg.svd(h_out, full_matrices=False)
     v1 = vh[0].conj()
     angles = np.angle(v1) - np.angle(h_eff)
     angles[h_eff == 0] = 0.0

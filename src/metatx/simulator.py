@@ -9,6 +9,7 @@ two-stream interference cancellation, and the Doppler-spoofing chain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -129,6 +130,16 @@ def build_link(scenario: ScenarioConfig) -> LinkState:
     )
 
 
+def _reflect(rows: np.ndarray, surface: SurfaceConfig) -> np.ndarray:
+    """rows @ gamma for gamma = alpha_k(t) exp(j phi_k), without forming gamma.
+
+    The phases fold into the (N, K) rows. The real magnitudes multiply the real
+    and imaginary parts apart: complex @ float would cast a (K, T) complex copy.
+    """
+    rows = rows * np.exp(1j * surface.phases)
+    return rows.real @ surface.magnitudes + 1j * (rows.imag @ surface.magnitudes)
+
+
 def simulate_rx(
     scenario: ScenarioConfig,
     surface: SurfaceConfig,
@@ -144,17 +155,15 @@ def simulate_rx(
     link = build_link(scenario) if link is None else link
     if surface.n_elements != scenario.n_elements:
         raise ValueError("surface state and geometry disagree on K")
-    gamma = surface.reflection_coefficients()
-    base = link.h_out * link.h_eff[np.newaxis, :]  # (N_r, K)
-    y = (base @ gamma) * scenario.carrier_envelope
+    y = _reflect(link.h_out * link.h_eff[np.newaxis, :], surface) * scenario.carrier_envelope
     seed = scenario.seed if noise_seed is None else noise_seed
     return add_noise(y, scenario.sigma2, seed)
 
 
 def _probe_rows(scenario: ScenarioConfig, link: LinkState, probes) -> np.ndarray:
     """Outgoing channel rows v(dir)^T W^H for single-antenna probes, (P, K)."""
-    rows = [selection_vector(scenario.grid, d) @ link.w_matrix.conj().T for d in probes]
-    return np.stack(rows)
+    sel = np.stack([selection_vector(scenario.grid, d) for d in probes])  # (P, M), real
+    return (link.w_matrix @ sel.T).conj().T
 
 
 def isotropy_check(
@@ -174,8 +183,7 @@ def isotropy_check(
         raise ValueError("isotropy check needs a magnitude time series")
     link = build_link(scenario) if link is None else link
     rows = _probe_rows(scenario, link, probe_directions)
-    gamma = surface.reflection_coefficients()
-    streams = (rows * link.h_eff[np.newaxis, :]) @ gamma  # (P, T)
+    streams = _reflect(rows * link.h_eff[np.newaxis, :], surface)  # (P, T)
     norms = np.linalg.norm(streams, axis=1)
     scale = norms.max()
     excluded = [i for i, n in enumerate(norms) if n <= 1e-12 * scale]
@@ -189,14 +197,9 @@ def isotropy_check(
         rot = np.vdot(s, ref)
         rot = rot / abs(rot) if abs(rot) > 0 else 1.0
         normalized.append(s * rot / norms[i])
-    deviation = 0.0
-    for a in range(len(normalized)):
-        for b in range(a + 1, len(normalized)):
-            deviation = max(
-                deviation, float(np.linalg.norm(normalized[a] - normalized[b]))
-            )
+    pairs = itertools.combinations(normalized, 2)
     return {
-        "max_deviation": deviation if len(normalized) > 1 else 0.0,
+        "max_deviation": max((float(np.linalg.norm(a - b)) for a, b in pairs), default=0.0),
         "excluded_probes": excluded,
         "n_compared": len(normalized),
     }
@@ -346,7 +349,8 @@ def diversity_sweep(
     Per realization the effective channel is unit-norm Rayleigh and the
     outgoing channel i.i.d. Rayleigh, so power growth measures the dominant
     singular value's scaling with K. The fitted log-log slope and the
-    sigma1^2 bound average are reported in the extras.
+    sigma1^2 bound average are reported in the extras; the slope is None
+    for a single K.
     """
     if realizations < 2:
         raise ValueError("realizations must be >= 2")
@@ -367,10 +371,9 @@ def diversity_sweep(
         lo.append(means[-1] - 1.96 * sem)
         hi.append(means[-1] + 1.96 * sem)
         bounds.append(bound_acc / realizations)
+    slope = None  # a single K admits no fit; the CLI writes null
     if len(k_list) >= 2:
         slope = float(np.polyfit(np.log(k_list), np.log(means), 1)[0])
-    else:
-        slope = float("nan")
     return SweepResult(
         axis_name="n_elements",
         axis=np.array(k_list, dtype=float),

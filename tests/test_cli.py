@@ -6,6 +6,7 @@ import pytest
 
 from metatx.cli import (
     ConfigError,
+    _json_dump,
     effective_config,
     main,
     parse_config,
@@ -234,6 +235,39 @@ class TestMain:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out_dir.exists() or os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize(
+        "subcommand, override, field",
+        [
+            ("simulate", {"simulate": {"n_symbols": 0}}, "simulate.n_symbols"),
+            ("two-stream", {"two_stream": {"n_symbols": 0}}, "two_stream.n_symbols"),
+            ("sense", {"sense": {"probes": []}}, "sense.probes"),
+        ],
+        ids=["simulate-n-symbols-0", "two-stream-n-symbols-0", "sense-no-probes"],
+    )
+    def test_empty_workload_names_field(self, tmp_path, capsys, subcommand, override, field):
+        config = write_config(tmp_path, {**SMALL_CONFIG, **override})
+        out_dir = tmp_path / "out"
+        code = main([subcommand, "--config", str(config), "--out", str(out_dir)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists() or os.listdir(out_dir) == []
+
+    def test_single_k_slope_is_strict_json_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        config = write_config(tmp_path, {"sweep": {"k_list": [8], "realizations": 5}})
+        out_dir = tmp_path / "out"
+        code = main(["diversity-sweep", "--config", str(config), "--out", str(out_dir), "--quiet"])
+        assert code == 0
+        meta = json.loads((out_dir / "diversity_meta.json").read_text(), parse_constant=reject)
+        assert meta["loglog_slope"] is None
+        assert len(meta["mean_power_bound"]) == 1
+
+    def test_json_dump_refuses_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            _json_dump(tmp_path / "bad.json", {"slope": float("nan")})
 
     def test_out_dir_from_env(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, SMALL_CONFIG)

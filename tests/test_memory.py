@@ -1,0 +1,53 @@
+"""Memory regression: the link build and the received-signal product keep no
+full-size temporaries.
+
+The traced peak (stdlib ``tracemalloc``, which sees numpy's data buffers) is
+compared with the size of the arrays the maths needs, so nothing is timed.
+``build_link`` must hold U and W (two K x M complex arrays) and no copy of
+W^H; ``simulate_rx`` must not form the (K, T) complex reflection array.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from metatx.geometry import ArrayGeometry, hemisphere_grid
+from metatx.reflection import SurfaceConfig
+from metatx.simulator import build_link, default_scenario, simulate_rx
+
+COMPLEX_BYTES = np.dtype(complex).itemsize
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    geometry = ArrayGeometry(rows=32, cols=32, spacing_m=0.02586, wavelength_m=0.05172)
+    return default_scenario(geometry=geometry, grid=hemisphere_grid(32, 64))
+
+
+def traced_peak(fn, *args):
+    """Peak traced bytes allocated while ``fn(*args)`` runs, above the start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_build_link_peak_below_three_k_by_m_arrays(scenario):
+    k, m = scenario.n_elements, len(scenario.grid)
+    assert traced_peak(build_link, scenario) < 3 * k * m * COMPLEX_BYTES
+
+
+def test_simulate_rx_peak_below_one_k_by_t_array(scenario):
+    k, t = scenario.n_elements, 4000
+    link = build_link(scenario)
+    rng = np.random.default_rng(0)
+    surface = SurfaceConfig.uniform(
+        2 * np.pi * rng.random(k), 0.5 + 0.4 * np.sin(np.arange(t) / 7.0)
+    )
+    assert traced_peak(simulate_rx, scenario, surface, link) < k * t * COMPLEX_BYTES
