@@ -176,8 +176,8 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     cfg = effective_config(user)
     for section in ("simulate", "two_stream"):
         n = cfg[section]["n_symbols"]
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError(f"{section}.n_symbols: must be an integer >= 1, got {n!r}")
+        if not isinstance(n, int) or n < 2:
+            raise ConfigError(f"{section}.n_symbols: must be an integer >= 2, got {n!r}")
     if not cfg["sense"]["probes"]:
         raise ConfigError("sense.probes: needs at least one probe direction")
     try:

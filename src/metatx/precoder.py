@@ -79,12 +79,6 @@ class TwoStreamChannels:
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be > 0")
 
-    def swapped(self) -> "TwoStreamChannels":
-        """Relabel streams 1<->2; leaves the sum SINR invariant."""
-        return TwoStreamChannels(
-            b1=self.c2, b2=self.c1, c1=self.b2, c2=self.b1, sigma2=self.sigma2
-        )
-
 
 def closed_form_phases(h_out: np.ndarray, h_eff: np.ndarray) -> PhaseSolution:
     """Single-stream phase alignment through the dominant mode of ``h_out``.
@@ -129,28 +123,40 @@ def sum_sinr(phi1: np.ndarray, phi2: np.ndarray, ch: TwoStreamChannels):
     return out if np.ndim(out) else float(out)
 
 
-def euclidean_gradient_phi1(
-    phi1: np.ndarray, phi2: np.ndarray, ch: TwoStreamChannels
-) -> np.ndarray:
-    """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi1.
+def _subproblem(d, leak, phi_other, d_other, leak_other, sigma2):
+    """The sum SINR as a function of one stream's phases, the other held fixed.
 
-    grad = (2/C2) b1* (b1^T phi1) - (2 C2' / (v + sigma2)^2) c1* (c1^T phi1)
-    with C2 = |b2^T phi2|^2 + sigma2, C2' = |c2^T phi2|^2, v = |c1^T phi1|^2.
+    Stream 1 has the desired row d = b1 and the leak row l = c1 into the other
+    receiver; stream 2 has (c2, b2). With the other stream at phi_other, its
+    leak power plus noise C = |l_o^T phi_other|^2 + sigma2 and its signal
+    power S = |d_o^T phi_other|^2 are constants, and the sum SINR is
+    f(phi) = |d^T phi|^2 / C + S / (|l^T phi|^2 + sigma2). Returns f and its
+    Wirtinger gradient (2/C) d* (d^T phi) - 2S / (|l^T phi|^2 + sigma2)^2 l* (l^T phi).
     """
-    c2_const = np.abs(ch.b2 @ phi2) ** 2 + ch.sigma2
-    c2_prime = np.abs(ch.c2 @ phi2) ** 2
-    v = np.abs(ch.c1 @ phi1) ** 2
-    return (
-        2 / c2_const * ch.b1.conj() * (ch.b1 @ phi1)
-        - 2 * c2_prime / (v + ch.sigma2) ** 2 * ch.c1.conj() * (ch.c1 @ phi1)
-    )
+    noise = np.abs(leak_other @ phi_other) ** 2 + sigma2
+    other = np.abs(d_other @ phi_other) ** 2
+
+    def value(phi):
+        return float(np.abs(phi @ d) ** 2 / noise + other / (np.abs(phi @ leak) ** 2 + sigma2))
+
+    def gradient(phi):
+        v = np.abs(leak @ phi) ** 2
+        return (
+            2 / noise * d.conj() * (d @ phi)
+            - 2 * other / (v + sigma2) ** 2 * leak.conj() * (leak @ phi)
+        )
+
+    return value, gradient
 
 
-def euclidean_gradient_phi2(
-    phi1: np.ndarray, phi2: np.ndarray, ch: TwoStreamChannels
-) -> np.ndarray:
-    """Gradient with respect to phi2, via the stream-swap symmetry."""
-    return euclidean_gradient_phi1(phi2, phi1, ch.swapped())
+def euclidean_gradient_phi1(phi1, phi2, ch: TwoStreamChannels) -> np.ndarray:
+    """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi1."""
+    return _subproblem(ch.b1, ch.c1, phi2, ch.c2, ch.b2, ch.sigma2)[1](phi1)
+
+
+def euclidean_gradient_phi2(phi1, phi2, ch: TwoStreamChannels) -> np.ndarray:
+    """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi2."""
+    return _subproblem(ch.c2, ch.b2, phi1, ch.b1, ch.c1, ch.sigma2)[1](phi2)
 
 
 def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -174,38 +180,32 @@ def retract(phi: np.ndarray) -> np.ndarray:
     return phi / mags
 
 
-def _ascend(phi_own, phi_other, ch, which, max_inner=50, armijo=1e-4):
-    """Gradient-ascend one subproblem on the manifold until it stalls.
+def _ascend(phi, value, gradient, max_inner=50, armijo=1e-4):
+    """Gradient-ascend one stream's subproblem on the manifold until it stalls.
 
-    Returns the updated phase vector; every accepted step increases the
-    objective (Armijo sufficient-increase backtracking, warm-started from
-    twice the previously accepted step size).
+    Returns the updated phase vector and its value; every accepted step
+    increases the objective (Armijo sufficient-increase backtracking,
+    warm-started from twice the previously accepted step size).
     """
-    if which == 1:
-        value = lambda p: sum_sinr(p, phi_other, ch)
-        grad = lambda p: euclidean_gradient_phi1(p, phi_other, ch)
-    else:
-        value = lambda p: sum_sinr(phi_other, p, ch)
-        grad = lambda p: euclidean_gradient_phi2(phi_other, p, ch)
-    current = value(phi_own)
+    current = value(phi)
     step = 1.0
     for _ in range(max_inner):
-        direction = riemannian_project(grad(phi_own), phi_own)
+        direction = riemannian_project(gradient(phi), phi)
         norm2 = float(np.sum(np.abs(direction) ** 2))
         if norm2 < 1e-18:
             break
         step = min(2 * step, 1.0)
         moved = False
         while step > 1e-12:
-            candidate = retract(phi_own + step * direction)
+            candidate = retract(phi + step * direction)
             new = value(candidate)
             if new >= current + armijo * step * norm2:
-                phi_own, current, moved = candidate, new, True
+                phi, current, moved = candidate, new, True
                 break
             step *= 0.5
         if not moved:
             break
-    return phi_own, current
+    return phi, current
 
 
 def alternating_optimize(
@@ -218,12 +218,13 @@ def alternating_optimize(
 ) -> PhaseSolution:
     """Maximize the two-stream sum SINR by alternating manifold ascent.
 
-    ``init`` selects the starting point: "random" draws seeded uniform
-    phases, "closed_form" co-phases each stream to its own direct channel
-    ignoring cross terms, "nulling" co-phases the component of each desired
-    channel orthogonal to the own-stream interference channel, and "multi"
-    tries the closed-form and nulling starts plus ``restarts`` random starts
-    and keeps the best run. An explicit (phi1, phi2) tuple is also accepted.
+    ``init`` selects the starting point: "random" draws ``restarts`` (>= 1)
+    seeded uniform starts, "closed_form" co-phases each stream to its own
+    direct channel ignoring cross terms, "nulling" co-phases the component of
+    each desired channel orthogonal to the own-stream interference channel,
+    and "multi" tries the closed-form and nulling starts plus ``restarts``
+    (>= 0) random starts; the best run is kept. The deterministic starts and
+    an explicit (phi1, phi2) tuple run once, whatever ``restarts`` says.
     The objective trace of the returned run is monotone non-decreasing by
     construction. If the iteration budget runs out before the relative
     improvement drops below ``tol``, the best-so-far solution is returned
@@ -258,11 +259,14 @@ def alternating_optimize(
 
     if isinstance(init, tuple):
         starts = [tuple(np.asarray(p, dtype=complex) for p in init)]
-    elif init == "multi":
-        starts = [start("closed_form"), start("nulling")]
+    elif init in ("closed_form", "nulling"):
+        starts = [start(init)]
+    elif init in ("random", "multi"):
+        least = 1 if init == "random" else 0
+        if restarts < least:
+            raise ValueError(f"restarts must be >= {least} for init={init!r}")
+        starts = [start("closed_form"), start("nulling")] if init == "multi" else []
         starts += [start("random") for _ in range(restarts)]
-    elif init in ("random", "closed_form", "nulling"):
-        starts = [start(init) for _ in range(max(1, restarts))]
     else:
         raise ValueError(
             "init must be 'random', 'closed_form', 'nulling', 'multi' or a tuple"
@@ -273,8 +277,8 @@ def alternating_optimize(
         trace = [sum_sinr(phi1, phi2, ch)]
         converged = False
         for _ in range(max_iter):
-            phi1, _ = _ascend(phi1, phi2, ch, which=1)
-            phi2, value = _ascend(phi2, phi1, ch, which=2)
+            phi1, _ = _ascend(phi1, *_subproblem(ch.b1, ch.c1, phi2, ch.c2, ch.b2, ch.sigma2))
+            phi2, value = _ascend(phi2, *_subproblem(ch.c2, ch.b2, phi1, ch.b1, ch.c1, ch.sigma2))
             trace.append(value)
             if trace[-1] - trace[-2] < tol * max(abs(trace[-2]), 1e-30):
                 converged = True

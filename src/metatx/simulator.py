@@ -411,13 +411,16 @@ def demodulate(scenario: ScenarioConfig, x_hat, bits, order: int, n_symbols: int
     """DDC, least-squares phase fit to the sent symbols, then EVM and BER.
 
     Returns the reference symbols, the aligned received symbols and a dict
-    of ``evm_db`` and ``ber``.
+    of ``evm_db`` and ``ber``. Needs at least 2 symbols back: the phase fit
+    absorbs the whole error of a single one.
     """
     params = scenario.modem
     symbols = md.ddc(
         md.IFWaveform(x_hat, params.sample_rate_hz), params, scenario.pulse,
         n_symbols=n_symbols,
     )
+    if symbols.size < 2:
+        raise ValueError(f"demodulate needs at least 2 symbols, got {symbols.size}")
     ref = md.qam_map(bits, order)[: symbols.size]
     fit = np.vdot(symbols, ref) / np.vdot(symbols, symbols)
     aligned = symbols * fit
@@ -491,53 +494,39 @@ def two_stream_experiment(
     rng = np.random.default_rng([seed, 0x2575])
 
     h_eff_1 = np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
-    h_eff_2 = (
-        h_eff_1
-        if shared_h_eff
-        else np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
-    )
-    h_o = {}
-    for i in (1, 2):
-        for j in (1, 2):
+    h_eff_2 = h_eff_1 if shared_h_eff else np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
+    rows = ([], [])  # rows[i][j] couples sub-surface j into receiver i: (b1, b2), (c1, c2)
+    for i in (0, 1):
+        for j, h_eff in enumerate((h_eff_1, h_eff_2)):
             row = rayleigh_matrix(rng, half)
             row *= math.sqrt(half) / np.linalg.norm(row)
-            h_o[(i, j)] = row if i == j else cross_gain * row
-    ch = pc.TwoStreamChannels(
-        b1=h_o[(1, 1)] * h_eff_1,
-        b2=h_o[(1, 2)] * h_eff_2,
-        c1=h_o[(2, 1)] * h_eff_1,
-        c2=h_o[(2, 2)] * h_eff_2,
-        sigma2=10 ** (-snr_db / 10),
-    )
-
-    phi_before = [
-        np.exp(2j * np.pi * rng.random(half)), np.exp(2j * np.pi * rng.random(half))
-    ]
-
-    rows = {(1, 1): ch.b1, (1, 2): ch.b2, (2, 1): ch.c1, (2, 2): ch.c2}
+            rows[i].append((row if i == j else cross_gain * row) * h_eff)
+    (b1, b2), (c1, c2) = rows
+    ch = pc.TwoStreamChannels(b1=b1, b2=b2, c1=c1, c2=c2, sigma2=10 ** (-snr_db / 10))
+    phi_before = [np.exp(2j * np.pi * rng.random(half)) for _ in (0, 1)]
 
     def couplings(phis):
-        return {(i, j): complex(row @ phis[j - 1]) for (i, j), row in rows.items()}
+        """G[i, j] = row_ij . phi_j, stream j's coupling into receiver i."""
+        return np.array([[row @ phi for row, phi in zip(pair, phis)] for pair in rows])
 
-    def sinrs(g, sigma2):
-        return (
-            abs(g[(1, 1)]) ** 2 / (abs(g[(1, 2)]) ** 2 + sigma2),
-            abs(g[(2, 2)]) ** 2 / (abs(g[(2, 1)]) ** 2 + sigma2),
+    def sinrs(g):
+        return tuple(
+            float(abs(g[i, i]) ** 2 / (abs(g[i, 1 - i]) ** 2 + ch.sigma2)) for i in (0, 1)
         )
 
     opts = dict(optimizer or {})
-    opts.pop("seed", None)
+    if "seed" in opts:
+        raise ValueError("optimizer: 'seed' is not accepted; the experiment seeds every start")
     n_random = opts.pop("restarts", 2)
     kinds = ["nulling", "closed_form"] + ["random"] * n_random
     candidates = [
         pc.alternating_optimize(ch, init=kind, restarts=1, seed=[seed, i], **opts)
         for i, kind in enumerate(kinds)
     ]
-    base_sinr = sinrs(couplings(phi_before), ch.sigma2)
+    base_sinr = sinrs(couplings(phi_before))
     dominating = [
-        c
-        for c in candidates
-        if all(a > b for a, b in zip(sinrs(couplings(c.phases), ch.sigma2), base_sinr))
+        c for c in candidates
+        if all(a > b for a, b in zip(sinrs(couplings(c.phases)), base_sinr))
     ]
     pool = dominating or candidates
     solution = max(pool, key=lambda c: c.objective)
@@ -552,39 +541,33 @@ def two_stream_experiment(
         wave = md.duc(md.qam_map(bits, order), params, pulse)
         streams.append((order, bits, wave))
     n_samp = min(s[2].samples.size for s in streams)
-    drives, scales = [], []
-    for _, _, wave in streams:
-        drive, scale = _magnitude_drive(wave.samples[:n_samp])
-        drives.append(drive)
-        scales.append(scale)
+    drives, scales = zip(*(_magnitude_drive(wave.samples[:n_samp]) for _, _, wave in streams))
 
     # Noise per receiver: optimized desired AC power over the target SNR.
     g_after = couplings(phi_after)
     envelope = abs(scenario.carrier_envelope)
-    noise_power = {
-        i: abs(g_after[(i, i)]) ** 2 * envelope**2 * float(np.var(drives[i - 1]))
+    noise_power = [
+        abs(g_after[i, i]) ** 2 * envelope**2 * float(np.var(drives[i]))
         / 10 ** (snr_db / 10)
-        for i in (1, 2)
-    }
+        for i in (0, 1)
+    ]
 
     def run(phis, stage):
         g = couplings(phis)
         out = {}
-        for i in (1, 2):
-            y = (
-                g[(i, 1)] * drives[0] + g[(i, 2)] * drives[1]
-            ) * scenario.carrier_envelope
-            y = add_noise(y, noise_power[i], [seed, 0x51, i, stage])
-            x_hat = combine(y, g[(i, i)] * scenario.carrier_envelope, scales[i - 1])
-            order, bits, _ = streams[i - 1]
-            out[i] = demodulate(scenario, x_hat, bits, order, n_symbols)[2]
+        for i in (0, 1):
+            y = (g[i, 0] * drives[0] + g[i, 1] * drives[1]) * scenario.carrier_envelope
+            y = add_noise(y, noise_power[i], [seed, 0x51, i + 1, stage])
+            x_hat = combine(y, g[i, i] * scenario.carrier_envelope, scales[i])
+            order, bits, _ = streams[i]
+            out[i + 1] = demodulate(scenario, x_hat, bits, order, n_symbols)[2]
         return g, out
 
     g_before, rx_before = run(phi_before, stage=0)
     g_after, rx_after = run(phi_after, stage=1)
     return {
-        "sinr_before": sinrs(g_before, ch.sigma2),
-        "sinr_after": sinrs(g_after, ch.sigma2),
+        "sinr_before": sinrs(g_before),
+        "sinr_after": sinrs(g_after),
         "rx_before": rx_before,
         "rx_after": rx_after,
         "orders": orders,
@@ -622,7 +605,6 @@ def doppler_spoof_experiment(
     target = doppler_signature(rotors, duration_s, signal_rate_hz)
     drive_wave = istft_synthesize(target, "griffin_lim", seed=seed)
     alpha, scale = _magnitude_drive(drive_wave)
-    surface = SurfaceConfig.uniform(phases, alpha)
 
     rows = _probe_rows(scenario, link, probe_directions)
     coupling = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)

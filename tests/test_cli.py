@@ -241,9 +241,12 @@ class TestMain:
         [
             ("simulate", {"simulate": {"n_symbols": 0}}, "simulate.n_symbols"),
             ("two-stream", {"two_stream": {"n_symbols": 0}}, "two_stream.n_symbols"),
+            ("simulate", {"simulate": {"n_symbols": 1}}, "simulate.n_symbols"),
+            ("two-stream", {"two_stream": {"n_symbols": 1}}, "two_stream.n_symbols"),
             ("sense", {"sense": {"probes": []}}, "sense.probes"),
         ],
-        ids=["simulate-n-symbols-0", "two-stream-n-symbols-0", "sense-no-probes"],
+        ids=["simulate-n-symbols-0", "two-stream-n-symbols-0", "simulate-n-symbols-1",
+             "two-stream-n-symbols-1", "sense-no-probes"],
     )
     def test_empty_workload_names_field(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})

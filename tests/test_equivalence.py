@@ -4,8 +4,11 @@ Each test keeps a reference implementation of an earlier code path and
 asserts that the current code reproduces it: exactly where the floating-point
 operations are unchanged (the hand-written ``simulate`` chain of the CLI, the
 ``ber_sweep`` loop that redrew each trial's channel at every SNR point, the
-sweep artifacts), and within 1e-12 where the operations were reordered (dense
-steering, the full-matrices SVD, the materialized reflection array).
+sweep artifacts, the two-stream solver that switched on ``which`` and
+relabelled the channels for the second stream, and the two-stream experiment
+that kept its couplings in a dict), and within 1e-12 where the operations
+were reordered (dense steering, the full-matrices SVD, the materialized
+reflection array).
 """
 
 import json
@@ -341,3 +344,257 @@ def test_diversity_sweep_two_rx_matches_full_svd(monkeypatch):
     ref = sim.diversity_sweep(sc, [8, 32, 128], 40)
     assert_close(new.values, ref.values)
     assert_close(new.extras["mean_power_bound"], ref.extras["mean_power_bound"])
+
+
+def reference_swapped(ch):
+    """Relabel streams 1<->2; leaves the sum SINR invariant."""
+    return pc.TwoStreamChannels(b1=ch.c2, b2=ch.c1, c1=ch.b2, c2=ch.b1, sigma2=ch.sigma2)
+
+
+def reference_gradient_phi1(phi1, phi2, ch):
+    c2_const = np.abs(ch.b2 @ phi2) ** 2 + ch.sigma2
+    c2_prime = np.abs(ch.c2 @ phi2) ** 2
+    v = np.abs(ch.c1 @ phi1) ** 2
+    return (
+        2 / c2_const * ch.b1.conj() * (ch.b1 @ phi1)
+        - 2 * c2_prime / (v + ch.sigma2) ** 2 * ch.c1.conj() * (ch.c1 @ phi1)
+    )
+
+
+def reference_ascend(phi_own, phi_other, ch, which, max_inner=50, armijo=1e-4):
+    """The subproblem ascent that evaluated the full sum SINR at every trial."""
+    if which == 1:
+        value = lambda p: pc.sum_sinr(p, phi_other, ch)
+        grad = lambda p: reference_gradient_phi1(p, phi_other, ch)
+    else:
+        value = lambda p: pc.sum_sinr(phi_other, p, ch)
+        grad = lambda p: reference_gradient_phi1(p, phi_other, reference_swapped(ch))
+    current = value(phi_own)
+    step = 1.0
+    for _ in range(max_inner):
+        direction = pc.riemannian_project(grad(phi_own), phi_own)
+        norm2 = float(np.sum(np.abs(direction) ** 2))
+        if norm2 < 1e-18:
+            break
+        step = min(2 * step, 1.0)
+        moved = False
+        while step > 1e-12:
+            candidate = pc.retract(phi_own + step * direction)
+            new = value(candidate)
+            if new >= current + armijo * step * norm2:
+                phi_own, current, moved = candidate, new, True
+                break
+            step *= 0.5
+        if not moved:
+            break
+    return phi_own, current
+
+
+def reference_alternating_optimize(ch, init="random", seed=0, tol=1e-6, max_iter=500, restarts=1):
+    """``alternating_optimize`` on ``reference_ascend``, with its old start list."""
+    n = ch.b1.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def aligned(desired, interference=None):
+        u = desired.conj()
+        if interference is not None:
+            v = interference.conj()
+            norm2 = float(np.vdot(v, v).real)
+            if norm2 > 0:
+                u = u - v * np.vdot(v, desired.conj()) / norm2
+            u = np.where(np.abs(u) < 1e-12 * np.abs(desired.conj()), desired.conj(), u)
+        mags = np.abs(u)
+        out = np.ones(n, dtype=complex)
+        good = mags > 0
+        out[good] = u[good] / mags[good]
+        return out
+
+    def start(kind):
+        if kind == "closed_form":
+            return aligned(ch.b1), aligned(ch.c2)
+        if kind == "nulling":
+            return aligned(ch.b1, ch.c1), aligned(ch.c2, ch.b2)
+        return np.exp(2j * np.pi * rng.random(n)), np.exp(2j * np.pi * rng.random(n))
+
+    if init == "multi":
+        starts = [start("closed_form"), start("nulling")]
+        starts += [start("random") for _ in range(restarts)]
+    else:
+        starts = [start(init) for _ in range(max(1, restarts))]
+    best = None
+    for phi1, phi2 in starts:
+        trace = [pc.sum_sinr(phi1, phi2, ch)]
+        converged = False
+        for _ in range(max_iter):
+            phi1, _ = reference_ascend(phi1, phi2, ch, which=1)
+            phi2, value = reference_ascend(phi2, phi1, ch, which=2)
+            trace.append(value)
+            if trace[-1] - trace[-2] < tol * max(abs(trace[-2]), 1e-30):
+                converged = True
+                break
+        solution = pc.PhaseSolution(
+            phases=[phi1, phi2], objective=trace[-1], trace=np.array(trace), converged=converged
+        )
+        if best is None or solution.objective > best.objective:
+            best = solution
+    return best
+
+
+def assert_same_solution(new, ref):
+    assert np.array_equal(new.trace, ref.trace)
+    assert np.array_equal(new.phases[0], ref.phases[0])
+    assert np.array_equal(new.phases[1], ref.phases[1])
+    assert new.objective == ref.objective
+    assert new.converged == ref.converged
+
+
+def criterion_05_cases():
+    """The 60 solver calls of acceptance criterion 05: (channels, kwargs)."""
+    for seed in range(20):
+        rng = np.random.default_rng(200 + seed)
+        rows = [rayleigh_matrix(rng, 4), 0.5 * rayleigh_matrix(rng, 4),
+                0.5 * rayleigh_matrix(rng, 4), rayleigh_matrix(rng, 4)]
+        yield pc.TwoStreamChannels(*rows, sigma2=0.1), dict(init="random", seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        rows = [rayleigh_matrix(rng, 4), np.zeros(4), np.zeros(4), rayleigh_matrix(rng, 4)]
+        yield pc.TwoStreamChannels(*rows, sigma2=0.1), dict(init="multi", restarts=2, seed=seed)
+        rng = np.random.default_rng(300 + seed)
+        rows = [rayleigh_matrix(rng, 2), 0.5 * rayleigh_matrix(rng, 2),
+                0.5 * rayleigh_matrix(rng, 2), rayleigh_matrix(rng, 2)]
+        yield pc.TwoStreamChannels(*rows, sigma2=0.1), dict(init="multi", restarts=3, seed=seed)
+
+
+def test_solver_matches_which_reference_on_criterion_05():
+    cases = list(criterion_05_cases())
+    assert len(cases) == 60
+    for ch, kwargs in cases:
+        assert_same_solution(
+            pc.alternating_optimize(ch, **kwargs), reference_alternating_optimize(ch, **kwargs)
+        )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 16),
+    st.floats(1e-3, 1.0),
+    st.floats(0.0, 2.0),
+    st.sampled_from(["random", "closed_form", "nulling", "multi"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_solver_matches_which_reference_on_drawn_channels(half, sigma2, cross, init, seed):
+    rng = np.random.default_rng(seed)
+    ch = pc.TwoStreamChannels(
+        b1=rayleigh_matrix(rng, half),
+        b2=cross * rayleigh_matrix(rng, half),
+        c1=cross * rayleigh_matrix(rng, half),
+        c2=rayleigh_matrix(rng, half),
+        sigma2=sigma2,
+    )
+    kwargs = dict(init=init, seed=seed, max_iter=40)
+    assert_same_solution(
+        pc.alternating_optimize(ch, **kwargs), reference_alternating_optimize(ch, **kwargs)
+    )
+
+
+def reference_two_stream_experiment(scenario, snr_db=25.0, orders=(16, 64), n_symbols=600,
+                                    cross_gain=1.0, shared_h_eff=True, optimizer=None):
+    """``two_stream_experiment`` with dict-keyed couplings and the ``which`` solver."""
+    half = scenario.n_elements // 2
+    seed = scenario.seed
+    rng = np.random.default_rng([seed, 0x2575])
+    h_eff_1 = np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
+    h_eff_2 = (
+        h_eff_1 if shared_h_eff else np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
+    )
+    h_o = {}
+    for i in (1, 2):
+        for j in (1, 2):
+            row = rayleigh_matrix(rng, half)
+            row *= math.sqrt(half) / np.linalg.norm(row)
+            h_o[(i, j)] = row if i == j else cross_gain * row
+    ch = pc.TwoStreamChannels(
+        b1=h_o[(1, 1)] * h_eff_1, b2=h_o[(1, 2)] * h_eff_2,
+        c1=h_o[(2, 1)] * h_eff_1, c2=h_o[(2, 2)] * h_eff_2,
+        sigma2=10 ** (-snr_db / 10),
+    )
+    phi_before = [np.exp(2j * np.pi * rng.random(half)), np.exp(2j * np.pi * rng.random(half))]
+    rows = {(1, 1): ch.b1, (1, 2): ch.b2, (2, 1): ch.c1, (2, 2): ch.c2}
+
+    def couplings(phis):
+        return {(i, j): complex(row @ phis[j - 1]) for (i, j), row in rows.items()}
+
+    def sinrs(g, sigma2):
+        return (
+            abs(g[(1, 1)]) ** 2 / (abs(g[(1, 2)]) ** 2 + sigma2),
+            abs(g[(2, 2)]) ** 2 / (abs(g[(2, 1)]) ** 2 + sigma2),
+        )
+
+    opts = dict(optimizer or {})
+    kinds = ["nulling", "closed_form"] + ["random"] * opts.pop("restarts", 2)
+    candidates = [
+        reference_alternating_optimize(ch, init=kind, restarts=1, seed=[seed, i], **opts)
+        for i, kind in enumerate(kinds)
+    ]
+    base = sinrs(couplings(phi_before), ch.sigma2)
+    dominating = [
+        c for c in candidates
+        if all(a > b for a, b in zip(sinrs(couplings(c.phases), ch.sigma2), base))
+    ]
+    solution = max(dominating or candidates, key=lambda c: c.objective)
+    streams = []
+    for order in orders:
+        bits = rng.integers(0, 2, n_symbols * md.QamConstellation(order).bits_per_symbol)
+        streams.append((order, bits, md.duc(md.qam_map(bits, order), scenario.modem, scenario.pulse)))
+    n_samp = min(s[2].samples.size for s in streams)
+    drives, scales = zip(*(sim._magnitude_drive(w.samples[:n_samp]) for _, _, w in streams))
+    g_after = couplings(solution.phases)
+    envelope = abs(scenario.carrier_envelope)
+    noise_power = {
+        i: abs(g_after[(i, i)]) ** 2 * envelope**2 * float(np.var(drives[i - 1]))
+        / 10 ** (snr_db / 10)
+        for i in (1, 2)
+    }
+
+    def run(phis, stage):
+        g = couplings(phis)
+        out = {}
+        for i in (1, 2):
+            y = (g[(i, 1)] * drives[0] + g[(i, 2)] * drives[1]) * scenario.carrier_envelope
+            y = add_noise(y, noise_power[i], [seed, 0x51, i, stage])
+            x_hat = sim.combine(y, g[(i, i)] * scenario.carrier_envelope, scales[i - 1])
+            order, bits, _ = streams[i - 1]
+            out[i] = sim.demodulate(scenario, x_hat, bits, order, n_symbols)[2]
+        return g, out
+
+    g_before, rx_before = run(phi_before, 0)
+    g_after, rx_after = run(solution.phases, 1)
+    return {
+        "sinr_before": sinrs(g_before, ch.sigma2),
+        "sinr_after": sinrs(g_after, ch.sigma2),
+        "rx_before": rx_before,
+        "rx_after": rx_after,
+        "solution": solution,
+    }
+
+
+@pytest.mark.parametrize(
+    "seed, kwargs",
+    [
+        (1, {}),
+        (2, {"cross_gain": 0.5}),
+        (3, {"shared_h_eff": False, "optimizer": {"tol": 0.0, "max_iter": 20}}),
+    ],
+    ids=["default", "cross-gain-half", "independent-h-eff"],
+)
+def test_two_stream_experiment_matches_dict_reference(seed, kwargs):
+    sc = default_scenario(seed=seed)
+    new = sim.two_stream_experiment(sc, n_symbols=80, **kwargs)
+    ref = reference_two_stream_experiment(sc, n_symbols=80, **kwargs)
+    assert new["sinr_before"] == ref["sinr_before"]
+    assert new["sinr_after"] == ref["sinr_after"]
+    assert new["rx_before"] == ref["rx_before"]
+    assert new["rx_after"] == ref["rx_after"]
+    solution = ref["solution"]
+    assert np.array_equal(new["trace"], solution.trace)
+    assert new["objective"] == solution.objective
+    assert all(np.array_equal(a, b) for a, b in zip(new["phases"], solution.phases))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import metatx.precoder as pc
 from metatx.channel import rayleigh_matrix
 from metatx.precoder import (
     PhaseSolution,
@@ -104,8 +105,11 @@ class TestSumSinr:
         rng = np.random.default_rng(4)
         p1 = np.exp(2j * np.pi * rng.random(4))
         p2 = np.exp(2j * np.pi * rng.random(4))
+        relabelled = TwoStreamChannels(
+            b1=ch.c2, b2=ch.c1, c1=ch.b2, c2=ch.b1, sigma2=ch.sigma2
+        )
         assert sum_sinr(p1, p2, ch) == pytest.approx(
-            sum_sinr(p2, p1, ch.swapped()), rel=1e-14
+            sum_sinr(p2, p1, relabelled), rel=1e-14
         )
 
     def test_scalar_oracle_k8(self):
@@ -246,6 +250,35 @@ class TestAlternatingOptimize:
         full = alternating_optimize(ch, init=start)
         assert full.converged
         assert full.objective >= sol.objective - 1e-12
+
+    def test_deterministic_starts_run_once_and_random_needs_one(self, monkeypatch):
+        # every start evaluates sum_sinr once, for its first trace entry
+        calls = []
+        real = pc.sum_sinr
+        monkeypatch.setattr(pc, "sum_sinr", lambda *a: calls.append(1) or real(*a))
+        ch = random_two_stream(18)
+        runs = {}
+        for init, restarts in [("closed_form", 3), ("nulling", 3), ("random", 3),
+                               ("multi", 2), ("multi", 0)]:
+            calls.clear()
+            alternating_optimize(ch, init=init, restarts=restarts, max_iter=2)
+            runs[init, restarts] = len(calls)
+        assert runs == {("closed_form", 3): 1, ("nulling", 3): 1, ("random", 3): 3,
+                        ("multi", 2): 4, ("multi", 0): 2}
+        with pytest.raises(ValueError, match="restarts"):
+            alternating_optimize(ch, init="random", restarts=0)
+        with pytest.raises(ValueError, match="restarts"):
+            alternating_optimize(ch, init="multi", restarts=-1)
+
+    def test_constructs_no_channel_objects(self, monkeypatch):
+        ch = random_two_stream(19)
+        built = []
+        post_init = TwoStreamChannels.__post_init__
+        monkeypatch.setattr(
+            TwoStreamChannels, "__post_init__", lambda self: built.append(1) or post_init(self)
+        )
+        alternating_optimize(ch, init="multi", restarts=2)
+        assert built == []
 
 
 class TestQuantizePhases:

@@ -16,6 +16,7 @@ from metatx.simulator import (
     diversity_sweep,
     doppler_spoof_experiment,
     isotropy_check,
+    simulate,
     simulate_rx,
     two_stream_experiment,
     wilson_interval,
@@ -286,7 +287,26 @@ class TestCombine:
         assert_allclose(combine(y, gain, 0.45), x - x.mean(), rtol=0, atol=1e-13)
 
 
+class TestDemodulate:
+    def test_one_symbol_rejected(self):
+        # a lone symbol lets the phase fit absorb the whole error (-120 dB EVM)
+        sc = default_scenario()
+        with pytest.raises(ValueError, match="at least 2 symbols"):
+            simulate(sc, 1, 16)
+        with pytest.raises(ValueError, match="at least 2 symbols"):
+            two_stream_experiment(sc, n_symbols=1, optimizer={"max_iter": 1})
+
+    def test_two_symbols_measure_an_error(self):
+        report = simulate(default_scenario(sigma2=1e-3), 2, 16)
+        assert report["n_symbols"] == 2
+        assert report["evm_db"] > -100
+
+
 class TestTwoStream:
+    def test_optimizer_seed_rejected(self):
+        with pytest.raises(ValueError, match="'seed'"):
+            two_stream_experiment(default_scenario(), optimizer={"seed": 1})
+
     def test_odd_split_rejected(self):
         sc = default_scenario(geometry=ArrayGeometry(3, 3, 0.025, 0.05172))
         with pytest.raises(ValueError):
