@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .modem import evm_db
 
@@ -200,16 +199,17 @@ def reflect_magnitude(v_bias, curve: MagnitudeCurve):
 def calibrate_predistortion(curve: MagnitudeCurve):
     """Inverse of a magnitude curve: desired magnitude -> bias voltage.
 
-    Solves the monotone interpolant per query by bisection, so the
-    composition curve(inverse(m)) is the identity to solver tolerance.
-    Raises if the curve is not strictly monotone over a dense probe grid.
+    Bisects all queries at once on the curve's domain, rising or falling,
+    until every bracket is at most 1e-14 + 4 eps max|v| wide (brentq's
+    tolerance), and returns the midpoints. Raises if the curve is not
+    strictly monotone over a dense probe grid.
     """
     lo, hi = curve.domain
-    probe = curve._interp(np.linspace(lo, hi, 1024))
-    d = np.diff(probe)
+    d = np.diff(curve._interp(np.linspace(lo, hi, 1024)))
     if not (np.all(d > 0) or np.all(d < 0)):
         raise ValueError("curve is not strictly monotone; cannot calibrate")
     m_lo, m_hi = curve.range
+    xtol = 1e-14 + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
 
     def inverse(m):
         m_arr = np.atleast_1d(np.asarray(m, dtype=float))
@@ -218,11 +218,12 @@ def calibrate_predistortion(curve: MagnitudeCurve):
                 f"magnitude outside curve range [{m_lo}, {m_hi}]"
             )
         m_arr = np.clip(m_arr, m_lo, m_hi)
-        out = np.empty_like(m_arr)
-        for i, mi in enumerate(m_arr):
-            out[i] = brentq(
-                lambda v: float(curve._interp(v)) - mi, lo, hi, xtol=1e-14
-            )
+        a, b = np.full_like(m_arr, lo), np.full_like(m_arr, hi)
+        while np.any(b - a > xtol):
+            mid = (a + b) / 2
+            above = (curve._interp(mid) < m_arr) == (d[0] > 0)  # root above mid
+            a, b = np.where(above, mid, a), np.where(above, b, mid)
+        out = (a + b) / 2
         return out if np.ndim(m) else float(out[0])
 
     return inverse

@@ -20,10 +20,6 @@ EVM_FLOOR_DB = -120.0
 _QAM_ORDERS = (4, 16, 64, 256, 1024)
 
 
-def _gray(n: int) -> int:
-    return n ^ (n >> 1)
-
-
 @dataclass(frozen=True, eq=False)
 class QamConstellation:
     """Gray-coded square QAM with unit average symbol energy."""
@@ -36,17 +32,14 @@ class QamConstellation:
             raise ValueError(f"order must be one of {_QAM_ORDERS}")
         side = int(round(math.sqrt(self.order)))
         bits_per_axis = side.bit_length() - 1
-        # Gray value g at axis level i = gray(i); amplitude of level i is
+        # Gray value g at axis level i = i ^ (i >> 1); amplitude of level i is
         # 2i - (side - 1). Invert to map a Gray-coded bit group to amplitude.
+        level = np.arange(side)
         gray_to_amp = np.empty(side)
-        for i in range(side):
-            gray_to_amp[_gray(i)] = 2 * i - (side - 1)
+        gray_to_amp[level ^ (level >> 1)] = 2 * level - (side - 1)
         norm = math.sqrt(2 * (side * side - 1) / 3)
-        pts = np.empty(self.order, dtype=complex)
-        for v in range(self.order):
-            hi = v >> bits_per_axis
-            lo = v & (side - 1)
-            pts[v] = (gray_to_amp[hi] + 1j * gray_to_amp[lo]) / norm
+        v = np.arange(self.order)
+        pts = (gray_to_amp[v >> bits_per_axis] + 1j * gray_to_amp[v & (side - 1)]) / norm
         object.__setattr__(self, "points", pts)
 
     @property
@@ -61,24 +54,28 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     k = const.bits_per_symbol
     if bits.size % k != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {k}")
-    vals = np.zeros(bits.size // k, dtype=int)
-    for i in range(k):
-        vals = (vals << 1) | bits[i::k]
-    return const.points[vals]
+    return const.points[bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))]
 
 
 def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest-point hard decisions back to bits."""
+    """Nearest-point hard decisions back to bits, sliced per axis.
+
+    With ``side`` levels per axis and ``norm`` the unit-energy scale, an axis
+    value ``x`` decides level ``clip(rint((x * norm + side - 1) / 2))``, whose
+    Gray code is the axis's bit group; memory is linear in the symbol count
+    whatever the order. An exact midpoint goes to the even level (levels count
+    from 0 at the most negative amplitude; ``rint`` rounds half to even):
+    ``0+0j`` gives bits ``00`` at 4-QAM and ``1111`` at 16-QAM.
+    """
     symbols = np.asarray(symbols, dtype=complex)
-    const = QamConstellation(order)
-    k = const.bits_per_symbol
-    idx = np.argmin(
-        np.abs(symbols[:, None] - const.points[None, :]) ** 2, axis=1
-    )
-    bits = np.zeros(symbols.size * k, dtype=int)
-    for i in range(k):
-        bits[i::k] = (idx >> (k - 1 - i)) & 1
-    return bits
+    k = QamConstellation(order).bits_per_symbol
+    side = 1 << (k // 2)
+    norm = math.sqrt(2 * (side * side - 1) / 3)
+    axes = np.stack((symbols.real, symbols.imag)) * norm
+    level = np.clip(np.rint((axes + (side - 1)) / 2), 0, side - 1).astype(int)
+    gray = level ^ (level >> 1)
+    idx = (gray[0] << (k // 2)) | gray[1]
+    return ((idx[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
 
 
 @dataclass(frozen=True)

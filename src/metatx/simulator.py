@@ -484,7 +484,9 @@ def two_stream_experiment(
     cross-coupling rows, 0 giving fully decoupled streams. Among the solver
     restarts, the experiment keeps the highest-sum solution that improves
     both receivers over the random-phase baseline, falling back to the
-    highest sum outright.
+    highest sum outright. ``optimizer`` may set the solver's ``tol`` and
+    ``max_iter`` and the number of random starts, ``restarts`` (default 2);
+    any other key is rejected.
     """
     k = scenario.n_elements
     if k % 2:
@@ -514,10 +516,10 @@ def two_stream_experiment(
             float(abs(g[i, i]) ** 2 / (abs(g[i, 1 - i]) ** 2 + ch.sigma2)) for i in (0, 1)
         )
 
-    opts = dict(optimizer or {})
-    if "seed" in opts:
-        raise ValueError("optimizer: 'seed' is not accepted; the experiment seeds every start")
-    n_random = opts.pop("restarts", 2)
+    opts = {"restarts": 2, **(optimizer or {})}
+    n_random = opts.pop("restarts")
+    if opts.keys() - {"tol", "max_iter"} or type(n_random) is not int or n_random < 0:
+        raise ValueError(f"optimizer takes tol, max_iter and an int restarts >= 0; got {optimizer}")
     kinds = ["nulling", "closed_form"] + ["random"] * n_random
     candidates = [
         pc.alternating_optimize(ch, init=kind, restarts=1, seed=[seed, i], **opts)

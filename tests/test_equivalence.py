@@ -5,10 +5,13 @@ asserts that the current code reproduces it: exactly where the floating-point
 operations are unchanged (the hand-written ``simulate`` chain of the CLI, the
 ``ber_sweep`` loop that redrew each trial's channel at every SNR point, the
 sweep artifacts, the two-stream solver that switched on ``which`` and
-relabelled the channels for the second stream, and the two-stream experiment
-that kept its couplings in a dict), and within 1e-12 where the operations
-were reordered (dense steering, the full-matrices SVD, the materialized
-reflection array).
+relabelled the channels for the second stream, the two-stream experiment
+that kept its couplings in a dict, the per-point QAM constellation loop, the
+per-bit packing loop of ``qam_map``, and the dense nearest-point QAM demap
+away from decision boundaries), within 1e-12 where the operations were
+reordered (dense steering, the full-matrices SVD, the materialized
+reflection array), and within 2e-14 V for the per-query ``brentq``
+predistortion inverse that array bisection replaced.
 """
 
 import json
@@ -18,7 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from metatx import mixer as mx
 from metatx import modem as md
 from metatx import precoder as pc
 from metatx import simulator as sim
@@ -598,3 +603,109 @@ def test_two_stream_experiment_matches_dict_reference(seed, kwargs):
     assert np.array_equal(new["trace"], solution.trace)
     assert new["objective"] == solution.objective
     assert all(np.array_equal(a, b) for a, b in zip(new["phases"], solution.phases))
+
+
+QAM_ORDERS = (4, 16, 64, 256, 1024)
+
+
+def reference_points(order):
+    """``QamConstellation.points`` as the per-point loop built them."""
+    side = int(round(math.sqrt(order)))
+    bits_per_axis = side.bit_length() - 1
+    gray_to_amp = np.empty(side)
+    for i in range(side):
+        gray_to_amp[i ^ (i >> 1)] = 2 * i - (side - 1)
+    norm = math.sqrt(2 * (side * side - 1) / 3)
+    pts = np.empty(order, dtype=complex)
+    for v in range(order):
+        hi = v >> bits_per_axis
+        lo = v & (side - 1)
+        pts[v] = (gray_to_amp[hi] + 1j * gray_to_amp[lo]) / norm
+    return pts
+
+
+def reference_demap(symbols, order, chunk=2000):
+    """``qam_demap`` as the dense N x M distance search, in chunks of symbols."""
+    points = reference_points(order)
+    k = order.bit_length() - 1
+    idx = np.concatenate([
+        np.argmin(np.abs(symbols[i:i + chunk, None] - points[None, :]) ** 2, axis=1)
+        for i in range(0, symbols.size, chunk)
+    ])
+    bits = np.zeros(symbols.size * k, dtype=int)
+    for i in range(k):
+        bits[i::k] = (idx >> (k - 1 - i)) & 1
+    return bits
+
+
+def reference_inverse(curve, m):
+    """The predistortion inverse as one ``brentq`` call per query."""
+    lo, hi = curve.domain
+    return np.array([
+        brentq(lambda v: float(curve._interp(v)) - mi, lo, hi, xtol=1e-14)
+        for mi in np.clip(m, *curve.range)
+    ])
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_constellation_matches_loop_reference(order):
+    assert np.array_equal(md.QamConstellation(order).points, reference_points(order))
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_bit_packing_matches_shift_loop(order):
+    k = order.bit_length() - 1
+    bits = np.random.default_rng(order).integers(0, 2, 500 * k)
+    vals = np.zeros(500, dtype=int)
+    for i in range(k):
+        vals = (vals << 1) | bits[i::k]
+    assert np.array_equal(md.qam_map(bits, order), reference_points(order)[vals])
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_axis_slicing_matches_dense_demap(order):
+    rng = np.random.default_rng([order, 0xDE])
+    points = md.QamConstellation(order).points
+    edge = np.max(points.real)
+    n = 8000
+    # on-grid symbols with noise of about a grid step, plus symbols spread
+    # well beyond the outermost points
+    noisy = rng.choice(points, n) + 2 * edge / math.sqrt(order) * (
+        rng.normal(size=n) + 1j * rng.normal(size=n))
+    wide = 1.6 * edge * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    symbols = np.concatenate([noisy, wide])
+    # drop the symbols within 1e-9 of a decision boundary, where the two
+    # searches may round to different sides
+    side = int(math.sqrt(order))
+    norm = math.sqrt(2 * (side * side - 1) / 3)
+    boundaries = (2 * np.arange(1, side) - side) / norm
+    axes = np.stack([symbols.real, symbols.imag])
+    gap = np.min(np.abs(axes[..., None] - boundaries), axis=(0, 2))
+    symbols = symbols[gap > 1e-9]
+    assert np.sum(np.max(np.abs(axes), axis=0) > edge) > n // 2
+    assert np.array_equal(md.qam_demap(symbols, order), reference_demap(symbols, order))
+
+
+def rising_curve():
+    v = np.linspace(-0.5, 1.5, 9)
+    shape = np.tanh(v) - np.tanh(v[0])
+    return mx.MagnitudeCurve(v, 0.05 + 0.9 * shape / shape[-1])
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [mx.MagnitudeCurve.from_diode(mx.DiodeModel(), 0.10, 0.21), rising_curve()],
+    ids=["falling-diode", "rising"],
+)
+def test_bisection_inverse_matches_brentq(curve):
+    m_lo, m_hi = curve.range
+    rng = np.random.default_rng(7)
+    m = np.concatenate([[m_lo, m_hi], rng.uniform(m_lo, m_hi, 2500)])
+    inverse = mx.calibrate_predistortion(curve)
+    assert np.max(np.abs(inverse(m) - reference_inverse(curve, m))) <= 2e-14
+    assert isinstance(inverse(m[2]), float)
+    assert abs(inverse(m[2]) - reference_inverse(curve, m[2:3])[0]) <= 2e-14
+    with pytest.raises(ValueError, match="outside curve range"):
+        inverse(np.array([m_lo, m_hi + 1e-6]))
+    with pytest.raises(ValueError, match="outside curve range"):
+        inverse(m_lo - 1e-6)

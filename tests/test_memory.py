@@ -1,10 +1,11 @@
-"""Memory regression: the link build and the received-signal product keep no
-full-size temporaries.
+"""Memory regression: the link build, the received-signal product and the
+QAM demap keep no full-size temporaries.
 
 The traced peak (stdlib ``tracemalloc``, which sees numpy's data buffers) is
 compared with the size of the arrays the maths needs, so nothing is timed.
 ``build_link`` must hold U and W (two K x M complex arrays) and no copy of
-W^H; ``simulate_rx`` must not form the (K, T) complex reflection array.
+W^H; ``simulate_rx`` must not form the (K, T) complex reflection array;
+``qam_demap`` must not form the (N, order) distance matrix.
 """
 
 import tracemalloc
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from metatx.geometry import ArrayGeometry, hemisphere_grid
+from metatx.modem import QamConstellation, qam_demap
 from metatx.reflection import SurfaceConfig
 from metatx.simulator import build_link, default_scenario, simulate_rx
 
@@ -51,3 +53,19 @@ def test_simulate_rx_peak_below_one_k_by_t_array(scenario):
         2 * np.pi * rng.random(k), 0.5 + 0.4 * np.sin(np.arange(t) / 7.0)
     )
     assert traced_peak(simulate_rx, scenario, surface, link) < k * t * COMPLEX_BYTES
+
+
+def test_qam_demap_working_memory_is_linear_and_order_free():
+    # The returned bits grow with log2(order); the working memory beyond them
+    # is a few N-length arrays at any order (the dense search held order x N
+    # complex values).
+    n = 100_000
+    working = {}
+    for order in (16, 1024):
+        rng = np.random.default_rng(order)
+        points = QamConstellation(order).points
+        symbols = rng.choice(points, n) + 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        bits_bytes = n * QamConstellation(order).bits_per_symbol * np.dtype(int).itemsize
+        working[order] = traced_peak(qam_demap, symbols, order) - bits_bytes
+        assert working[order] < 5 * n * COMPLEX_BYTES
+    assert abs(working[1024] - working[16]) < 0.01 * working[16]

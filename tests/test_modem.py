@@ -65,6 +65,17 @@ class TestQam:
                     diff = bin(a ^ b).count("1")
                     assert diff == 1, (a, b)
 
+    def test_exact_midpoint_goes_to_even_level(self):
+        # 0+0j is equidistant from the four central points; per axis it sits
+        # midway between levels 0 and 1 at 4-QAM and 1 and 2 at 16-QAM, and
+        # rint's half-to-even picks level 0 (Gray 0) and level 2 (Gray 11)
+        assert qam_demap(np.array([0j]), 4).tolist() == [0, 0]
+        assert qam_demap(np.array([0j]), 16).tolist() == [1, 1, 1, 1]
+        # a midpoint on one axis only: between levels 2 and 3 of the real
+        # axis of 16-QAM (amplitudes 1 and 3), on level 0 of the imaginary one
+        norm = math.sqrt(10)
+        assert qam_demap(np.array([(2 - 3j) / norm]), 16).tolist() == [1, 1, 0, 0]
+
     def test_bit_count_mismatch(self):
         with pytest.raises(ValueError):
             qam_map(np.zeros(5, dtype=int), 16)

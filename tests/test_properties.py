@@ -1,4 +1,5 @@
-"""Property tests of the modem, manifold, selection-kernel and isotropy invariants."""
+"""Property tests of the modem, predistortion, manifold, selection-kernel and
+isotropy invariants."""
 
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from metatx.channel import selection_vector
 from metatx.geometry import Direction, hemisphere_grid
+from metatx.mixer import MagnitudeCurve, calibrate_predistortion
 from metatx.modem import QamConstellation, qam_demap, qam_map
 from metatx.precoder import retract, riemannian_project
 from metatx.reflection import SurfaceConfig
@@ -39,6 +41,30 @@ def bit_streams(draw):
 def test_qam_round_trip(stream):
     order, bits = stream
     assert np.array_equal(qam_demap(qam_map(bits, order), order), bits)
+
+
+@st.composite
+def monotone_curves(draw):
+    """Strictly monotone curves, rising or falling, with 2-33 knots.
+
+    Knot steps of at least 1/20 of the largest keep the steepest segment at
+    a slope of a few tens, so a voltage error of brentq's tolerance moves
+    the magnitude by well under 1e-12.
+    """
+    n = draw(st.integers(2, 33))
+    steps = st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1)
+    bias = draw(st.floats(-1.0, 1.0)) + np.cumsum([0.0] + draw(steps)) / 2
+    rise = np.cumsum([0.0] + draw(steps))
+    mag = draw(st.floats(0.0, 0.3)) + draw(st.floats(0.2, 0.7)) * rise / rise[-1]
+    return MagnitudeCurve(bias, mag if draw(st.booleans()) else mag[::-1])
+
+
+@FAST
+@given(monotone_curves())
+def test_predistortion_inverse_round_trip(curve):
+    m = np.linspace(*curve.range, 101)
+    inverse = calibrate_predistortion(curve)
+    assert np.max(np.abs(curve(inverse(m)) - m)) <= 1e-12
 
 
 @FAST

@@ -307,6 +307,22 @@ class TestTwoStream:
         with pytest.raises(ValueError, match="'seed'"):
             two_stream_experiment(default_scenario(), optimizer={"seed": 1})
 
+    def test_optimizer_negative_restarts_rejected(self):
+        with pytest.raises(ValueError, match="'restarts': -1"):
+            two_stream_experiment(default_scenario(), optimizer={"restarts": -1})
+
+    def test_optimizer_non_integer_restarts_rejected(self):
+        with pytest.raises(ValueError, match="'restarts': 1.5"):
+            two_stream_experiment(default_scenario(), optimizer={"restarts": 1.5})
+
+    def test_optimizer_init_rejected(self):
+        with pytest.raises(ValueError, match="'init'"):
+            two_stream_experiment(default_scenario(), optimizer={"init": "random"})
+
+    def test_optimizer_misspelt_key_rejected(self):
+        with pytest.raises(ValueError, match="'max_itr'"):
+            two_stream_experiment(default_scenario(), optimizer={"max_itr": 3})
+
     def test_odd_split_rejected(self):
         sc = default_scenario(geometry=ArrayGeometry(3, 3, 0.025, 0.05172))
         with pytest.raises(ValueError):
