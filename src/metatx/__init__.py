@@ -15,14 +15,15 @@ from .geometry import (
     ArrayGeometry,
     Direction,
     DirectionGrid,
+    FieldTransform,
     hemisphere_grid,
     phase_difference_matrix,
+    steering_factors,
     steering_vector,
     transform_matrix,
     unit_vector,
 )
 from .reflection import (
-    DEFAULT_PHASE_PALETTE,
     ElementPattern,
     SurfaceConfig,
     UnitReflection,

@@ -1,4 +1,4 @@
-"""Array geometry: directions, element positions, steering and transform matrices.
+"""Array geometry: directions, element positions, steering and the field transform.
 
 Angles follow the physics convention: ``theta`` is the zenith angle measured
 from the surface normal (z axis), ``phi`` the azimuth in the surface plane.
@@ -133,20 +133,31 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     return np.exp(-1j * element_positions(geom) @ unit_vector(direction))
 
 
-def phase_difference_matrix(geom: ArrayGeometry, grid: DirectionGrid) -> np.ndarray:
-    """Far-field phase matrix U, shape (K, M): U[k, m] = exp(-j u(O_m)^T p_k).
+def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Row factor R (K_r, M) and column factor C (K_c, M) of the planar steering.
 
-    Separable on the planar grid, U[(i, j), m] = exp(-j s i u_x) exp(-j s j u_y)
-    with s = 2 pi spacing / wavelength: (K_r + K_c) M exponentials, row-major.
+    U[(i, j), m] = R[i, m] C[j, m] with R[i, m] = exp(-j s i u_x(O_m)) and
+    C[j, m] = exp(-j s j u_y(O_m)), s = 2 pi spacing / wavelength:
+    (K_r + K_c) M exponentials instead of K M.
     """
     proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.thetas())
     row = np.exp(-1j * np.outer(np.arange(1, geom.rows + 1), proj * np.cos(grid.phis())))
     col = np.exp(-1j * np.outer(np.arange(1, geom.cols + 1), proj * np.sin(grid.phis())))
+    return row, col
+
+
+def phase_difference_matrix(geom: ArrayGeometry, grid: DirectionGrid) -> np.ndarray:
+    """Dense far-field phase matrix U, shape (K, M): U[k, m] = exp(-j u(O_m)^T p_k).
+
+    The broadcast product of the steering factors, row-major. The simulator
+    never forms it (see :class:`FieldTransform`); it is the dense reference.
+    """
+    row, col = steering_factors(geom, grid)
     return (row[:, None, :] * col[None, :, :]).reshape(geom.n_elements, len(grid))
 
 
 def transform_matrix(u_matrix: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """Static field transform W = U diag(f), shape (K, M).
+    """Dense static field transform W = U diag(f), shape (K, M).
 
     ``pattern`` is the per-direction element pattern vector f of length M.
     """
@@ -157,3 +168,63 @@ def transform_matrix(u_matrix: np.ndarray, pattern: np.ndarray) -> np.ndarray:
             f"{u_matrix.shape[1]}"
         )
     return u_matrix * pattern[np.newaxis, :]
+
+
+@dataclass(frozen=True, eq=False)
+class FieldTransform:
+    """The static transform W = U diag(f) kept as its factors, never formed.
+
+    W[(i, j), m] = row[i, m] col[j, m] pattern[m], element k = i K_c + j
+    row-major. ``apply`` and ``adjoint`` cost O(K M) per column and hold
+    one (K_r, M) temporary, against K M complex values for W itself. Any
+    dense (K, M) matrix is the transform with ``row = ones((1, M))``,
+    ``col = W`` and ``pattern = ones(M)``.
+    """
+
+    row: np.ndarray      # (K_r, M)
+    col: np.ndarray      # (K_c, M)
+    pattern: np.ndarray  # (M,)
+
+    def __post_init__(self):
+        for name in ("row", "col", "pattern"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
+        grid_shape = self.pattern.shape
+        if any(f.ndim != 2 or f.shape[1:] != grid_shape for f in (self.row, self.col)):
+            raise ValueError(
+                f"factors {self.row.shape}, {self.col.shape} and pattern "
+                f"{self.pattern.shape} do not share one grid size"
+            )
+
+    @classmethod
+    def on_grid(cls, geom: ArrayGeometry, grid: DirectionGrid, pattern) -> "FieldTransform":
+        """The transform of a planar surface with element pattern f on ``grid``."""
+        return cls(*steering_factors(geom, grid), pattern)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.row.shape[0] * self.col.shape[0], self.pattern.shape[0]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x for x of shape (M,) or (M, n); column by column (row * f x) @ col^T."""
+        x = np.asarray(x)
+        k, m = self.shape
+        if x.shape[0] != m:
+            raise ValueError(f"x has {x.shape[0]} directions, the transform expects {m}")
+        fx = self.pattern[:, None] * x.reshape(m, -1)
+        out = np.empty((k, fx.shape[1]), dtype=complex)
+        for n in range(fx.shape[1]):
+            out[:, n] = ((self.row * fx[:, n]) @ self.col.T).ravel()
+        return out.reshape((k,) + x.shape[1:])
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """W^H z for z of shape (K,) or (K, n), with no K x M temporary."""
+        z = np.asarray(z)
+        k, m = self.shape
+        if z.shape[0] != k:
+            raise ValueError(f"z has {z.shape[0]} elements, the transform expects {k}")
+        zs = z.reshape(self.row.shape[0], self.col.shape[0], -1)
+        row, col = self.row.conj(), self.col.conj()
+        out = np.empty((m, zs.shape[2]), dtype=complex)
+        for n in range(zs.shape[2]):
+            out[:, n] = np.sum(row * (zs[:, :, n] @ col), axis=0)
+        return (self.pattern.conj()[:, None] * out).reshape((m,) + z.shape[1:])

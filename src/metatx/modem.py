@@ -92,10 +92,6 @@ class IFParams:
         if not 0 < self.f_if_hz < self.sample_rate_hz / 2:
             raise ValueError("f_if_hz must lie below Nyquist")
 
-    @property
-    def symbol_duration_s(self) -> float:
-        return self.samples_per_symbol / self.sample_rate_hz
-
 
 # Default settings match the low-rate bench configuration:
 # 2 MHz sampling, 0.5 MHz IF, 10 samples per symbol.
@@ -111,16 +107,11 @@ class IFWaveform:
     samples: np.ndarray
     sample_rate_hz: float
     origin_s: float = 0.0
-    full_scale: float | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform samples must be finite")
-        if self.full_scale is not None and np.any(
-            np.abs(self.samples) > self.full_scale * (1 + 1e-12)
-        ):
-            raise ValueError("waveform exceeds its configured full scale")
 
 
 @dataclass(frozen=True)

@@ -185,19 +185,24 @@ def _ascend(phi, value, gradient, max_inner=50, armijo=1e-4):
 
     Returns the updated phase vector and its value; every accepted step
     increases the objective (Armijo sufficient-increase backtracking,
-    warm-started from twice the previously accepted step size).
+    warm-started from twice the previously accepted step size). Projection
+    and retraction are inlined without the checks of :func:`riemannian_project`
+    and :func:`retract`: phi has unit modulus and, for a tangent d,
+    |phi_k + t d_k|^2 = 1 + t^2 |d_k|^2 >= 1.
     """
     current = value(phi)
     step = 1.0
     for _ in range(max_inner):
-        direction = riemannian_project(gradient(phi), phi)
+        grad = gradient(phi)
+        direction = grad - np.real(grad * phi.conj()) * phi
         norm2 = float(np.sum(np.abs(direction) ** 2))
         if norm2 < 1e-18:
             break
         step = min(2 * step, 1.0)
         moved = False
         while step > 1e-12:
-            candidate = retract(phi + step * direction)
+            candidate = phi + step * direction
+            candidate = candidate / np.abs(candidate)
             new = value(candidate)
             if new >= current + armijo * step * norm2:
                 phi, current, moved = candidate, new, True
@@ -259,6 +264,8 @@ def alternating_optimize(
 
     if isinstance(init, tuple):
         starts = [tuple(np.asarray(p, dtype=complex) for p in init)]
+        if any(np.any(np.abs(np.abs(p) - 1) > 1e-9) for p in starts[0]):
+            raise ValueError("init phases must be unit modulus")
     elif init in ("closed_form", "nulling"):
         starts = [start(init)]
     elif init in ("random", "multi"):

@@ -7,7 +7,10 @@ electronics. The array-level scattering map is
 
     e_out(t) = W^H diag(alpha_k(t) e^{j phi_k}) W e_in(t)
 
-with W the static transform from the geometry module.
+with W = U diag(F) the static transform from the geometry module. On the
+planar surface U is separable, U[(i, j), m] = R[i, m] C[j, m], so W is kept
+as its factors (R, C, F) in a ``FieldTransform``: W x and W^H z cost
+O(K M) per column and the K x M matrix is never formed.
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DirectionGrid
-
-# Measured two-state hardware phase palette, radians.
-DEFAULT_PHASE_PALETTE = (np.deg2rad(170.0), np.deg2rad(-25.0))
+from .geometry import DirectionGrid, FieldTransform
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +42,6 @@ class ElementPattern:
     def cosine(cls, grid: DirectionGrid, q: float = 1.0) -> "ElementPattern":
         """cos(theta)^q pattern; q=1 is the default element model."""
         return cls(np.cos(grid.thetas()) ** q, grid)
-
-    @classmethod
-    def isotropic(cls, grid: DirectionGrid) -> "ElementPattern":
-        return cls(np.ones(len(grid)), grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,39 +162,39 @@ def unit_scatter(pattern_in: complex, pattern_out: complex, dynamic: complex) ->
 
 
 def array_scatter(
-    w_matrix: np.ndarray, config: SurfaceConfig, e_in: np.ndarray
+    transform: FieldTransform, config: SurfaceConfig, e_in: np.ndarray
 ) -> np.ndarray:
     """Angular-domain scattering of the full array.
 
-    Per sample t: e_out(t) = W^H diag(alpha_k(t) e^{j phi_k}) W e_in(t).
-    ``e_in`` has shape (M,) or (M, T); the result matches its shape. For a
-    time-varying ``e_in`` the surface magnitudes must be sampled on the same
-    clock (same T).
+    Per sample t: e_out(t) = W^H diag(alpha_k(t) e^{j phi_k}) W e_in(t),
+    through the factored ``transform``. ``e_in`` has shape (M,) or (M, T);
+    the result matches its shape. For a time-varying ``e_in`` the surface
+    magnitudes must be sampled on the same clock (same T).
     """
-    k, m = w_matrix.shape
+    k, m = transform.shape
     e_in = np.asarray(e_in, dtype=complex)
     if e_in.shape[0] != m:
         raise ValueError(f"e_in has {e_in.shape[0]} directions, W expects {m}")
     if config.n_elements != k:
         raise ValueError(f"surface has {config.n_elements} elements, W expects {k}")
     gamma = config.reflection_coefficients()
-    elem = w_matrix @ e_in  # (K,) or (K, T)
     if gamma.ndim == 2 and e_in.ndim == 2 and gamma.shape[1] != e_in.shape[1]:
         raise ValueError("surface magnitudes and e_in are on different clocks")
+    elem = transform.apply(e_in)  # (K,) or (K, T)
     if gamma.ndim == 2 and elem.ndim == 1:
         elem = elem[:, None]
-    return w_matrix.conj().T @ (gamma * elem)
+    return transform.adjoint(gamma * elem)
 
 
 def beampattern(
-    w_matrix: np.ndarray, phases: np.ndarray, incident: np.ndarray
+    transform: FieldTransform, phases: np.ndarray, incident: np.ndarray
 ) -> np.ndarray:
     """Scattered power per grid direction with unit magnitudes.
 
     Freezes alpha_k = 1 and returns |e_out(O_m)|^2 for each direction of the
-    grid that W was built on.
+    grid that the transform was built on.
     """
     phases = np.asarray(phases, dtype=float)
     cfg = SurfaceConfig(np.ones(phases.shape[0]), phases)
-    e_out = array_scatter(w_matrix, cfg, np.asarray(incident, dtype=complex))
+    e_out = array_scatter(transform, cfg, np.asarray(incident, dtype=complex))
     return np.abs(e_out) ** 2

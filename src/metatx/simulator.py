@@ -27,14 +27,7 @@ from .channel import (
     rayleigh_matrix,
     selection_vector,
 )
-from .geometry import (
-    ArrayGeometry,
-    Direction,
-    DirectionGrid,
-    hemisphere_grid,
-    phase_difference_matrix,
-    transform_matrix,
-)
+from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
 from .reflection import ElementPattern, SurfaceConfig
 from .sensing import RotorSpec, Spectrogram, doppler_signature, istft_synthesize, signature_fidelity, stft
 
@@ -103,31 +96,26 @@ def default_scenario(**overrides) -> ScenarioConfig:
 
 @dataclass(eq=False)
 class LinkState:
-    """Deterministic matrices of one scenario: W and the folded channels."""
+    """Deterministic part of one scenario: the factored W and the folded channels."""
 
-    w_matrix: np.ndarray
-    pattern: np.ndarray
+    transform: FieldTransform
     h_in: np.ndarray
     h_out: np.ndarray
     h_eff: np.ndarray
 
 
 def build_link(scenario: ScenarioConfig) -> LinkState:
-    """Assemble W, H_i, H_o and h_eff from the scenario's path lists."""
+    """Assemble the transform, H_i, H_o and h_eff from the scenario's path lists."""
     pattern = ElementPattern.cosine(scenario.grid, scenario.pattern_exponent)
-    u = phase_difference_matrix(scenario.geometry, scenario.grid)
-    w = transform_matrix(u, pattern.values)
+    transform = FieldTransform.on_grid(scenario.geometry, scenario.grid, pattern.values)
     h_tx = channel_tx_to_surface(
         scenario.paths_tx_to_surface, scenario.tx, scenario.grid, scenario.carrier_hz
     )
     h_rx = channel_surface_to_rx(
         scenario.paths_surface_to_rx, scenario.rx, scenario.grid, scenario.carrier_hz
     )
-    eff = effective_channels(w, h_tx, h_rx, scenario.tx_beam)
-    return LinkState(
-        w_matrix=w, pattern=pattern.values, h_in=eff.h_in, h_out=eff.h_out,
-        h_eff=eff.h_eff,
-    )
+    eff = effective_channels(transform, h_tx, h_rx, scenario.tx_beam)
+    return LinkState(transform=transform, h_in=eff.h_in, h_out=eff.h_out, h_eff=eff.h_eff)
 
 
 def _reflect(rows: np.ndarray, surface: SurfaceConfig) -> np.ndarray:
@@ -163,7 +151,7 @@ def simulate_rx(
 def _probe_rows(scenario: ScenarioConfig, link: LinkState, probes) -> np.ndarray:
     """Outgoing channel rows v(dir)^T W^H for single-antenna probes, (P, K)."""
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])  # (P, M), real
-    return (link.w_matrix @ sel.T).conj().T
+    return link.transform.apply(sel.T).conj().T
 
 
 def isotropy_check(
@@ -442,11 +430,14 @@ def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
     bits = rng.integers(0, 2, n_symbols * md.QamConstellation(order).bits_per_symbol)
     wave = md.duc(md.qam_map(bits, order), scenario.modem, scenario.pulse)
     alpha, scale = _magnitude_drive(wave.samples)
+    if np.any(alpha < 0) or np.any(alpha > 1):
+        raise ValueError("surface magnitudes must stay in [0, 1]")
     link = build_link(scenario)
     phases = pc.closed_form_phases(link.h_out, link.h_eff).phases[0]
-    surface = SurfaceConfig.uniform(np.angle(phases), alpha)
-    y = simulate_rx(scenario, surface, link)
+    # Every element carries the same series alpha(t), so the received signal
+    # is the phased link gain times that series: no (K, T) magnitude array.
     gain = (link.h_out * link.h_eff[np.newaxis, :]) @ phases * scenario.carrier_envelope
+    y = add_noise(np.outer(gain, alpha), scenario.sigma2, scenario.seed)
     ref, aligned, metrics = demodulate(scenario, combine(y, gain, scale), bits, order, n_symbols)
     return {
         "tx_symbols": ref,

@@ -17,10 +17,9 @@ from metatx.channel import (
 from metatx.geometry import (
     ArrayGeometry,
     Direction,
+    FieldTransform,
     hemisphere_grid,
-    phase_difference_matrix,
     steering_vector,
-    transform_matrix,
 )
 
 FC = 5.8e9
@@ -33,6 +32,12 @@ def grid():
 
 def on_grid(grid, idx):
     return grid.directions[idx]
+
+
+def dense(w):
+    """A dense (K, M) matrix as a transform: one row factor of ones, W as columns."""
+    m = w.shape[1]
+    return FieldTransform(np.ones((1, m)), w, np.ones(m))
 
 
 class TestSelectionVector:
@@ -154,7 +159,7 @@ class TestEffectiveChannels:
         h_tx = rayleigh_matrix(rng, k, 2)
         h_rx = rayleigh_matrix(rng, 3, k)
         w_t = np.array([1.0, 0.0], dtype=complex)
-        eff = effective_channels(w, h_tx, h_rx, w_t)
+        eff = effective_channels(dense(w), h_tx, h_rx, w_t)
         assert_allclose(eff.h_in, h_tx)
         assert_allclose(eff.h_out, h_rx)
 
@@ -163,7 +168,7 @@ class TestEffectiveChannels:
         w = rayleigh_matrix(rng, 3, 5)
         h_tx = rayleigh_matrix(rng, 5, 2)
         h_rx = rayleigh_matrix(rng, 2, 5)
-        eff = effective_channels(w, h_tx, h_rx, np.array([1.0, 0.0]))
+        eff = effective_channels(dense(w), h_tx, h_rx, np.array([1.0, 0.0]))
         assert_allclose(eff.h_eff, eff.h_in[:, 0])
 
     def test_single_path_closed_product(self, grid):
@@ -171,7 +176,7 @@ class TestEffectiveChannels:
         # closed form with the surface steering inner product in the middle
         geom = ArrayGeometry(3, 2, 0.02, 0.0517)
         f = np.cos(grid.thetas())
-        w = transform_matrix(phase_difference_matrix(geom, grid), f)
+        w = FieldTransform.on_grid(geom, grid, f)
         tx, rx = TerminalArray.ula(2), TerminalArray.ula(2)
         mi, mo = 30, 70
         beta, zeta = 0.8 - 0.4j, 2.1e-8
@@ -212,16 +217,16 @@ class TestEffectiveChannels:
         h2 = rayleigh_matrix(rng, len(grid), 2)
         h_rx = rayleigh_matrix(rng, 2, len(grid))
         w_t = np.array([0.6, 0.8], dtype=complex)
-        a = effective_channels(w, h1, h_rx, w_t)
-        b = effective_channels(w, h2, h_rx, w_t)
-        c = effective_channels(w, h1 + h2, h_rx, w_t)
+        a = effective_channels(dense(w), h1, h_rx, w_t)
+        b = effective_channels(dense(w), h2, h_rx, w_t)
+        c = effective_channels(dense(w), h1 + h2, h_rx, w_t)
         assert_allclose(c.h_in, a.h_in + b.h_in, rtol=1e-12)
         assert_allclose(c.h_eff, a.h_eff + b.h_eff, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             effective_channels(
-                np.eye(3, dtype=complex),
+                dense(np.eye(3, dtype=complex)),
                 np.ones((4, 1), dtype=complex),
                 np.ones((1, 3), dtype=complex),
                 np.ones(1, dtype=complex),

@@ -251,6 +251,12 @@ class TestAlternatingOptimize:
         assert full.converged
         assert full.objective >= sol.objective - 1e-12
 
+    def test_explicit_init_must_be_unit_modulus(self):
+        # The ascent runs without per-step checks, so the start is checked once.
+        ch = random_two_stream(17)
+        with pytest.raises(ValueError, match="unit modulus"):
+            alternating_optimize(ch, init=(np.ones(4, dtype=complex), np.full(4, 0.5 + 0j)))
+
     def test_deterministic_starts_run_once_and_random_needs_one(self, monkeypatch):
         # every start evaluates sum_sinr once, for its first trace entry
         calls = []

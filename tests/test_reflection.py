@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from metatx.geometry import (
     ArrayGeometry,
+    FieldTransform,
     hemisphere_grid,
     phase_difference_matrix,
     transform_matrix,
@@ -24,7 +25,7 @@ def make_w(rows=2, cols=2, n_theta=4, n_phi=8, q=1.0):
     geom = ArrayGeometry(rows, cols, 0.025, 0.05)
     grid = hemisphere_grid(n_theta, n_phi)
     pattern = ElementPattern.cosine(grid, q)
-    return transform_matrix(phase_difference_matrix(geom, grid), pattern.values), grid
+    return FieldTransform.on_grid(geom, grid, pattern.values), grid
 
 
 class TestUnitScatter:
@@ -87,7 +88,7 @@ class TestArrayScatter:
         # the scatter map reduces to the unit model f f^H e_in (real pattern)
         grid = hemisphere_grid(3, 4)
         f = np.cos(grid.thetas())
-        w = f[np.newaxis, :]
+        w = FieldTransform(np.ones((1, len(grid))), np.ones((1, len(grid))), f)
         cfg = SurfaceConfig(np.ones(1), np.zeros(1))
         rng = np.random.default_rng(4)
         e_in = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
@@ -121,7 +122,8 @@ class TestArrayScatter:
                 gamma = alpha[k] * np.exp(1j * phases[k])
                 for mi in range(m):
                     expected[mo] += np.conj(w[k, mo]) * gamma * w[k, mi] * e_in[mi]
-        out = array_scatter(w, SurfaceConfig(alpha, phases), e_in)
+        t = FieldTransform.on_grid(geom, grid, f)
+        out = array_scatter(t, SurfaceConfig(alpha, phases), e_in)
         assert_allclose(out, expected, rtol=1e-11)
 
     def test_linear_in_e_in(self):
@@ -190,7 +192,7 @@ class TestBeampattern:
         geom = ArrayGeometry(4, 4, 0.5, 1.0)  # half-wavelength spacing
         grid = hemisphere_grid(8, 8)
         f = np.cos(grid.thetas())
-        w = transform_matrix(phase_difference_matrix(geom, grid), f)
+        w = FieldTransform.on_grid(geom, grid, f)
         # normal-incidence plane wave: excite the most zenith-like direction
         m0 = int(np.argmax(np.cos(grid.thetas())))
         e_in = np.zeros(len(grid), dtype=complex)
@@ -213,11 +215,13 @@ class TestBeampattern:
     def test_direct_sum_oracle(self):
         # random phase codebook: pattern equals the direct evaluation of the
         # per-direction double sum over incident directions and elements
-        w, grid = make_w(rows=2, cols=3, n_theta=3, n_phi=4)
+        t, grid = make_w(rows=2, cols=3, n_theta=3, n_phi=4)
+        geom = ArrayGeometry(2, 3, 0.025, 0.05)
+        w = transform_matrix(phase_difference_matrix(geom, grid), ElementPattern.cosine(grid).values)
         rng = np.random.default_rng(11)
         phases = rng.uniform(0, 2 * np.pi, 6)
         e_in = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
-        power = beampattern(w, phases, e_in)
+        power = beampattern(t, phases, e_in)
         gamma = np.exp(1j * phases)
         for mo in range(len(grid)):
             val = sum(
