@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .geometry import Direction, DirectionGrid, FieldTransform, unit_vector
 
 SPEED_OF_LIGHT = 299792458.0
@@ -210,13 +211,9 @@ def rayleigh_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 def write_complex_csv(path, matrix: np.ndarray) -> None:
     """Dump a complex matrix as CSV with alternating re/im columns."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    rows, cols = matrix.shape
-    out = np.empty((rows, 2 * cols))
-    out[:, 0::2] = matrix.real
-    out[:, 1::2] = matrix.imag
-    header = ",".join(f"re{c},im{c}" for c in range(cols))
-    np.savetxt(path, out, delimiter=",", header=header, comments="", fmt="%.17g")
+    matrix = np.atleast_2d(np.ascontiguousarray(matrix, dtype=complex))
+    header = ",".join(f"re{c},im{c}" for c in range(matrix.shape[1]))
+    write_csv(path, matrix.view(float), header)  # a C-order complex row is re, im, ...
 
 
 def read_complex_csv(path) -> np.ndarray:

@@ -24,6 +24,7 @@ from . import modem as md
 from . import precoder as pc
 from . import simulator as sim
 from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray, write_complex_csv
+from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, hemisphere_grid
 from .sensing import RotorSpec, write_spectrogram
 from .simulator import ScenarioConfig
@@ -321,14 +322,7 @@ def _run_precode(scenario, cfg, out, trials):
     with open(out.path("precode.json"), "w") as fh:
         fh.write(solution.to_json())
         fh.write("\n")
-    np.savetxt(
-        out.path("phases_rad.csv"),
-        np.angle(solution.phases[0]),
-        delimiter=",",
-        fmt="%.17g",
-        header="phase_rad",
-        comments="",
-    )
+    write_csv(out.path("phases_rad.csv"), np.angle(solution.phases[0]), "phase_rad")
 
 
 def _run_ber_sweep(scenario, cfg, out, trials):

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
+
 EVM_FLOOR_DB = -120.0
 
 _QAM_ORDERS = (4, 16, 64, 256, 1024)
@@ -300,7 +302,7 @@ def write_waveform(path, waveform: IFWaveform, fmt: str = "csv") -> None:
     """
     path = str(path)
     if fmt == "csv":
-        np.savetxt(path, waveform.samples, fmt="%.17g")
+        write_csv(path, waveform.samples)
     elif fmt == "f64":
         waveform.samples.astype("<f8").tofile(path)
     else:

@@ -135,16 +135,15 @@ def _subproblem(d, leak, phi_other, d_other, leak_other, sigma2):
     """
     noise = np.abs(leak_other @ phi_other) ** 2 + sigma2
     other = np.abs(d_other @ phi_other) ** 2
+    # fixed for the subproblem, so computed once and not per gradient call
+    d_scaled, leak_conj, two_other = 2 / noise * d.conj(), leak.conj(), 2 * other
 
     def value(phi):
         return float(np.abs(phi @ d) ** 2 / noise + other / (np.abs(phi @ leak) ** 2 + sigma2))
 
     def gradient(phi):
         v = np.abs(leak @ phi) ** 2
-        return (
-            2 / noise * d.conj() * (d @ phi)
-            - 2 * other / (v + sigma2) ** 2 * leak.conj() * (leak @ phi)
-        )
+        return d_scaled * (d @ phi) - two_other / (v + sigma2) ** 2 * leak_conj * (leak @ phi)
 
     return value, gradient
 

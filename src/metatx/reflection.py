@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .geometry import DirectionGrid, FieldTransform
 
 
@@ -134,7 +135,7 @@ def write_magnitude_series(path, magnitudes: np.ndarray, fmt: str = "csv") -> No
     path = str(path)
     mags = np.atleast_2d(np.asarray(magnitudes, dtype=float))
     if fmt == "csv":
-        np.savetxt(path, mags.T, delimiter=",", fmt="%.17g")
+        write_csv(path, mags.T)
     elif fmt == "f64":
         mags.T.astype("<f8").tofile(path)
         with open(path + ".json", "w") as fh:

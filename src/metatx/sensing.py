@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
+
 
 def hann_window(length: int) -> np.ndarray:
     """Periodic Hann window; COLA at hop = length/2."""
@@ -48,8 +50,8 @@ class Spectrogram:
         self.values = np.asarray(self.values)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d grid")
-        if self.hop > self.window_length:
-            raise ValueError("hop must not exceed the window length")
+        if not 1 <= self.hop <= self.window_length:
+            raise ValueError(f"hop must be in [1, window_length], got {self.hop}")
         if not np.iscomplexobj(self.values) and np.any(self.values < 0):
             raise ValueError("magnitude grids must be non-negative")
 
@@ -85,8 +87,8 @@ def stft(
     window = hann_window(256) if window is None else np.asarray(window, dtype=float)
     n = window.size
     hop = n // 2 if hop is None else int(hop)
-    if hop > n:
-        raise ValueError("hop must not exceed the window length")
+    if not 1 <= hop <= n:
+        raise ValueError(f"hop must be in [1, window length], got {hop}")
     if x.size < n:
         raise ValueError("waveform shorter than the analysis window")
     pad = n // 2
@@ -121,12 +123,21 @@ def istft_synthesize(
     if cola_deviation(window, spec.hop) > 1e-10:
         raise ValueError("window/hop pair does not satisfy overlap-add")
     if length is None:
-        length = spec.n_samples
-    if length is None:
-        length = spec.hop * (spec.n_frames - 1)
+        length = spec.n_samples if spec.n_samples is not None else spec.hop * (spec.n_frames - 1)
+    n, hop, pad = window.size, spec.hop, window.size // 2
+    total = pad + length + pad + n
+    # frames past total are dropped; stft of `length` samples has no fewer than `kept`
+    kept = min(spec.n_frames, (total - n) // hop + 1)
+    weight = _overlap_add(np.broadcast_to(window**2, (kept, n)), hop, total)
+    good = weight > 1e-12
+
+    def synthesize(values):  # least squares: windowed overlap-add over window**2
+        x = _overlap_add(np.fft.irfft(values[:kept], n, axis=1) * window, hop, total)
+        x[good] /= weight[good]
+        return x[pad : pad + length]
 
     if np.iscomplexobj(spec.values):
-        return _overlap_add(spec.values, window, spec.hop, length)
+        return synthesize(spec.values)
 
     if phase_policy not in ("random", "griffin_lim"):
         raise ValueError("phase_policy must be 'random' or 'griffin_lim'")
@@ -135,31 +146,24 @@ def istft_synthesize(
     values = spec.values * phases
     if phase_policy == "griffin_lim":
         for _ in range(refine_iterations):
-            x = _overlap_add(values, window, spec.hop, length)
-            reanalysed = stft(x, spec.sample_rate_hz, window, spec.hop)
-            frames = min(reanalysed.values.shape[0], values.shape[0])
-            angle = np.angle(reanalysed.values[:frames])
-            values = spec.values[:frames] * np.exp(1j * angle)
-    return _overlap_add(values, window, spec.hop, length)
+            z = stft(synthesize(values), spec.sample_rate_hz, window, hop).values[:kept]
+            mag = np.abs(z)
+            values = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
+    return synthesize(values)
 
 
-def _overlap_add(values: np.ndarray, window: np.ndarray, hop: int, length: int):
-    """Least-squares inverse: window-weighted overlap-add over squared window."""
-    n = window.size
-    pad = n // 2
-    total = pad + length + pad + n
+def _overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
+    """Sum (F, n) frames, frame i starting at sample i * hop, into ``total`` samples.
+
+    Every hop that passes the COLA check divides n, so frames i = r (mod n/hop)
+    abut without overlap and each phase r is one contiguous slice add.
+    """
+    step = frames.shape[1] // hop
     x = np.zeros(total)
-    weight = np.zeros(total)
-    frames = np.fft.irfft(values, n, axis=1) * window
-    for i in range(values.shape[0]):
-        lo = i * hop
-        if lo + n > total:
-            break
-        x[lo : lo + n] += frames[i]
-        weight[lo : lo + n] += window**2
-    good = weight > 1e-12
-    x[good] /= weight[good]
-    return x[pad : pad + length]
+    for r in range(step):
+        phase = frames[r::step]
+        x[r * hop : r * hop + phase.size] += phase.ravel()
+    return x
 
 
 def rotor_blade_signal(
@@ -276,7 +280,7 @@ def _resample_grid(grid: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def write_spectrogram(path, spec: Spectrogram) -> None:
     """CSV magnitude grid plus a JSON header sidecar."""
     path = str(path)
-    np.savetxt(path, spec.magnitude, delimiter=",", fmt="%.17g")
+    write_csv(path, spec.magnitude)
     header = {
         "hop": spec.hop,
         "window_length": spec.window_length,

@@ -27,6 +27,7 @@ from .channel import (
     rayleigh_matrix,
     selection_vector,
 )
+from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
 from .reflection import ElementPattern, SurfaceConfig
 from .sensing import RotorSpec, Spectrogram, doppler_signature, istft_synthesize, signature_fidelity, stft
@@ -219,11 +220,8 @@ class SweepResult:
     extras: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        header = f"{self.axis_name},{self.metric_name},ci_low,ci_high,n"
-        rows = np.column_stack(
-            [self.axis, self.values, self.ci_low, self.ci_high, self.counts]
-        )
-        np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
+        rows = np.column_stack([self.axis, self.values, self.ci_low, self.ci_high, self.counts])
+        write_csv(path, rows, f"{self.axis_name},{self.metric_name},ci_low,ci_high,n")
 
 
 def _draw_channels(rng, n_rx: int, k: int) -> tuple[np.ndarray, np.ndarray]:

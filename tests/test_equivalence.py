@@ -13,7 +13,11 @@ reordered (dense steering, the dense transform W = U diag(f) and the folds,
 probes, scattering and beampatterns built on it, the full-matrices SVD, the
 materialized reflection array, and the CLI's ``simulate`` chain through a
 (K, T) magnitude tile), and within 2e-14 V for the per-query ``brentq``
-predistortion inverse that array bisection replaced.
+predistortion inverse that array bisection replaced. The per-frame
+overlap-add loop must match exactly at hop n/2 (two addends per sample) and
+within 1e-15 at finer hops; the exp(1j angle) Griffin-Lim update that X/|X|
+replaced, and the ``sense`` artifacts built on it, within 1e-12. ``write_csv``
+must write the bytes of ``np.savetxt``.
 """
 
 import json
@@ -41,6 +45,7 @@ from metatx.channel import (
     write_complex_csv,
 )
 from metatx.cli import parse_config, run
+from metatx.csvio import write_csv
 from metatx.geometry import (
     ArrayGeometry,
     FieldTransform,
@@ -51,6 +56,7 @@ from metatx.geometry import (
     unit_vector,
 )
 from metatx.reflection import ElementPattern, SurfaceConfig, array_scatter, beampattern
+from metatx.sensing import RotorSpec, Spectrogram, doppler_signature, hann_window, istft_synthesize, stft
 from metatx.simulator import _draw_channels, default_scenario, wilson_interval
 
 
@@ -834,3 +840,149 @@ def test_bisection_inverse_matches_brentq(curve):
         inverse(np.array([m_lo, m_hi + 1e-6]))
     with pytest.raises(ValueError, match="outside curve range"):
         inverse(m_lo - 1e-6)
+
+
+def reference_overlap_add(values, window, hop, length):
+    """Per-frame weighted overlap-add, adding window**2 again for every frame."""
+    n = window.size
+    pad = n // 2
+    total = pad + length + pad + n
+    x = np.zeros(total)
+    weight = np.zeros(total)
+    frames = np.fft.irfft(values, n, axis=1) * window
+    for i in range(values.shape[0]):
+        lo = i * hop
+        if lo + n > total:
+            break
+        x[lo : lo + n] += frames[i]
+        weight[lo : lo + n] += window**2
+    good = weight > 1e-12
+    x[good] /= weight[good]
+    return x[pad : pad + length]
+
+
+def reference_istft(spec, phase_policy="griffin_lim", seed=0, refine_iterations=50, length=None):
+    """``istft_synthesize`` with the frame loop and the exp(1j angle) phase update."""
+    window = hann_window(spec.window_length)
+    if length is None:
+        length = spec.n_samples
+    if length is None:
+        length = spec.hop * (spec.n_frames - 1)
+    if np.iscomplexobj(spec.values):
+        return reference_overlap_add(spec.values, window, spec.hop, length)
+    rng = np.random.default_rng(seed)
+    values = spec.values * np.exp(2j * np.pi * rng.random(spec.values.shape))
+    if phase_policy == "griffin_lim":
+        for _ in range(refine_iterations):
+            x = reference_overlap_add(values, window, spec.hop, length)
+            reanalysed = stft(x, spec.sample_rate_hz, window, spec.hop)
+            frames = min(reanalysed.values.shape[0], values.shape[0])
+            angle = np.angle(reanalysed.values[:frames])
+            values = spec.values[:frames] * np.exp(1j * angle)
+    return reference_overlap_add(values, window, spec.hop, length)
+
+
+def drawn_grid(rng, n_frames, n, complex_values):
+    shape = (n_frames, n // 2 + 1)
+    if complex_values:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.abs(rng.standard_normal(shape))
+
+
+# n_samples = None fits every frame; a short n_samples leaves frames past the
+# overlap-add buffer, which both paths drop
+@pytest.mark.parametrize("n_frames", [10, 11, 57, 315, 400])
+@pytest.mark.parametrize("n, n_samples", [(256, None), (256, 1000), (16, 37)])
+@pytest.mark.parametrize("complex_values", [True, False], ids=["complex", "magnitude"])
+def test_hop_phase_overlap_add_matches_frame_loop_at_half_hop(n_frames, n, n_samples, complex_values):
+    rng = np.random.default_rng([n_frames, n])
+    spec = Spectrogram(drawn_grid(rng, n_frames, n, complex_values), n // 2, n, 2000.0, n_samples)
+    assert np.array_equal(istft_synthesize(spec, "random"), reference_istft(spec, "random"))
+
+
+@pytest.mark.parametrize("divisor", [4, 8])
+@pytest.mark.parametrize("n_frames, n_samples", [(40, None), (400, 2000)])
+@pytest.mark.parametrize("complex_values", [True, False], ids=["complex", "magnitude"])
+def test_hop_phase_overlap_add_matches_frame_loop_at_finer_hops(
+    divisor, n_frames, n_samples, complex_values
+):
+    # more than two addends per sample: the phase order changes the sums' order
+    rng = np.random.default_rng([divisor, n_frames])
+    spec = Spectrogram(drawn_grid(rng, n_frames, 256, complex_values), 256 // divisor, 256, 2000.0, n_samples)
+    assert_close(istft_synthesize(spec, "random"), reference_istft(spec, "random"), rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_griffin_lim_matches_exp_angle_reference(seed):
+    target = doppler_signature([RotorSpec(4.0, 2, 300.0), RotorSpec(6.5, 3, 500.0)], 2.0, 2000.0)
+    assert_close(istft_synthesize(target, seed=seed), reference_istft(target, seed=seed))
+
+
+def test_griffin_lim_matches_exp_angle_reference_on_silent_frames():
+    # The waveform is exactly 0 past the last nonzero frame's reach, so the
+    # reanalysed bins there are 0: exp(1j * angle(0)) = 1, and the guarded
+    # X/|X| gives the same 1 without a divide-by-zero warning.
+    grid = np.zeros((40, 129))
+    grid[:10] = np.abs(np.random.default_rng(6).standard_normal((10, 129)))
+    spec = Spectrogram(grid, 128, 256, 2000.0, n_samples=4992)
+    assert_close(istft_synthesize(spec, refine_iterations=5), reference_istft(spec, refine_iterations=5))
+
+
+@pytest.mark.parametrize("payload", [{}, {"seed": 9, "sense": {"duration_s": 3.0}}], ids=["default", "seed9"])
+def test_sense_subcommand_matches_exp_angle_reference(tmp_path, monkeypatch, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    run("sense", config, tmp_path / "new", quiet=True)
+    monkeypatch.setattr(sim, "istft_synthesize", reference_istft)
+    run("sense", config, tmp_path / "ref", quiet=True)
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    name = "target_spectrogram.csv"
+    assert (new / name).read_bytes() == (ref / name).read_bytes()
+    recovered = sorted(p.name for p in ref.glob("recovered_*.csv"))
+    assert recovered == sorted(p.name for p in new.glob("recovered_*.csv"))
+    for name in ["drive_waveform.csv", *recovered]:
+        assert_close(np.loadtxt(new / name, delimiter=","), np.loadtxt(ref / name, delimiter=","))
+    metrics = [json.loads((d / "sense_metrics.json").read_text()) for d in (new, ref)]
+    assert_close(metrics[0]["fidelities"], metrics[1]["fidelities"])
+    assert metrics[0]["excluded_probes"] == metrics[1]["excluded_probes"]
+
+
+def savetxt_bytes(path, rows, header=None):
+    np.savetxt(path, rows, delimiter=",", fmt="%.17g", header=header or "", comments="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.linspace(-1.0, 1.0, 9),
+        np.arange(12.0).reshape(3, 4) / 7,
+        np.array([[0.1, -2.5, 3e-300]]),
+        np.array([7.25]),
+        np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 2.0**53 + 1]),
+        np.array([[np.nan, -0.0], [5e-324, np.inf]]),
+        np.random.default_rng(0).standard_normal((9000, 3)),
+    ],
+    ids=["1d", "2d", "one-row", "one-value", "specials", "specials-2d", "many-blocks"],
+)
+@pytest.mark.parametrize("header", [None, "re0,im0"], ids=["no-header", "header"])
+def test_write_csv_matches_savetxt_bytes(tmp_path, rows, header):
+    write_csv(tmp_path / "new.csv", rows, header)
+    assert (tmp_path / "new.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", rows, header)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_write_csv_matches_savetxt_bytes_on_drawn_floats(tmp_path_factory, n_rows, n_cols, data):
+    rows = np.array(
+        data.draw(st.lists(st.floats(width=64), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    ).reshape(n_rows, n_cols)
+    if data.draw(st.booleans()):
+        rows = rows[:, 0]
+    tmp = tmp_path_factory.mktemp("csv")
+    write_csv(tmp / "new.csv", rows)
+    assert (tmp / "new.csv").read_bytes() == savetxt_bytes(tmp / "ref.csv", rows)

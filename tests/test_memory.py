@@ -7,7 +7,8 @@ compared with the size of the arrays the maths needs, so nothing is timed.
 forms neither U nor W (a K x M complex array each); ``simulate_rx`` must not
 form the (K, T) complex reflection array; ``simulate`` must not tile its one
 magnitude series into a (K, T) array; ``qam_demap`` must not form the
-(N, order) distance matrix.
+(N, order) distance matrix; the CSV writer must not format a whole
+waveform or grid as one string.
 """
 
 import tracemalloc
@@ -15,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from metatx.csvio import write_csv
 from metatx.geometry import ArrayGeometry, hemisphere_grid
 from metatx.modem import QamConstellation, qam_demap
 from metatx.reflection import SurfaceConfig
@@ -96,3 +98,12 @@ def test_qam_demap_working_memory_is_linear_and_order_free():
         working[order] = traced_peak(qam_demap, symbols, order) - bits_bytes
         assert working[order] < 5 * n * COMPLEX_BYTES
     assert abs(working[1024] - working[16]) < 0.01 * working[16]
+
+
+@pytest.mark.parametrize("shape", [(200_000,), (2000, 129)], ids=["waveform", "grid"])
+def test_csv_text_is_formatted_in_bounded_blocks(tmp_path, shape):
+    # Formatting all values in one string would hold their text (about 20 B
+    # per value) and a tuple of Python floats (about 32 B per value) at once,
+    # several times the array's own 8 B per value.
+    values = np.random.default_rng(0).standard_normal(shape)
+    assert traced_peak(write_csv, tmp_path / "out.csv", values) < values.nbytes

@@ -69,6 +69,13 @@ class TestStft:
         with pytest.raises(ValueError):
             stft(np.zeros(1000), FS, hann_window(128), hop=256)
 
+    # a negative hop used to give a one-frame grid that inverted to garbage,
+    # and hop 0 died with a ZeroDivisionError
+    @pytest.mark.parametrize("hop", [0, -128])
+    def test_non_positive_hop_rejected(self, hop):
+        with pytest.raises(ValueError, match="hop"):
+            stft(np.zeros(1000), FS, hann_window(256), hop=hop)
+
     def test_magnitude_invariant_to_sign_flip(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(2048)
@@ -96,6 +103,11 @@ class TestIstft:
     def test_zero_spectrogram(self):
         spec = Spectrogram(np.zeros((10, 129)), 128, 256, FS, n_samples=1280)
         assert np.all(istft_synthesize(spec) == 0)
+
+    @pytest.mark.parametrize("hop", [0, -128])
+    def test_spectrogram_rejects_non_positive_hop(self, hop):
+        with pytest.raises(ValueError, match="hop"):
+            Spectrogram(np.zeros((10, 129)), hop, 256, FS, n_samples=1280)
 
     def test_non_cola_rejected(self):
         spec = Spectrogram(np.zeros((10, 129)), 100, 256, FS, n_samples=1000)
