@@ -3,7 +3,7 @@
 The surface reflects an unmodulated carrier while its per-element reflection
 magnitudes carry the information waveform and its phases steer the beam.
 Modules: ``geometry`` (directions, steering, transforms), ``reflection``
-(unit/array scattering), ``channel`` (multipath synthesis), ``modem``
+(array scattering), ``channel`` (multipath synthesis), ``modem``
 (QAM/IF chain), ``mixer`` (diode nonlinearity and calibration), ``precoder``
 (phase optimization), ``simulator`` (end-to-end experiments), ``sensing``
 (Doppler-signature synthesis), ``cli`` (command-line front end).
@@ -26,12 +26,8 @@ from .geometry import (
 from .reflection import (
     ElementPattern,
     SurfaceConfig,
-    UnitReflection,
     array_scatter,
     beampattern,
-    read_magnitude_series,
-    unit_scatter,
-    write_magnitude_series,
 )
 from .channel import (
     EffectiveChannels,
@@ -53,7 +49,6 @@ from .modem import (
     evm_db,
     qam_demap,
     qam_map,
-    quantize,
     rate_params,
 )
 from .mixer import (
@@ -61,7 +56,6 @@ from .mixer import (
     MagnitudeCurve,
     calibrate_predistortion,
     diode_current,
-    distortion_metrics,
     mix,
     reflect_magnitude,
 )
@@ -71,7 +65,6 @@ from .precoder import (
     alternating_optimize,
     closed_form_phases,
     exhaustive_phase_oracle,
-    quantize_phases,
     retract,
     riemannian_project,
     sum_sinr,

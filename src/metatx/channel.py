@@ -215,8 +215,3 @@ def write_complex_csv(path, matrix: np.ndarray) -> None:
     header = ",".join(f"re{c},im{c}" for c in range(matrix.shape[1]))
     write_csv(path, matrix.view(float), header)  # a C-order complex row is re, im, ...
 
-
-def read_complex_csv(path) -> np.ndarray:
-    """Inverse of :func:`write_complex_csv`."""
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-    return data[:, 0::2] + 1j * data[:, 1::2]

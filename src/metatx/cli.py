@@ -145,6 +145,9 @@ def _merge_defaults(user, defaults, path=""):
 def effective_config(user: dict) -> dict:
     """Fully-defaulted configuration dict; re-parsing it is a no-op."""
     cfg = _merge_defaults(user, _DEFAULT_CONFIG)
+    carrier = cfg["carrier_hz"]
+    if isinstance(carrier, bool) or not isinstance(carrier, (int, float)) or not carrier > 0:
+        raise ConfigError(f"carrier_hz: must be a number > 0, got {carrier!r}")
     if cfg["geometry"]["wavelength_m"] is None:
         cfg["geometry"]["wavelength_m"] = SPEED_OF_LIGHT / cfg["carrier_hz"]
     if cfg["geometry"]["spacing_m"] is None:
@@ -172,15 +175,34 @@ def _path_component(entry: dict, where: str) -> PathComponent:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# (section, key, minimum) of every integer-valued field
+_INTEGER_FIELDS = (
+    ("geometry", "rows", 1),
+    ("geometry", "cols", 1),
+    ("grid", "n_theta", 1),
+    ("grid", "n_phi", 1),
+    ("modem", "samples_per_symbol", 2),
+    ("modem", "span_symbols", 1),
+    ("tx", "antennas", 1),
+    ("rx", "antennas", 1),
+    ("simulate", "n_symbols", 2),
+    ("two_stream", "n_symbols", 2),
+)
+
+
 def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     """Validate a config dict into a ScenarioConfig plus the effective dict."""
     cfg = effective_config(user)
-    for section in ("simulate", "two_stream"):
-        n = cfg[section]["n_symbols"]
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError(f"{section}.n_symbols: must be an integer >= 2, got {n!r}")
-    if not cfg["sense"]["probes"]:
-        raise ConfigError("sense.probes: needs at least one probe direction")
+    for section, key, minimum in _INTEGER_FIELDS:
+        n = cfg[section][key]
+        if isinstance(n, bool) or not isinstance(n, int) or n < minimum:
+            raise ConfigError(f"{section}.{key}: must be an integer >= {minimum}, got {n!r}")
+    for section, key in (("sense", "probes"), ("sweep", "snr_db"), ("sweep", "k_list")):
+        if not cfg[section][key]:
+            raise ConfigError(f"{section}.{key}: must be a non-empty list")
+    orders = cfg["two_stream"]["orders"]
+    if not isinstance(orders, list) or len(orders) != 2:
+        raise ConfigError(f"two_stream.orders: must list exactly two QAM orders, got {orders!r}")
     try:
         geometry = ArrayGeometry(
             rows=cfg["geometry"]["rows"],

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .modem import evm_db
-
 
 @dataclass(frozen=True)
 class DiodeModel:
@@ -144,18 +142,6 @@ class MagnitudeCurve:
         return reflect_magnitude(v_bias, self)
 
     @classmethod
-    def two_state_defaults(cls) -> dict[int, "MagnitudeCurve"]:
-        """Measured magnitude endpoints of the two hardware phase states.
-
-        State 0 spans 0.8 down to 0.1, state 1 spans 1.0 down to 0.2, over a
-        generic forward-bias control range.
-        """
-        return {
-            0: cls(np.array([0.6, 0.9]), np.array([0.8, 0.1])),
-            1: cls(np.array([0.6, 0.9]), np.array([1.0, 0.2])),
-        }
-
-    @classmethod
     def from_diode(
         cls,
         model: DiodeModel,
@@ -176,13 +162,6 @@ class MagnitudeCurve:
             * np.exp(model.alpha_per_volt * v)
         )
         return cls(v, r / (r + z0_ohm))
-
-    @classmethod
-    def from_csv(cls, path) -> "MagnitudeCurve":
-        """Load a two-column (volts, magnitude) CSV."""
-        data = np.atleast_2d(np.loadtxt(path, delimiter=","))
-        return cls(data[:, 0], data[:, 1])
-
 
 def reflect_magnitude(v_bias, curve: MagnitudeCurve):
     """Interpolated reflection magnitude at a bias voltage inside the domain."""
@@ -228,29 +207,3 @@ def calibrate_predistortion(curve: MagnitudeCurve):
 
     return inverse
 
-
-def distortion_metrics(
-    reference: np.ndarray, observed: np.ndarray
-) -> dict[str, float]:
-    """Constellation quality of observed symbols against their references.
-
-    Removes the optimal global phase rotation first, then reports overall EVM
-    and the worst per-constellation-point RMS spread around each cluster
-    centroid.
-    """
-    reference = np.asarray(reference, dtype=complex)
-    observed = np.asarray(observed, dtype=complex)
-    if reference.size == 0 or reference.shape != observed.shape:
-        raise ValueError("reference and observed must be equal-length, non-empty")
-    inner = np.vdot(observed, reference)
-    if abs(inner) > 0:
-        observed = observed * (inner / abs(inner))
-    spreads = []
-    for point in np.unique(reference):
-        cluster = observed[reference == point]
-        centroid = cluster.mean()
-        spreads.append(float(np.sqrt(np.mean(np.abs(cluster - centroid) ** 2))))
-    return {
-        "evm_db": evm_db(observed, reference),
-        "worst_cluster_spread": max(spreads),
-    }

@@ -234,30 +234,6 @@ def ddc(
     return y[delay + np.arange(n) * sps] / pulse.gain(sps)
 
 
-def quantize(
-    waveform: IFWaveform, bits: int | None, full_scale: float
-) -> tuple[IFWaveform, int]:
-    """Uniform mid-rise quantization to ``bits`` levels over +-full_scale.
-
-    ``bits=None`` (or infinity) is the infinite-resolution sentinel
-    (identity). Out-of-range samples clip to the extreme levels; the clip
-    count is returned alongside.
-    """
-    if bits is None or (isinstance(bits, float) and math.isinf(bits)):
-        return IFWaveform(
-            waveform.samples.copy(), waveform.sample_rate_hz, waveform.origin_s
-        ), 0
-    bits = int(bits)
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    step = 2 * full_scale / (1 << bits)
-    clipped = int(np.sum(np.abs(waveform.samples) >= full_scale))
-    idx = np.floor(waveform.samples / step)
-    idx = np.clip(idx, -(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-    q = (idx + 0.5) * step
-    return IFWaveform(q, waveform.sample_rate_hz, waveform.origin_s), clipped
-
-
 def evm_db(rx: np.ndarray, ref: np.ndarray) -> float:
     """Error vector magnitude, dB relative to reference energy."""
     rx = np.asarray(rx, dtype=complex)
@@ -295,35 +271,18 @@ def rate_params(
     }
 
 
-def write_waveform(path, waveform: IFWaveform, fmt: str = "csv") -> None:
-    """Persist a waveform as single-column CSV or raw little-endian float64.
+def write_waveform(path, waveform: IFWaveform) -> None:
+    """Persist a waveform as single-column CSV.
 
     A JSON sidecar ``<path>.json`` records the sample rate and origin.
     """
     path = str(path)
-    if fmt == "csv":
-        write_csv(path, waveform.samples)
-    elif fmt == "f64":
-        waveform.samples.astype("<f8").tofile(path)
-    else:
-        raise ValueError("fmt must be 'csv' or 'f64'")
+    write_csv(path, waveform.samples)
     sidecar = {
         "sample_rate_hz": waveform.sample_rate_hz,
         "origin_s": waveform.origin_s,
-        "format": fmt,
+        "format": "csv",
         "n_samples": int(waveform.samples.size),
     }
     with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=1)
-
-
-def read_waveform(path) -> IFWaveform:
-    """Load a waveform written by :func:`write_waveform`."""
-    path = str(path)
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    if meta["format"] == "csv":
-        samples = np.loadtxt(path)
-    else:
-        samples = np.fromfile(path, dtype="<f8")
-    return IFWaveform(samples, meta["sample_rate_hz"], meta["origin_s"])

@@ -25,8 +25,6 @@ class PhaseSolution:
     objective: float
     trace: np.ndarray
     converged: bool = True
-    quantized: bool = False
-    palette: tuple[float, ...] | None = None
     power_bound: float | None = None
 
     def __post_init__(self):
@@ -44,7 +42,7 @@ class PhaseSolution:
             {
                 "objective": self.objective,
                 "converged": self.converged,
-                "quantized": self.quantized,
+                "quantized": False,  # phases are continuous; the key keeps the layout
                 "iterations": int(self.trace.size),
                 "trace": self.trace.tolist(),
                 "phases_rad": [np.angle(p).tolist() for p in self.phases],
@@ -298,38 +296,6 @@ def alternating_optimize(
         if best is None or solution.objective > best.objective:
             best = solution
     return best
-
-
-def quantize_phases(
-    solution: PhaseSolution, palette: tuple[float, ...], objective=None
-) -> PhaseSolution:
-    """Snap each phase to the nearest palette angle (circular distance).
-
-    Exact midpoints resolve to the lower-indexed palette entry. If an
-    ``objective`` callable is given (taking the list of quantized phase
-    vectors), the solution's objective is re-evaluated with it; otherwise the
-    pre-quantization value is carried over unchanged.
-    """
-    if not palette:
-        raise ValueError("palette must be non-empty")
-    pal = np.asarray(palette, dtype=float)
-    quantized = []
-    for p in solution.phases:
-        ang = np.angle(p)
-        dist = np.abs(np.angle(np.exp(1j * (ang[:, None] - pal[None, :]))))
-        # round distances so exact ties resolve to the lower palette index
-        choice = np.argmin(np.round(dist, 12), axis=1)
-        quantized.append(np.exp(1j * pal[choice]))
-    value = solution.objective if objective is None else float(objective(quantized))
-    return PhaseSolution(
-        phases=quantized,
-        objective=value,
-        trace=solution.trace,
-        converged=solution.converged,
-        quantized=True,
-        palette=tuple(palette),
-        power_bound=solution.power_bound,
-    )
 
 
 def exhaustive_phase_oracle(

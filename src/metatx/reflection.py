@@ -1,4 +1,4 @@
-"""Unit and array reflection models of the programmable surface.
+"""Reflection model of the programmable surface, unit cell to array.
 
 A unit cell's reflection coefficient factorizes into a static angular part,
 modeled by a single element pattern F evaluated at the incident and outgoing
@@ -15,12 +15,10 @@ O(K M) per column and the K x M matrix is never formed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .geometry import DirectionGrid, FieldTransform
 
 
@@ -45,39 +43,17 @@ class ElementPattern:
         return cls(np.cos(grid.thetas()) ** q, grid)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitReflection:
-    """One unit cell: static angular gain plus dynamic magnitude/phase series."""
-
-    static_gain: complex
-    magnitude: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self):
-        mag = np.atleast_1d(np.asarray(self.magnitude, dtype=float))
-        ph = np.atleast_1d(np.asarray(self.phase, dtype=float))
-        object.__setattr__(self, "magnitude", mag)
-        object.__setattr__(self, "phase", ph)
-        if np.any(mag < 0) or np.any(mag > 1):
-            raise ValueError("reflection magnitude must stay in [0, 1]")
-
-    def dynamic(self) -> np.ndarray:
-        """Time-varying reflection factor alpha(t)*exp(j*beta(t))."""
-        return self.magnitude * np.exp(1j * self.phase)
-
-
 @dataclass(eq=False)
 class SurfaceConfig:
     """Programmable state of the surface: magnitudes over time plus phases.
 
     ``magnitudes`` has shape (K,) for a static state or (K, T) for a sampled
     time series; ``phases`` has shape (K,) and is held constant within a
-    coherence block. If ``palette`` is set every phase must belong to it.
+    coherence block.
     """
 
     magnitudes: np.ndarray
     phases: np.ndarray
-    palette: tuple[float, ...] | None = None
 
     def __post_init__(self):
         self.magnitudes = np.asarray(self.magnitudes, dtype=float)
@@ -90,13 +66,6 @@ class SurfaceConfig:
             raise ValueError("magnitudes and phases disagree on K")
         if np.any(self.magnitudes < 0) or np.any(self.magnitudes > 1):
             raise ValueError("surface magnitudes must stay in [0, 1]")
-        if self.palette is not None:
-            pal = np.exp(1j * np.asarray(self.palette))
-            ok = np.isclose(
-                np.exp(1j * self.phases)[:, None], pal[None, :], atol=1e-9
-            ).any(axis=1)
-            if not np.all(ok):
-                raise ValueError("some phases are not in the configured palette")
 
     @property
     def n_elements(self) -> int:
@@ -104,10 +73,7 @@ class SurfaceConfig:
 
     @classmethod
     def uniform(
-        cls,
-        phases: np.ndarray,
-        magnitude: np.ndarray | float = 1.0,
-        palette: tuple[float, ...] | None = None,
+        cls, phases: np.ndarray, magnitude: np.ndarray | float = 1.0
     ) -> "SurfaceConfig":
         """All elements share one magnitude time series (or constant)."""
         phases = np.asarray(phases, dtype=float)
@@ -116,7 +82,7 @@ class SurfaceConfig:
             mags = np.full(phases.shape[0], mag.item())
         else:
             mags = np.tile(mag, (phases.shape[0], 1))
-        return cls(mags, phases, palette)
+        return cls(mags, phases)
 
     def reflection_coefficients(self) -> np.ndarray:
         """Per-element dynamic reflection alpha_k(t)*exp(j*phi_k), (K,) or (K, T)."""
@@ -124,42 +90,6 @@ class SurfaceConfig:
         if self.magnitudes.ndim == 1:
             return self.magnitudes * ph
         return self.magnitudes * ph[:, None]
-
-
-def write_magnitude_series(path, magnitudes: np.ndarray, fmt: str = "csv") -> None:
-    """Persist per-element magnitude time series, one column per element.
-
-    ``csv`` writes a (T, K) table; ``f64`` writes raw little-endian float64
-    in time-major order with a JSON shape sidecar.
-    """
-    path = str(path)
-    mags = np.atleast_2d(np.asarray(magnitudes, dtype=float))
-    if fmt == "csv":
-        write_csv(path, mags.T)
-    elif fmt == "f64":
-        mags.T.astype("<f8").tofile(path)
-        with open(path + ".json", "w") as fh:
-            json.dump({"n_elements": mags.shape[0], "n_samples": mags.shape[1]}, fh)
-    else:
-        raise ValueError("fmt must be 'csv' or 'f64'")
-
-
-def read_magnitude_series(path, fmt: str = "csv") -> np.ndarray:
-    """Load a (K, T) magnitude array written by :func:`write_magnitude_series`."""
-    path = str(path)
-    if fmt == "csv":
-        return np.atleast_2d(np.loadtxt(path, delimiter=",")).T
-    if fmt == "f64":
-        with open(path + ".json") as fh:
-            shape = json.load(fh)
-        flat = np.fromfile(path, dtype="<f8")
-        return flat.reshape(shape["n_samples"], shape["n_elements"]).T
-    raise ValueError("fmt must be 'csv' or 'f64'")
-
-
-def unit_scatter(pattern_in: complex, pattern_out: complex, dynamic: complex) -> complex:
-    """Scattered/incident field ratio of one unit: dynamic * F(in) * F(out)."""
-    return dynamic * pattern_in * pattern_out
 
 
 def array_scatter(

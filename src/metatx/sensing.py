@@ -290,10 +290,3 @@ def write_spectrogram(path, spec: Spectrogram) -> None:
     with open(path + ".json", "w") as fh:
         json.dump(header, fh, indent=1)
 
-
-def read_spectrogram(path) -> Spectrogram:
-    path = str(path)
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    grid = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    return Spectrogram(values=grid, **header)

@@ -480,6 +480,8 @@ def two_stream_experiment(
     k = scenario.n_elements
     if k % 2:
         raise ValueError("two-stream split needs an even element count")
+    if len(orders) != 2:
+        raise ValueError(f"two-stream needs exactly two QAM orders, got {list(orders)}")
     half = k // 2
     seed = scenario.seed if seed is None else seed
     rng = np.random.default_rng([seed, 0x2575])

@@ -1,0 +1,44 @@
+"""Source hygiene: no module of metatx imports a name it never uses.
+
+``__init__.py`` is exempt: its imports are the package's public exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "metatx"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that no expression in the module reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_detector_flags_unused_and_keeps_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\nimport os.path\nimport numpy as np\n"
+        "from .csvio import write_csv, BLOCK_VALUES\n"
+        "def f(x: np.ndarray):\n    return os.path.join(write_csv.__name__)\n"
+    )
+    assert unused_imports(source) == ["BLOCK_VALUES", "json"]
+
+
+def test_modules_found():
+    assert {"cli.py", "reflection.py", "mixer.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []

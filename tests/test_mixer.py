@@ -9,7 +9,6 @@ from metatx.mixer import (
     MagnitudeCurve,
     calibrate_predistortion,
     diode_current,
-    distortion_metrics,
     mix,
     reflect_magnitude,
 )
@@ -145,15 +144,6 @@ class TestMix:
 
 
 class TestMagnitudeCurve:
-    def test_state_endpoints(self):
-        curves = MagnitudeCurve.two_state_defaults()
-        lo0, hi0 = curves[0].domain
-        assert reflect_magnitude(lo0, curves[0]) == pytest.approx(0.8)
-        assert reflect_magnitude(hi0, curves[0]) == pytest.approx(0.1)
-        lo1, hi1 = curves[1].domain
-        assert reflect_magnitude(lo1, curves[1]) == pytest.approx(1.0)
-        assert reflect_magnitude(hi1, curves[1]) == pytest.approx(0.2)
-
     def test_two_knot_midpoint(self):
         curve = MagnitudeCurve(np.array([0.0, 1.0]), np.array([0.2, 0.8]))
         assert reflect_magnitude(0.5, curve) == pytest.approx(0.5)
@@ -166,12 +156,6 @@ class TestMagnitudeCurve:
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError):
             MagnitudeCurve(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.9, 0.5]))
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        np.savetxt(path, np.array([[0.0, 0.9], [0.5, 0.5], [1.0, 0.15]]), delimiter=",")
-        curve = MagnitudeCurve.from_csv(path)
-        assert reflect_magnitude(0.5, curve) == pytest.approx(0.5)
 
 
 class TestCalibration:
@@ -221,29 +205,3 @@ class TestCalibration:
             return evm_db(out * fit, symbols)
 
         assert decode(uncal) - decode(cal) >= 10.0
-
-
-class TestDistortionMetrics:
-    def test_identity(self):
-        s = qam_map(np.random.default_rng(4).integers(0, 2, 400), 16)
-        out = distortion_metrics(s, s)
-        assert out["worst_cluster_spread"] < 1e-12
-        assert out["evm_db"] < -100
-
-    def test_global_phase_removed(self):
-        s = qam_map(np.random.default_rng(5).integers(0, 2, 400), 16)
-        out = distortion_metrics(s, s * np.exp(0.7j))
-        assert out["worst_cluster_spread"] < 1e-12
-        assert out["evm_db"] < -100
-
-    def test_cubic_nonlinearity_degrades(self):
-        s = qam_map(np.random.default_rng(6).integers(0, 2, 2000), 16)
-        warped = s + 0.1 * np.abs(s) ** 2 * s
-        clean = distortion_metrics(s, s)
-        bent = distortion_metrics(s, warped)
-        assert bent["evm_db"] > clean["evm_db"]
-        assert bent["worst_cluster_spread"] >= clean["worst_cluster_spread"]
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            distortion_metrics(np.array([]), np.array([]))

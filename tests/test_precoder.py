@@ -5,14 +5,12 @@ from numpy.testing import assert_allclose
 import metatx.precoder as pc
 from metatx.channel import rayleigh_matrix
 from metatx.precoder import (
-    PhaseSolution,
     TwoStreamChannels,
     alternating_optimize,
     closed_form_phases,
     euclidean_gradient_phi1,
     euclidean_gradient_phi2,
     exhaustive_phase_oracle,
-    quantize_phases,
     retract,
     riemannian_project,
     sum_sinr,
@@ -285,67 +283,6 @@ class TestAlternatingOptimize:
         )
         alternating_optimize(ch, init="multi", restarts=2)
         assert built == []
-
-
-class TestQuantizePhases:
-    def test_single_angle_palette(self):
-        sol = PhaseSolution(
-            phases=[np.exp(2j * np.pi * np.random.default_rng(18).random(5))],
-            objective=1.0,
-            trace=np.array([1.0]),
-        )
-        q = quantize_phases(sol, (0.0,))
-        assert_allclose(q.phases[0], np.ones(5))
-        assert q.quantized
-
-    def test_midpoint_tie_breaks_low(self):
-        sol = PhaseSolution(
-            phases=[np.array([np.exp(1j * np.pi / 2)])],
-            objective=1.0,
-            trace=np.array([1.0]),
-        )
-        q = quantize_phases(sol, (0.0, np.pi))
-        assert_allclose(q.phases[0], [1.0])
-
-    def test_empty_palette(self):
-        sol = PhaseSolution(
-            phases=[np.ones(2, dtype=complex)], objective=1.0, trace=np.array([1.0])
-        )
-        with pytest.raises(ValueError):
-            quantize_phases(sol, ())
-
-    def test_objective_reevaluated(self):
-        h = np.array([1.0 + 0j, 1.0])
-        sol = PhaseSolution(
-            phases=[np.exp(1j * np.array([0.2, -0.2]))],
-            objective=0.0,
-            trace=np.array([0.0]),
-        )
-        q = quantize_phases(
-            sol, (0.0, np.pi), objective=lambda ps: abs(ps[0] @ h) ** 2
-        )
-        assert q.objective == pytest.approx(4.0)
-
-    def test_two_state_beats_random_assignment(self):
-        # quantized coherent alignment vs an incoherent random draw from the
-        # same two hardware states; at K=32 the coherent gain dominates
-        palette = (np.deg2rad(170.0), np.deg2rad(-25.0))
-        k = 32
-        wins = 0
-        for seed in range(400, 420):
-            rng = np.random.default_rng(seed)
-            h_eff = rayleigh_matrix(rng, k)
-            h_out = rayleigh_matrix(rng, 1, k)
-
-            def power(w):
-                return float(np.linalg.norm(h_out @ (w * h_eff)) ** 2)
-
-            sol = closed_form_phases(h_out, h_eff)
-            q = quantize_phases(sol, palette, objective=lambda ps: power(ps[0]))
-            rand = np.exp(1j * np.asarray(palette)[rng.integers(0, 2, k)])
-            if q.objective >= power(rand):
-                wins += 1
-        assert wins == 20
 
 
 class TestExhaustiveOracle:

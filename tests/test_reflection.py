@@ -12,12 +12,8 @@ from metatx.geometry import (
 from metatx.reflection import (
     ElementPattern,
     SurfaceConfig,
-    UnitReflection,
     array_scatter,
     beampattern,
-    read_magnitude_series,
-    unit_scatter,
-    write_magnitude_series,
 )
 
 
@@ -28,30 +24,6 @@ def make_w(rows=2, cols=2, n_theta=4, n_phi=8, q=1.0):
     return FieldTransform.on_grid(geom, grid, pattern.values), grid
 
 
-class TestUnitScatter:
-    def test_identity(self):
-        assert unit_scatter(1.0, 1.0, 1.0) == 1.0
-
-    def test_zero_dynamic(self):
-        assert unit_scatter(0.3 + 0.1j, -0.7j, 0.0) == 0.0
-
-    def test_random_scalar_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert_allclose(unit_scatter(a, b, c), c * a * b, rtol=1e-15)
-
-
-class TestUnitReflection:
-    def test_dynamic_factor(self):
-        u = UnitReflection(1.0, np.array([0.5, 1.0]), np.array([0.0, np.pi / 2]))
-        assert_allclose(u.dynamic(), [0.5, 1j], atol=1e-15)
-
-    def test_magnitude_range_enforced(self):
-        with pytest.raises(ValueError):
-            UnitReflection(1.0, np.array([1.2]), np.array([0.0]))
-
-
 class TestSurfaceConfig:
     def test_magnitude_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -59,27 +31,11 @@ class TestSurfaceConfig:
         with pytest.raises(ValueError):
             SurfaceConfig(np.array([-0.1]), np.array([0.0]))
 
-    def test_palette_enforced(self):
-        pal = (np.deg2rad(170.0), np.deg2rad(-25.0))
-        SurfaceConfig(np.ones(2), np.array([pal[0], pal[1]]), palette=pal)
-        with pytest.raises(ValueError):
-            SurfaceConfig(np.ones(2), np.array([0.3, pal[1]]), palette=pal)
-
     def test_uniform_broadcast(self):
         alpha = np.array([0.2, 0.4, 0.6])
         cfg = SurfaceConfig.uniform(np.zeros(4), alpha)
         assert cfg.magnitudes.shape == (4, 3)
         assert_allclose(cfg.reflection_coefficients()[2], alpha)
-
-    @pytest.mark.parametrize("fmt", ["csv", "f64"])
-    def test_magnitude_series_round_trip(self, tmp_path, fmt):
-        rng = np.random.default_rng(12)
-        mags = rng.uniform(0, 1, (5, 40))
-        path = tmp_path / f"mags_{fmt}.dat"
-        write_magnitude_series(path, mags, fmt)
-        back = read_magnitude_series(path, fmt)
-        assert_allclose(back, mags, rtol=1e-15)
-        SurfaceConfig(back, np.zeros(5))
 
 
 class TestArrayScatter:

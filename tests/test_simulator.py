@@ -323,6 +323,11 @@ class TestTwoStream:
         with pytest.raises(ValueError, match="'max_itr'"):
             two_stream_experiment(default_scenario(), optimizer={"max_itr": 3})
 
+    @pytest.mark.parametrize("orders", [(16,), (16, 64, 256)], ids=["one", "three"])
+    def test_order_count_rejected(self, orders):
+        with pytest.raises(ValueError, match="two QAM orders"):
+            two_stream_experiment(default_scenario(), orders=orders)
+
     def test_odd_split_rejected(self):
         sc = default_scenario(geometry=ArrayGeometry(3, 3, 0.025, 0.05172))
         with pytest.raises(ValueError):
