@@ -199,14 +199,21 @@ def add_noise(y: np.ndarray, sigma2: float, seed) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if sigma2 == 0:
         return y.copy()
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    return y + np.sqrt(sigma2 / 2) * noise
+    return y + np.sqrt(sigma2 / 2) * complex_gaussian(np.random.default_rng(seed), y.shape)
+
+
+def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """re + j im with i.i.d. standard-normal parts, the real part drawn first.
+
+    The unscaled CN(0, 2) draw behind every noise and fading sample; callers
+    scale it, so each keeps its exact arithmetic and its RNG stream.
+    """
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def rayleigh_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """I.i.d. circularly-symmetric CN(0, 1) entries (Rayleigh magnitudes)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    return complex_gaussian(rng, shape) / np.sqrt(2)
 
 
 def write_complex_csv(path, matrix: np.ndarray) -> None:

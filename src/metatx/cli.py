@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -187,7 +188,20 @@ _INTEGER_FIELDS = (
     ("rx", "antennas", 1),
     ("simulate", "n_symbols", 2),
     ("two_stream", "n_symbols", 2),
+    ("sweep", "trials", 1),
+    ("sweep", "realizations", 2),
+    ("sweep", "min_bits", 1),
 )
+
+
+def _check_order(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value not in md.QAM_ORDERS:
+        raise ConfigError(f"{where}: must be a QAM order in {md.QAM_ORDERS}, got {value!r}")
+
+
+def _check_number(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise ConfigError(f"{where}: must be a number, got {value!r}")
 
 
 def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
@@ -198,11 +212,20 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
         if isinstance(n, bool) or not isinstance(n, int) or n < minimum:
             raise ConfigError(f"{section}.{key}: must be an integer >= {minimum}, got {n!r}")
     for section, key in (("sense", "probes"), ("sweep", "snr_db"), ("sweep", "k_list")):
-        if not cfg[section][key]:
+        if not isinstance(cfg[section][key], list) or not cfg[section][key]:
             raise ConfigError(f"{section}.{key}: must be a non-empty list")
     orders = cfg["two_stream"]["orders"]
     if not isinstance(orders, list) or len(orders) != 2:
         raise ConfigError(f"two_stream.orders: must list exactly two QAM orders, got {orders!r}")
+    _check_order(cfg["modem"]["order"], "modem.order")
+    _check_order(cfg["sweep"]["order"], "sweep.order")
+    for i, order in enumerate(orders):
+        _check_order(order, f"two_stream.orders[{i}]")
+    _check_number(cfg["sigma2"], "sigma2")
+    _check_number(cfg["pattern_exponent"], "pattern_exponent")
+    _check_number(cfg["two_stream"]["snr_db"], "two_stream.snr_db")
+    for i, snr_db in enumerate(cfg["sweep"]["snr_db"]):
+        _check_number(snr_db, f"sweep.snr_db[{i}]")
     try:
         geometry = ArrayGeometry(
             rows=cfg["geometry"]["rows"],
@@ -227,7 +250,6 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
             rolloff=cfg["modem"]["rolloff"],
             span_symbols=cfg["modem"]["span_symbols"],
         )
-        md.QamConstellation(cfg["modem"]["order"])
     except ValueError as exc:
         raise ConfigError(f"modem: {exc}") from exc
     tx = TerminalArray.ula(cfg["tx"]["antennas"], cfg["tx"]["spacing_wavelengths"])

@@ -19,7 +19,7 @@ from .csvio import write_csv
 
 EVM_FLOOR_DB = -120.0
 
-_QAM_ORDERS = (4, 16, 64, 256, 1024)
+QAM_ORDERS = (4, 16, 64, 256, 1024)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +30,8 @@ class QamConstellation:
     points: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.order not in _QAM_ORDERS:
-            raise ValueError(f"order must be one of {_QAM_ORDERS}")
+        if self.order not in QAM_ORDERS:
+            raise ValueError(f"order must be one of {QAM_ORDERS}")
         side = int(round(math.sqrt(self.order)))
         bits_per_axis = side.bit_length() - 1
         # Gray value g at axis level i = i ^ (i >> 1); amplitude of level i is

@@ -23,6 +23,7 @@ from .channel import (
     add_noise,
     channel_surface_to_rx,
     channel_tx_to_surface,
+    complex_gaussian,
     effective_channels,
     rayleigh_matrix,
     selection_vector,
@@ -232,6 +233,9 @@ def _draw_channels(rng, n_rx: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return h_eff, h_out
 
 
+BER_BLOCK_SYMBOLS = 2048  # symbols per array pass of ber_sweep: bounds its working memory
+
+
 def ber_sweep(
     scenario: ScenarioConfig,
     snr_db_list,
@@ -262,11 +266,12 @@ def ber_sweep(
 
     # One channel draw per trial gives both the baseline normalization (mean
     # random-phase received power) and the link gain every SNR point reuses.
+    gains = np.empty((trials, n_rx), dtype=complex)
     if scenario.fading == "bypass":
         p_ref = 1.0
-        gains = [np.full(n_rx, envelope, dtype=complex)] * trials
+        gains[:] = envelope
     else:
-        acc, gains = 0.0, []
+        acc = 0.0
         for trial in range(trials):
             rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
             h_eff, h_out = _draw_channels(rng, n_rx, k)
@@ -274,27 +279,39 @@ def ber_sweep(
             acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
             if precoding == "closed_form":
                 phi = pc.closed_form_phases(h_out, h_eff).phases[0]
-            gains.append((h_out @ (phi * h_eff)) * envelope)
+            gains[trial] = (h_out @ (phi * h_eff)) * envelope
         p_ref = acc / trials
     p_ref *= abs(envelope) ** 2
+    gain_power = np.array([float(np.linalg.norm(gain) ** 2) for gain in gains])
 
+    # Each trial draws from its own seed [seed, point, trial], bits first and
+    # then the noise's real and imaginary parts; map, channel, noise, maximum
+    # ratio combining and demap then run once per block of trials. The
+    # stacked (1, N_r) @ (N_r, n) products round as the per-trial ones did.
+    n_bits = sym_per_trial * bits_per_symbol
+    per_block = max(1, BER_BLOCK_SYMBOLS // sym_per_trial)
     values, lo, hi, counts, error_counts = [], [], [], [], []
     for point, snr_db in enumerate(snr_db_list):
         sigma2 = p_ref / 10 ** (snr_db / 10)
         errors = 0
-        total = 0
-        for trial, gain in enumerate(gains):
-            rng = np.random.default_rng([scenario.seed, point, trial])
-            tx_bits = rng.integers(0, 2, sym_per_trial * bits_per_symbol)
-            x = md.qam_map(tx_bits, order)
-            y = gain[:, None] * x[None, :]
+        for start in range(0, trials, per_block):
+            block = slice(start, min(start + per_block, trials))
+            n_trials = block.stop - start
+            tx_bits = np.empty((n_trials, n_bits), dtype=np.int64)
+            noise = np.empty((n_trials, n_rx, sym_per_trial), dtype=complex)
+            for i in range(n_trials):
+                rng = np.random.default_rng([scenario.seed, point, start + i])
+                tx_bits[i] = rng.integers(0, 2, n_bits)
+                if sigma2 > 0:
+                    noise[i] = complex_gaussian(rng, (n_rx, sym_per_trial))
+            x = md.qam_map(tx_bits, order).reshape(n_trials, 1, sym_per_trial)
+            y = gains[block, :, None] * x
             if sigma2 > 0:
-                y = add_noise(y, sigma2, rng)
-            g2 = float(np.linalg.norm(gain) ** 2)
-            z = (gain.conj() @ y) / g2
-            rx_bits = md.qam_demap(z, order)
-            errors += int(np.sum(rx_bits != tx_bits))
-            total += tx_bits.size
+                y = y + np.sqrt(sigma2 / 2) * noise
+            z = (gains[block, None, :].conj() @ y)[:, 0] / gain_power[block, None]
+            rx_bits = md.qam_demap(z.ravel(), order)
+            errors += int(np.sum(rx_bits != tx_bits.ravel()))
+        total = trials * n_bits
         values.append(errors / total)
         wl, wh = wilson_interval(errors, total)
         lo.append(wl)

@@ -264,13 +264,37 @@ class TestMain:
             ("diversity-sweep", {"sweep": {"k_list": []}}, "sweep.k_list"),
             ("two-stream", {"two_stream": {"orders": [16]}}, "two_stream.orders"),
             ("two-stream", {"two_stream": {"orders": [16, 64, 256]}}, "two_stream.orders"),
+            ("ber-sweep", {"sweep": {"trials": 2.0}}, "sweep.trials"),
+            ("ber-sweep", {"sweep": {"trials": 0}}, "sweep.trials"),
+            ("ber-sweep", {"sweep": {"min_bits": "x"}}, "sweep.min_bits"),
+            ("diversity-sweep", {"sweep": {"realizations": 2.0}}, "sweep.realizations"),
+            ("diversity-sweep", {"sweep": {"realizations": 1}}, "sweep.realizations"),
+            ("simulate", {"modem": {"order": 16.0}}, "modem.order"),
+            ("two-stream", {"modem": {"order": True}}, "modem.order"),
+            ("ber-sweep", {"sweep": {"order": 3}}, "sweep.order"),
+            ("ber-sweep", {"sweep": {"order": "16"}}, "sweep.order"),
+            ("two-stream", {"two_stream": {"orders": [16, 3]}}, "two_stream.orders[1]"),
+            ("two-stream", {"two_stream": {"orders": [64.0, 16]}}, "two_stream.orders[0]"),
+            ("simulate", {"sigma2": "x"}, "sigma2"),
+            ("sense", {"sigma2": True}, "sigma2"),
+            ("simulate", {"pattern_exponent": None}, "pattern_exponent"),
+            ("two-stream", {"two_stream": {"snr_db": "25"}}, "two_stream.snr_db"),
+            ("ber-sweep", {"sweep": {"snr_db": [0.0, "abc"]}}, "sweep.snr_db[1]"),
+            ("ber-sweep", {"sweep": {"snr_db": "abc"}}, "sweep.snr_db"),
+            ("ber-sweep", {"sweep": {"snr_db": [6.0, float("nan")]}}, "sweep.snr_db[1]"),
+            ("simulate", {"sigma2": float("nan")}, "sigma2"),
         ],
         ids=["simulate-n-symbols-0", "two-stream-n-symbols-0", "simulate-n-symbols-1",
              "two-stream-n-symbols-1", "sense-no-probes",
              "rows-float", "rows-str", "cols-bool", "cols-0", "n-theta-0", "n-phi-float",
              "sps-float", "sps-1", "span-0", "tx-0", "rx-float", "n-symbols-bool",
              "two-stream-n-symbols-float", "carrier-0", "carrier-neg", "carrier-str",
-             "snr-db-empty", "k-list-empty", "orders-one", "orders-three"],
+             "snr-db-empty", "k-list-empty", "orders-one", "orders-three",
+             "trials-float", "trials-0", "min-bits-str", "realizations-float",
+             "realizations-1", "modem-order-float", "modem-order-bool", "sweep-order-3",
+             "sweep-order-str", "two-stream-order-3", "two-stream-order-float",
+             "sigma2-str", "sigma2-bool", "pattern-exponent-null", "two-stream-snr-str",
+             "sweep-snr-entry-str", "sweep-snr-str", "sweep-snr-nan", "sigma2-nan"],
     )
     def test_bad_field_names_field(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})

@@ -3,7 +3,8 @@
 Each test keeps a reference implementation of an earlier code path and
 asserts that the current code reproduces it: exactly where the floating-point
 operations are unchanged (the ``ber_sweep`` loop that redrew each trial's
-channel at every SNR point, the sweep artifacts, the two-stream solver that
+channel at every SNR point, the one that mapped, combined and demapped one
+trial at a time, the sweep artifacts, the two-stream solver that
 switched on ``which``, relabelled the channels for the second stream and
 validated every projection and retraction, the two-stream experiment that
 kept its couplings in a dict, the per-point QAM constellation loop, the
@@ -160,6 +161,56 @@ def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bit
     return np.array(values), np.array(lo), np.array(hi), np.array(counts)
 
 
+def reference_ber_sweep_per_trial(scenario, snr_db_list, order, precoding, trials, min_bits):
+    """The ber_sweep loop that mapped, combined and demapped one trial at a time."""
+    bits_per_symbol = md.QamConstellation(order).bits_per_symbol
+    n_rx = scenario.rx.n_antennas
+    k = scenario.n_elements
+    sym_per_trial = max(1, math.ceil(min_bits / bits_per_symbol / trials))
+    envelope = scenario.carrier_envelope
+    if scenario.fading == "bypass":
+        p_ref = 1.0
+        gains = [np.full(n_rx, envelope, dtype=complex)] * trials
+    else:
+        acc, gains = 0.0, []
+        for trial in range(trials):
+            rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
+            h_eff, h_out = _draw_channels(rng, n_rx, k)
+            phi = np.exp(2j * np.pi * rng.random(k))
+            acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
+            if precoding == "closed_form":
+                phi = pc.closed_form_phases(h_out, h_eff).phases[0]
+            gains.append((h_out @ (phi * h_eff)) * envelope)
+        p_ref = acc / trials
+    p_ref *= abs(envelope) ** 2
+    values, lo, hi, counts, flagged = [], [], [], [], []
+    for point, snr_db in enumerate(snr_db_list):
+        sigma2 = p_ref / 10 ** (snr_db / 10)
+        errors = 0
+        total = 0
+        for trial, gain in enumerate(gains):
+            rng = np.random.default_rng([scenario.seed, point, trial])
+            tx_bits = rng.integers(0, 2, sym_per_trial * bits_per_symbol)
+            x = md.qam_map(tx_bits, order)
+            y = gain[:, None] * x[None, :]
+            if sigma2 > 0:
+                noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+                y = y + np.sqrt(sigma2 / 2) * noise
+            g2 = float(np.linalg.norm(gain) ** 2)
+            z = (gain.conj() @ y) / g2
+            rx_bits = md.qam_demap(z, order)
+            errors += int(np.sum(rx_bits != tx_bits))
+            total += tx_bits.size
+        values.append(errors / total)
+        wl, wh = wilson_interval(errors, total)
+        lo.append(wl)
+        hi.append(wh)
+        counts.append(total)
+        if 0 < errors < 10:
+            flagged.append(float(snr_db))
+    return np.array(values), np.array(lo), np.array(hi), np.array(counts), flagged
+
+
 SIMULATE_FILES = ("tx_symbols.csv", "rx_symbols.csv", "simulate_metrics.json")
 
 
@@ -225,6 +276,49 @@ def test_ber_sweep_matches_redraw_reference(precoding, overrides):
     assert np.array_equal(new.ci_low, lo)
     assert np.array_equal(new.ci_high, hi)
     assert np.array_equal(new.counts, counts)
+
+
+# (order, trials, symbols per trial, SNR axis): trials spanning several
+# blocks with a partial last one, one trial larger than a block, and an
+# infinite SNR at which no noise is drawn.
+BLOCKED_SWEEP_CASES = {
+    "multi-block": (16, 37, 200, [0.0, 8.0, 16.0]),
+    "trial-over-block": (4, 2, 3000, [0.0, 6.0]),
+    "snr-inf": (64, 9, 300, [10.0, np.inf]),
+}
+
+
+@pytest.mark.parametrize("precoding", ["none", "closed_form"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"rx": TerminalArray.ula(2), "carrier_envelope": 0.7 - 0.2j},
+        {"fading": "bypass", "rx": TerminalArray.ula(2), "carrier_envelope": 0.6 - 0.3j},
+    ],
+    ids=["rayleigh-nr1", "rayleigh-nr2-envelope", "bypass-nr2-envelope"],
+)
+@pytest.mark.parametrize("case", BLOCKED_SWEEP_CASES, ids=str)
+def test_blocked_ber_sweep_matches_per_trial_reference(case, overrides, precoding):
+    order, trials, per_trial, snrs = BLOCKED_SWEEP_CASES[case]
+    min_bits = trials * per_trial * md.QamConstellation(order).bits_per_symbol
+    per_block = max(1, sim.BER_BLOCK_SYMBOLS // per_trial)
+    if case == "multi-block":
+        assert trials > 2 * per_block and trials % per_block
+    if case == "trial-over-block":
+        assert per_trial > sim.BER_BLOCK_SYMBOLS
+    sc = default_scenario(seed=13, **overrides)
+    new = sim.ber_sweep(sc, snrs, order, precoding=precoding, trials=trials, min_bits=min_bits)
+    values, lo, hi, counts, flagged = reference_ber_sweep_per_trial(
+        sc, snrs, order, precoding, trials, min_bits
+    )
+    assert np.array_equal(new.values, values)
+    assert np.array_equal(new.ci_low, lo)
+    assert np.array_equal(new.ci_high, hi)
+    assert np.array_equal(new.counts, counts)
+    assert new.extras == {"low_confidence_points": flagged}
+    if case == "snr-inf":
+        assert new.values[-1] == 0.0
 
 
 def reference_steering(positions, grid):

@@ -1,6 +1,11 @@
-"""Source hygiene: no module of metatx imports a name it never uses.
+"""Source hygiene: no module of metatx imports a name it never uses, and no
+module draws from numpy's legacy global random state.
 
-``__init__.py`` is exempt: its imports are the package's public exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's public exports. Every random draw goes through a generator seeded
+per trial or per run (``np.random.default_rng``), which is what keeps reruns
+byte-identical and lets ``ber_sweep`` batch its trials without changing a
+single draw.
 """
 
 import ast
@@ -42,3 +47,35 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ALLOWED_NP_RANDOM = {"default_rng", "Generator"}
+
+
+def legacy_random_names(source: str) -> list[str]:
+    """``np.random.<name>`` attributes other than the seeded-generator API."""
+    return sorted(
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "random"
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "np"
+        and node.attr not in ALLOWED_NP_RANDOM
+    )
+
+
+def test_legacy_random_detector():
+    source = (
+        "import numpy as np\n"
+        "def f(rng: np.random.Generator, seed):\n"
+        "    np.random.seed(seed)\n"
+        "    return np.random.default_rng(seed).random() + np.random.standard_normal()\n"
+    )
+    assert legacy_random_names(source) == ["seed", "standard_normal"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_legacy_global_random_draws(path):
+    assert legacy_random_names(path.read_text()) == []

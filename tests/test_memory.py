@@ -7,8 +7,9 @@ compared with the size of the arrays the maths needs, so nothing is timed.
 forms neither U nor W (a K x M complex array each); ``simulate_rx`` must not
 form the (K, T) complex reflection array; ``simulate`` must not tile its one
 magnitude series into a (K, T) array; ``qam_demap`` must not form the
-(N, order) distance matrix; the CSV writer must not format a whole
-waveform or grid as one string.
+(N, order) distance matrix; ``ber_sweep`` must work through its trials in
+blocks of ``BER_BLOCK_SYMBOLS`` symbols, not all at once; the CSV writer
+must not format a whole waveform or grid as one string.
 """
 
 import tracemalloc
@@ -20,7 +21,7 @@ from metatx.csvio import write_csv
 from metatx.geometry import ArrayGeometry, hemisphere_grid
 from metatx.modem import QamConstellation, qam_demap
 from metatx.reflection import SurfaceConfig
-from metatx.simulator import build_link, default_scenario, simulate, simulate_rx
+from metatx.simulator import BER_BLOCK_SYMBOLS, ber_sweep, build_link, default_scenario, simulate, simulate_rx
 
 COMPLEX_BYTES = np.dtype(complex).itemsize
 FLOAT_BYTES = np.dtype(float).itemsize
@@ -98,6 +99,20 @@ def test_qam_demap_working_memory_is_linear_and_order_free():
         working[order] = traced_peak(qam_demap, symbols, order) - bits_bytes
         assert working[order] < 5 * n * COMPLEX_BYTES
     assert abs(working[1024] - working[16]) < 0.01 * working[16]
+
+
+def test_ber_sweep_peak_is_one_block_whatever_the_trial_count():
+    # 128 symbols per trial make 16 trials a block. The block's bits, symbols,
+    # noise and demap temporaries peak near 18 block-sized complex arrays; all
+    # 1024 trials at once would hold 64 times that.
+    scenario = default_scenario(seed=2)
+    block_bytes = BER_BLOCK_SYMBOLS * COMPLEX_BYTES
+    peaks = {
+        trials: traced_peak(ber_sweep, scenario, [10.0], 16, "closed_form", trials, trials * 128 * 4)
+        for trials in (64, 1024)
+    }
+    assert abs(peaks[1024] - peaks[64]) < 0.25 * peaks[64]
+    assert peaks[1024] < 24 * block_bytes
 
 
 @pytest.mark.parametrize("shape", [(200_000,), (2000, 129)], ids=["waveform", "grid"])
