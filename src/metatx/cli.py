@@ -156,26 +156,6 @@ def effective_config(user: dict) -> dict:
     return cfg
 
 
-def _complex(entry: dict) -> complex:
-    return complex(entry["re"], entry["im"])
-
-
-def _path_component(entry: dict, where: str) -> PathComponent:
-    try:
-        return PathComponent(
-            gain=_complex(entry["gain"]),
-            delay_s=entry["delay_s"],
-            direction_at_surface=Direction(
-                entry["theta_surface_rad"], entry["phi_surface_rad"]
-            ),
-            direction_at_terminal=Direction(
-                entry["theta_terminal_rad"], entry["phi_terminal_rad"]
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 # (section, key, minimum) of every integer-valued field
 _INTEGER_FIELDS = (
     ("geometry", "rows", 1),
@@ -194,6 +174,11 @@ _INTEGER_FIELDS = (
 )
 
 
+def _check_int(value, minimum: int, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where}: must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_order(value, where: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value not in md.QAM_ORDERS:
         raise ConfigError(f"{where}: must be a QAM order in {md.QAM_ORDERS}, got {value!r}")
@@ -204,16 +189,42 @@ def _check_number(value, where: str) -> None:
         raise ConfigError(f"{where}: must be a number, got {value!r}")
 
 
+def _complex(entry: dict, where: str) -> complex:
+    _check_number(entry["re"], f"{where}.re")
+    _check_number(entry["im"], f"{where}.im")
+    return complex(entry["re"], entry["im"])
+
+
+def _path_component(entry: dict, where: str) -> PathComponent:
+    gain = _complex(entry["gain"], f"{where}.gain")
+    try:
+        return PathComponent(
+            gain=gain,
+            delay_s=entry["delay_s"],
+            direction_at_surface=Direction(entry["theta_surface_rad"], entry["phi_surface_rad"]),
+            direction_at_terminal=Direction(entry["theta_terminal_rad"], entry["phi_terminal_rad"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     """Validate a config dict into a ScenarioConfig plus the effective dict."""
     cfg = effective_config(user)
     for section, key, minimum in _INTEGER_FIELDS:
-        n = cfg[section][key]
-        if isinstance(n, bool) or not isinstance(n, int) or n < minimum:
-            raise ConfigError(f"{section}.{key}: must be an integer >= {minimum}, got {n!r}")
+        _check_int(cfg[section][key], minimum, f"{section}.{key}")
     for section, key in (("sense", "probes"), ("sweep", "snr_db"), ("sweep", "k_list")):
         if not isinstance(cfg[section][key], list) or not cfg[section][key]:
             raise ConfigError(f"{section}.{key}: must be a non-empty list")
+    for i, k in enumerate(cfg["sweep"]["k_list"]):
+        _check_int(k, 1, f"sweep.k_list[{i}]")
+    for where, value, allowed in (
+        ("fading", cfg["fading"], sim.FADING_MODES),
+        ("sweep.precoding", cfg["sweep"]["precoding"], sim.PRECODING_MODES),
+        ("modem.pulse", cfg["modem"]["pulse"], md.PULSE_KINDS),
+    ):
+        if value not in allowed:
+            raise ConfigError(f"{where}: must be one of {allowed}, got {value!r}")
     orders = cfg["two_stream"]["orders"]
     if not isinstance(orders, list) or len(orders) != 2:
         raise ConfigError(f"two_stream.orders: must list exactly two QAM orders, got {orders!r}")
@@ -273,7 +284,7 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
             paths_tx_to_surface=paths_in,
             paths_surface_to_rx=paths_out,
             tx_beam=beam,
-            carrier_envelope=_complex(cfg["carrier_envelope"]),
+            carrier_envelope=_complex(cfg["carrier_envelope"], "carrier_envelope"),
             modem=params,
             pulse=pulse,
             sigma2=cfg["sigma2"],
@@ -332,13 +343,8 @@ class _Outputs:
         for p in self.paths:
             with open(p, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            entries.append(
-                {
-                    "name": os.path.basename(p),
-                    "sha256": digest,
-                    "bytes": os.path.getsize(p),
-                }
-            )
+            name, size = os.path.basename(p), os.path.getsize(p)
+            entries.append({"name": name, "sha256": digest, "bytes": size})
         return entries
 
     def cleanup(self) -> None:
@@ -388,23 +394,14 @@ def _run_diversity_sweep(scenario, cfg, out, trials):
     realizations = sweep["realizations"] if trials is None else trials
     result = sim.diversity_sweep(scenario, sweep["k_list"], realizations)
     result.to_csv(out.path("diversity_sweep.csv"))
-    _json_dump(
-        out.path("diversity_meta.json"),
-        {
-            "loglog_slope": result.extras["loglog_slope"],
-            "mean_power_bound": result.extras["mean_power_bound"],
-            **result.seed_manifest,
-        },
-    )
+    extras = {key: result.extras[key] for key in ("loglog_slope", "mean_power_bound")}
+    _json_dump(out.path("diversity_meta.json"), {**extras, **result.seed_manifest})
 
 
 def _run_two_stream(scenario, cfg, out, trials):
     settings = cfg["two_stream"]
     report = sim.two_stream_experiment(
-        scenario,
-        snr_db=settings["snr_db"],
-        orders=tuple(settings["orders"]),
-        n_symbols=settings["n_symbols"],
+        scenario, settings["snr_db"], tuple(settings["orders"]), n_symbols=settings["n_symbols"]
     )
     _json_dump(
         out.path("two_stream.json"),
@@ -509,32 +506,18 @@ def run(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="metatx",
-        description="Reflective-metasurface transmitter simulator",
+        prog="metatx", description="Reflective-metasurface transmitter simulator"
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="scenario JSON file")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help=f"output directory (default ${OUT_DIR_ENV} or ./runs)",
-    )
+    parser.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--trials", type=int, default=None, help="override sweep trial count"
-    )
+    parser.add_argument("--trials", type=int, default=None, help="override sweep trial count")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     out_dir = args.out or os.environ.get(OUT_DIR_ENV, "runs")
     try:
-        run(
-            args.subcommand,
-            args.config,
-            out_dir,
-            seed=args.seed,
-            trials=args.trials,
-            quiet=args.quiet,
-        )
+        run(args.subcommand, args.config, out_dir, args.seed, args.trials, args.quiet)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -116,6 +116,9 @@ class IFWaveform:
             raise ValueError("waveform samples must be finite")
 
 
+PULSE_KINDS = ("rect", "raised_cosine")
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """Transmit pulse: rectangular symbol gate or raised cosine.
@@ -130,8 +133,8 @@ class PulseShape:
     span_symbols: int = 8
 
     def __post_init__(self):
-        if self.kind not in ("rect", "raised_cosine"):
-            raise ValueError("pulse kind must be 'rect' or 'raised_cosine'")
+        if self.kind not in PULSE_KINDS:
+            raise ValueError(f"pulse kind must be one of {PULSE_KINDS}, got {self.kind!r}")
         if not 0 <= self.rolloff <= 1:
             raise ValueError("rolloff must be in [0, 1]")
         if self.span_symbols < 1:

@@ -121,39 +121,45 @@ def sum_sinr(phi1: np.ndarray, phi2: np.ndarray, ch: TwoStreamChannels):
     return out if np.ndim(out) else float(out)
 
 
-def _subproblem(d, leak, phi_other, d_other, leak_other, sigma2):
-    """The sum SINR as a function of one stream's phases, the other held fixed.
+def _rows(ch: TwoStreamChannels):
+    """Each stream's (n, 2) stack [desired row, leak row]: [b1, c1] and [c2, b2]."""
+    return np.stack([ch.b1, ch.c1], axis=1), np.stack([ch.c2, ch.b2], axis=1)
+
+
+def _held(inner_other, sigma2):
+    """The constants C = |l_o^T phi_o|^2 + sigma2 and S = |d_o^T phi_o|^2 of the held stream."""
+    signal, leak = inner_other
+    return abs(leak) ** 2 + sigma2, abs(signal) ** 2
+
+
+def _gradient(rows_conj, inner, noise, other, sigma2):
+    """Wirtinger gradient of one stream's sum SINR, the other stream held.
 
     Stream 1 has the desired row d = b1 and the leak row l = c1 into the other
-    receiver; stream 2 has (c2, b2). With the other stream at phi_other, its
-    leak power plus noise C = |l_o^T phi_other|^2 + sigma2 and its signal
-    power S = |d_o^T phi_other|^2 are constants, and the sum SINR is
-    f(phi) = |d^T phi|^2 / C + S / (|l^T phi|^2 + sigma2). Returns f and its
-    Wirtinger gradient (2/C) d* (d^T phi) - 2S / (|l^T phi|^2 + sigma2)^2 l* (l^T phi).
+    receiver; stream 2 has (c2, b2). The held stream's leak power plus noise C
+    and signal power S are constants, f(phi) = |d^T phi|^2 / C + S / (|l^T phi|^2 + sigma2),
+    and from ``inner`` = (d^T phi, l^T phi) the gradient is
+    (2/C) d* (d^T phi) - 2S / (|l^T phi|^2 + sigma2)^2 l* (l^T phi).
     """
-    noise = np.abs(leak_other @ phi_other) ** 2 + sigma2
-    other = np.abs(d_other @ phi_other) ** 2
-    # fixed for the subproblem, so computed once and not per gradient call
-    d_scaled, leak_conj, two_other = 2 / noise * d.conj(), leak.conj(), 2 * other
+    d_phi, leak_phi = inner
+    leak_scale = -2 * other / (abs(leak_phi) ** 2 + sigma2) ** 2
+    return rows_conj @ [2 / noise * d_phi, leak_scale * leak_phi]
 
-    def value(phi):
-        return float(np.abs(phi @ d) ** 2 / noise + other / (np.abs(phi @ leak) ** 2 + sigma2))
 
-    def gradient(phi):
-        v = np.abs(leak @ phi) ** 2
-        return d_scaled * (d @ phi) - two_other / (v + sigma2) ** 2 * leak_conj * (leak @ phi)
-
-    return value, gradient
+def _gradient_at(phi, phi_other, rows, rows_other, sigma2):
+    """:func:`_gradient` of ``phi``'s stream, its inner products computed afresh."""
+    held = _held((phi_other @ rows_other).tolist(), sigma2)
+    return _gradient(rows.conj(), (phi @ rows).tolist(), *held, sigma2)
 
 
 def euclidean_gradient_phi1(phi1, phi2, ch: TwoStreamChannels) -> np.ndarray:
     """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi1."""
-    return _subproblem(ch.b1, ch.c1, phi2, ch.c2, ch.b2, ch.sigma2)[1](phi1)
+    return _gradient_at(phi1, phi2, *_rows(ch), ch.sigma2)
 
 
 def euclidean_gradient_phi2(phi1, phi2, ch: TwoStreamChannels) -> np.ndarray:
     """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi2."""
-    return _subproblem(ch.c2, ch.b2, phi1, ch.b1, ch.c1, ch.sigma2)[1](phi2)
+    return _gradient_at(phi2, phi1, *_rows(ch)[::-1], ch.sigma2)
 
 
 def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -177,37 +183,41 @@ def retract(phi: np.ndarray) -> np.ndarray:
     return phi / mags
 
 
-def _ascend(phi, value, gradient, max_inner=50, armijo=1e-4):
-    """Gradient-ascend one stream's subproblem on the manifold until it stalls.
+def _ascend(phi, rows, noise, other, sigma2, current, max_inner=50, armijo=1e-4):
+    """Gradient-ascend one stream's subproblem (see :func:`_gradient`) until it stalls.
 
-    Returns the updated phase vector and its value; every accepted step
-    increases the objective (Armijo sufficient-increase backtracking,
-    warm-started from twice the previously accepted step size). Projection
-    and retraction are inlined without the checks of :func:`riemannian_project`
-    and :func:`retract`: phi has unit modulus and, for a tangent d,
-    |phi_k + t d_k|^2 = 1 + t^2 |d_k|^2 >= 1.
+    ``current`` is the objective at ``phi`` as the caller recorded it. Returns
+    the phase vector, its value and its inner products (d^T phi, l^T phi).
+    Every accepted step increases the objective (Armijo backtracking,
+    warm-started from twice the last accepted step). Each trial is one
+    ``candidate @ rows`` product whose inner products, as Python complex
+    numbers, give its value and, once accepted, the next gradient. Projection
+    and retraction skip the checks of :func:`riemannian_project` and
+    :func:`retract`: for a tangent d, |phi_k + t d_k|^2 = 1 + t^2 |d_k|^2 >= 1.
     """
-    current = value(phi)
+    rows_conj = rows.conj()
+    inner = (phi @ rows).tolist()
     step = 1.0
     for _ in range(max_inner):
-        grad = gradient(phi)
-        direction = grad - np.real(grad * phi.conj()) * phi
-        norm2 = float(np.sum(np.abs(direction) ** 2))
+        grad = _gradient(rows_conj, inner, noise, other, sigma2)
+        direction = grad - (grad * phi.conj()).real * phi
+        norm2 = float(np.vdot(direction, direction).real)
         if norm2 < 1e-18:
             break
         step = min(2 * step, 1.0)
         moved = False
         while step > 1e-12:
             candidate = phi + step * direction
-            candidate = candidate / np.abs(candidate)
-            new = value(candidate)
+            candidate /= np.abs(candidate)
+            d_phi, leak_phi = trial = (candidate @ rows).tolist()
+            new = abs(d_phi) ** 2 / noise + other / (abs(leak_phi) ** 2 + sigma2)
             if new >= current + armijo * step * norm2:
-                phi, current, moved = candidate, new, True
+                phi, current, inner, moved = candidate, new, trial, True
                 break
             step *= 0.5
         if not moved:
             break
-    return phi, current
+    return phi, current, inner
 
 
 def alternating_optimize(
@@ -228,10 +238,14 @@ def alternating_optimize(
     (>= 0) random starts; the best run is kept. The deterministic starts and
     an explicit (phi1, phi2) tuple run once, whatever ``restarts`` says.
     The objective trace of the returned run is monotone non-decreasing by
-    construction. If the iteration budget runs out before the relative
-    improvement drops below ``tol``, the best-so-far solution is returned
-    with ``converged=False``.
+    construction. If the budget of ``max_iter`` (>= 1) iterations runs out
+    before the relative improvement drops below ``tol`` (>= 0), the
+    best-so-far solution is returned with ``converged=False``.
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     n = ch.b1.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -254,10 +268,7 @@ def alternating_optimize(
             return aligned(ch.b1), aligned(ch.c2)
         if kind == "nulling":
             return aligned(ch.b1, ch.c1), aligned(ch.c2, ch.b2)
-        return (
-            np.exp(2j * np.pi * rng.random(n)),
-            np.exp(2j * np.pi * rng.random(n)),
-        )
+        return np.exp(2j * np.pi * rng.random(n)), np.exp(2j * np.pi * rng.random(n))
 
     if isinstance(init, tuple):
         starts = [tuple(np.asarray(p, dtype=complex) for p in init)]
@@ -272,27 +283,23 @@ def alternating_optimize(
         starts = [start("closed_form"), start("nulling")] if init == "multi" else []
         starts += [start("random") for _ in range(restarts)]
     else:
-        raise ValueError(
-            "init must be 'random', 'closed_form', 'nulling', 'multi' or a tuple"
-        )
+        raise ValueError("init must be 'random', 'closed_form', 'nulling', 'multi' or a tuple")
 
+    rows1, rows2 = _rows(ch)
+    sigma2 = ch.sigma2
     best = None
     for phi1, phi2 in starts:
         trace = [sum_sinr(phi1, phi2, ch)]
+        inner2 = (phi2 @ rows2).tolist()
         converged = False
         for _ in range(max_iter):
-            phi1, _ = _ascend(phi1, *_subproblem(ch.b1, ch.c1, phi2, ch.c2, ch.b2, ch.sigma2))
-            phi2, value = _ascend(phi2, *_subproblem(ch.c2, ch.b2, phi1, ch.b1, ch.c1, ch.sigma2))
+            phi1, value, inner1 = _ascend(phi1, rows1, *_held(inner2, sigma2), sigma2, trace[-1])
+            phi2, value, inner2 = _ascend(phi2, rows2, *_held(inner1, sigma2), sigma2, value)
             trace.append(value)
             if trace[-1] - trace[-2] < tol * max(abs(trace[-2]), 1e-30):
                 converged = True
                 break
-        solution = PhaseSolution(
-            phases=[phi1, phi2],
-            objective=trace[-1],
-            trace=np.array(trace),
-            converged=converged,
-        )
+        solution = PhaseSolution([phi1, phi2], trace[-1], np.array(trace), converged)
         if best is None or solution.objective > best.objective:
             best = solution
     return best

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,10 @@ from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
 from .reflection import ElementPattern, SurfaceConfig
 from .sensing import RotorSpec, Spectrogram, doppler_signature, istft_synthesize, signature_fidelity, stft
+
+
+FADING_MODES = ("rayleigh", "bypass")
+PRECODING_MODES = ("none", "closed_form")
 
 
 @dataclass(eq=False)
@@ -66,8 +71,8 @@ class ScenarioConfig:
             raise ValueError("tx_beam must have unit norm")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
-        if self.fading not in ("rayleigh", "bypass"):
-            raise ValueError("fading must be 'rayleigh' or 'bypass'")
+        if self.fading not in FADING_MODES:
+            raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
 
     @property
     def n_elements(self) -> int:
@@ -252,8 +257,8 @@ def ber_sweep(
     received power over sigma2. With ``fading='bypass'`` in the scenario the
     link gain is 1 and precoding has no effect (pure AWGN reference).
     """
-    if precoding not in ("none", "closed_form"):
-        raise ValueError("precoding must be 'none' or 'closed_form'")
+    if precoding not in PRECODING_MODES:
+        raise ValueError(f"precoding must be one of {PRECODING_MODES}, got {precoding!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     snr_db_list = np.asarray(snr_db_list, dtype=float)
@@ -357,7 +362,9 @@ def diversity_sweep(
     """
     if realizations < 2:
         raise ValueError("realizations must be >= 2")
-    k_list = [int(k) for k in k_list]
+    k_list = list(k_list)
+    if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1 for k in k_list):
+        raise ValueError(f"k_list entries must be integers >= 1, got {k_list}")
     n_rx = scenario.rx.n_antennas
     means, lo, hi, bounds = [], [], [], []
     for idx, k in enumerate(k_list):

@@ -283,6 +283,20 @@ class TestMain:
             ("ber-sweep", {"sweep": {"snr_db": "abc"}}, "sweep.snr_db"),
             ("ber-sweep", {"sweep": {"snr_db": [6.0, float("nan")]}}, "sweep.snr_db[1]"),
             ("simulate", {"sigma2": float("nan")}, "sigma2"),
+            ("diversity-sweep", {"sweep": {"k_list": [8.5, 16]}}, "sweep.k_list[0]"),
+            ("diversity-sweep", {"sweep": {"k_list": [8, "a"]}}, "sweep.k_list[1]"),
+            ("diversity-sweep", {"sweep": {"k_list": [0, 8]}}, "sweep.k_list[0]"),
+            ("diversity-sweep", {"sweep": {"k_list": [True]}}, "sweep.k_list[0]"),
+            ("simulate", {"carrier_envelope": {"re": "x", "im": 0}}, "carrier_envelope.re"),
+            ("simulate", {"carrier_envelope": {"re": 1.0, "im": None}}, "carrier_envelope.im"),
+            ("simulate", {"paths_tx_to_surface": [{"gain": {"re": "x", "im": 0}}]},
+             "paths_tx_to_surface[0].gain.re"),
+            ("simulate", {"paths_surface_to_rx": [{}, {"gain": {"re": 1, "im": [0]}}]},
+             "paths_surface_to_rx[1].gain.im"),
+            ("ber-sweep", {"fading": "x"}, "fading: "),
+            ("ber-sweep", {"fading": ["bypass"]}, "fading: "),
+            ("ber-sweep", {"sweep": {"precoding": "x"}}, "sweep.precoding"),
+            ("simulate", {"modem": {"pulse": "x"}}, "modem.pulse"),
         ],
         ids=["simulate-n-symbols-0", "two-stream-n-symbols-0", "simulate-n-symbols-1",
              "two-stream-n-symbols-1", "sense-no-probes",
@@ -294,7 +308,10 @@ class TestMain:
              "realizations-1", "modem-order-float", "modem-order-bool", "sweep-order-3",
              "sweep-order-str", "two-stream-order-3", "two-stream-order-float",
              "sigma2-str", "sigma2-bool", "pattern-exponent-null", "two-stream-snr-str",
-             "sweep-snr-entry-str", "sweep-snr-str", "sweep-snr-nan", "sigma2-nan"],
+             "sweep-snr-entry-str", "sweep-snr-str", "sweep-snr-nan", "sigma2-nan",
+             "k-list-float", "k-list-str", "k-list-0", "k-list-bool", "envelope-re-str",
+             "envelope-im-null", "tx-path-gain-str", "rx-path-gain-list", "fading-str",
+             "fading-list", "sweep-precoding-str", "modem-pulse-str"],
     )
     def test_bad_field_names_field(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})

@@ -240,6 +240,14 @@ class TestAlternatingOptimize:
             gap_db = 10 * np.log10(best / sol.objective)
             assert gap_db <= 1.0
 
+    def test_single_element_streams_keep_the_start_value(self):
+        # With one element per stream every phase gives the same sum SINR, so
+        # no step is taken; the trace must not dip below its sum_sinr start
+        # through the rounding of a second evaluation.
+        for seed in range(50):
+            sol = alternating_optimize(random_two_stream(400 + seed, n=1), seed=seed)
+            assert np.all(sol.trace == sol.trace[0])
+
     def test_explicit_init_and_convergence_flag(self):
         ch = random_two_stream(17)
         start = (np.ones(4, dtype=complex), np.ones(4, dtype=complex))
@@ -273,6 +281,22 @@ class TestAlternatingOptimize:
             alternating_optimize(ch, init="random", restarts=0)
         with pytest.raises(ValueError, match="restarts"):
             alternating_optimize(ch, init="multi", restarts=-1)
+
+    @pytest.mark.parametrize("max_iter", [-1, 0, 2.5, True, "3"],
+                             ids=["negative", "zero", "float", "bool", "str"])
+    def test_bad_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            alternating_optimize(random_two_stream(20), max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-6, "x", None],
+                             ids=["nan", "negative", "str", "none"])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            alternating_optimize(random_two_stream(20), tol=tol)
+
+    def test_zero_tol_runs_the_full_budget(self):
+        sol = alternating_optimize(random_two_stream(20), tol=0, max_iter=3)
+        assert sol.trace.size == 4
 
     def test_constructs_no_channel_objects(self, monkeypatch):
         ch = random_two_stream(19)

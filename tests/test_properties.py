@@ -1,5 +1,5 @@
-"""Property tests of the modem, predistortion, manifold, selection-kernel and
-isotropy invariants."""
+"""Property tests of the modem, predistortion, manifold, two-stream solver,
+selection-kernel and isotropy invariants."""
 
 import warnings
 
@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metatx.channel import MAX_KERNEL_GAIN, selection_vector
+from metatx.channel import MAX_KERNEL_GAIN, rayleigh_matrix, selection_vector
 from metatx.geometry import Direction, hemisphere_grid
 from metatx.mixer import MagnitudeCurve, calibrate_predistortion
 from metatx.modem import QamConstellation, qam_demap, qam_map
-from metatx.precoder import retract, riemannian_project
+from metatx.precoder import (
+    TwoStreamChannels,
+    alternating_optimize,
+    euclidean_gradient_phi1,
+    euclidean_gradient_phi2,
+    retract,
+    riemannian_project,
+    sum_sinr,
+)
 from metatx.reflection import SurfaceConfig
 from metatx.simulator import build_link, default_scenario, isotropy_check
 
@@ -84,6 +92,52 @@ def test_projection_is_tangent(args):
 def test_retract_is_unit_modulus(entries):
     out = retract(np.array(entries))
     assert np.all(np.abs(np.abs(out) - 1) <= 1e-12)
+
+
+@st.composite
+def two_stream_channels(draw):
+    """Rayleigh rows of 1-16 elements per stream, cross rows scaled by 0-2."""
+    half = draw(st.integers(1, 16))
+    sigma2 = draw(st.floats(1e-3, 1.0))
+    cross = draw(st.floats(0.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [rayleigh_matrix(rng, half), cross * rayleigh_matrix(rng, half),
+            cross * rayleigh_matrix(rng, half), rayleigh_matrix(rng, half)]
+    return TwoStreamChannels(*rows, sigma2=sigma2), rng
+
+
+@FAST
+@given(two_stream_channels(), st.sampled_from(["random", "closed_form", "nulling", "multi"]))
+def test_solver_trace_is_monotone_and_objective_is_the_phases_sum_sinr(case, init):
+    ch, _ = case
+    sol = alternating_optimize(ch, init=init, max_iter=40)
+    assert np.all(np.diff(sol.trace) >= 0)
+    assert sol.objective == pytest.approx(sum_sinr(*sol.phases, ch), rel=1e-12, abs=0)
+
+
+def central_difference_gradient(f, phi, step=1e-6):
+    """Wirtinger gradient df/dRe + j df/dIm by central differences."""
+    grad = np.zeros(phi.size, dtype=complex)
+    for i in range(phi.size):
+        delta = np.zeros(phi.size, dtype=complex)
+        delta[i] = step
+        grad[i] = (f(phi + delta) - f(phi - delta)) / (2 * step)
+        grad[i] += 1j * (f(phi + 1j * delta) - f(phi - 1j * delta)) / (2 * step)
+    return grad
+
+
+@FAST
+@given(two_stream_channels())
+def test_gradient_matches_central_differences(case):
+    ch, rng = case
+    half = ch.b1.size
+    p1, p2 = np.exp(2j * np.pi * rng.random(half)), np.exp(2j * np.pi * rng.random(half))
+    for grad, f, phi in [
+        (euclidean_gradient_phi1(p1, p2, ch), lambda p: sum_sinr(p, p2, ch), p1),
+        (euclidean_gradient_phi2(p1, p2, ch), lambda p: sum_sinr(p1, p, ch), p2),
+    ]:
+        error = np.max(np.abs(grad - central_difference_gradient(f, phi)))
+        assert error <= 1e-5 * np.max(np.abs(grad))
 
 
 @FAST

@@ -323,6 +323,13 @@ class TestTwoStream:
         with pytest.raises(ValueError, match="'max_itr'"):
             two_stream_experiment(default_scenario(), optimizer={"max_itr": 3})
 
+    @pytest.mark.parametrize("optimizer, field", [({"max_iter": 0}, "max_iter"),
+                                                  ({"tol": float("nan")}, "tol")],
+                             ids=["max-iter-0", "tol-nan"])
+    def test_optimizer_bad_solver_argument_rejected(self, optimizer, field):
+        with pytest.raises(ValueError, match=field):
+            two_stream_experiment(default_scenario(), optimizer=optimizer)
+
     @pytest.mark.parametrize("orders", [(16,), (16, 64, 256)], ids=["one", "three"])
     def test_order_count_rejected(self, orders):
         with pytest.raises(ValueError, match="two QAM orders"):
