@@ -151,6 +151,7 @@ def effective_config(user: dict) -> dict:
         raise ConfigError(f"carrier_hz: must be a number > 0, got {carrier!r}")
     if cfg["geometry"]["wavelength_m"] is None:
         cfg["geometry"]["wavelength_m"] = SPEED_OF_LIGHT / cfg["carrier_hz"]
+    _check_number(cfg["geometry"]["wavelength_m"], "geometry.wavelength_m")
     if cfg["geometry"]["spacing_m"] is None:
         cfg["geometry"]["spacing_m"] = cfg["geometry"]["wavelength_m"] / 2
     return cfg
@@ -171,6 +172,20 @@ _INTEGER_FIELDS = (
     ("sweep", "trials", 1),
     ("sweep", "realizations", 2),
     ("sweep", "min_bits", 1),
+)
+
+
+# (section, key) of every real-valued field in a section
+_NUMBER_FIELDS = (
+    ("geometry", "spacing_m"),
+    ("tx", "spacing_wavelengths"),
+    ("rx", "spacing_wavelengths"),
+    ("modem", "f_if_hz"),
+    ("modem", "sample_rate_hz"),
+    ("modem", "rolloff"),
+    ("two_stream", "snr_db"),
+    ("sense", "duration_s"),
+    ("sense", "signal_rate_hz"),
 )
 
 
@@ -197,6 +212,9 @@ def _complex(entry: dict, where: str) -> complex:
 
 def _path_component(entry: dict, where: str) -> PathComponent:
     gain = _complex(entry["gain"], f"{where}.gain")
+    for key in ("delay_s", "theta_surface_rad", "phi_surface_rad",
+                "theta_terminal_rad", "phi_terminal_rad"):
+        _check_number(entry[key], f"{where}.{key}")
     try:
         return PathComponent(
             gain=gain,
@@ -211,8 +229,11 @@ def _path_component(entry: dict, where: str) -> PathComponent:
 def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     """Validate a config dict into a ScenarioConfig plus the effective dict."""
     cfg = effective_config(user)
+    _check_int(cfg["seed"], 0, "seed")
     for section, key, minimum in _INTEGER_FIELDS:
         _check_int(cfg[section][key], minimum, f"{section}.{key}")
+    for section, key in _NUMBER_FIELDS:
+        _check_number(cfg[section][key], f"{section}.{key}")
     for section, key in (("sense", "probes"), ("sweep", "snr_db"), ("sweep", "k_list")):
         if not isinstance(cfg[section][key], list) or not cfg[section][key]:
             raise ConfigError(f"{section}.{key}: must be a non-empty list")
@@ -234,9 +255,15 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
         _check_order(order, f"two_stream.orders[{i}]")
     _check_number(cfg["sigma2"], "sigma2")
     _check_number(cfg["pattern_exponent"], "pattern_exponent")
-    _check_number(cfg["two_stream"]["snr_db"], "two_stream.snr_db")
     for i, snr_db in enumerate(cfg["sweep"]["snr_db"]):
         _check_number(snr_db, f"sweep.snr_db[{i}]")
+    for i, rotor in enumerate(cfg["sense"]["rotors"]):
+        _check_number(rotor["rate_hz"], f"sense.rotors[{i}].rate_hz")
+        _check_int(rotor["blades"], 1, f"sense.rotors[{i}].blades")
+        _check_number(rotor["max_doppler_hz"], f"sense.rotors[{i}].max_doppler_hz")
+    for i, probe in enumerate(cfg["sense"]["probes"]):
+        _check_number(probe["theta_rad"], f"sense.probes[{i}].theta_rad")
+        _check_number(probe["phi_rad"], f"sense.probes[{i}].phi_rad")
     try:
         geometry = ArrayGeometry(
             rows=cfg["geometry"]["rows"],

@@ -297,6 +297,22 @@ class TestMain:
             ("ber-sweep", {"fading": ["bypass"]}, "fading: "),
             ("ber-sweep", {"sweep": {"precoding": "x"}}, "sweep.precoding"),
             ("simulate", {"modem": {"pulse": "x"}}, "modem.pulse"),
+            ("simulate", {"seed": 1.5}, "seed"),
+            ("simulate", {"seed": -1}, "seed"),
+            ("simulate", {"modem": {"rolloff": "x"}}, "modem.rolloff"),
+            ("simulate", {"modem": {"f_if_hz": "x"}}, "modem.f_if_hz"),
+            ("simulate", {"modem": {"sample_rate_hz": None}}, "modem.sample_rate_hz"),
+            ("simulate", {"tx": {"spacing_wavelengths": "x"}}, "tx.spacing_wavelengths"),
+            ("simulate", {"rx": {"spacing_wavelengths": [0.5]}}, "rx.spacing_wavelengths"),
+            ("simulate", {"geometry": {"spacing_m": "x"}}, "geometry.spacing_m"),
+            ("simulate", {"geometry": {"wavelength_m": "x"}}, "geometry.wavelength_m"),
+            ("simulate", {"sense": {"duration_s": "x"}}, "sense.duration_s"),
+            ("simulate", {"paths_tx_to_surface": [{"delay_s": "x"}]},
+             "paths_tx_to_surface[0].delay_s"),
+            ("simulate", {"paths_surface_to_rx": [{"theta_surface_rad": "x"}]},
+             "paths_surface_to_rx[0].theta_surface_rad"),
+            ("simulate", {"sense": {"rotors": [{"rate_hz": "x"}]}}, "sense.rotors[0].rate_hz"),
+            ("simulate", {"sense": {"probes": [{}, {"phi_rad": "x"}]}}, "sense.probes[1].phi_rad"),
         ],
         ids=["simulate-n-symbols-0", "two-stream-n-symbols-0", "simulate-n-symbols-1",
              "two-stream-n-symbols-1", "sense-no-probes",
@@ -311,7 +327,10 @@ class TestMain:
              "sweep-snr-entry-str", "sweep-snr-str", "sweep-snr-nan", "sigma2-nan",
              "k-list-float", "k-list-str", "k-list-0", "k-list-bool", "envelope-re-str",
              "envelope-im-null", "tx-path-gain-str", "rx-path-gain-list", "fading-str",
-             "fading-list", "sweep-precoding-str", "modem-pulse-str"],
+             "fading-list", "sweep-precoding-str", "modem-pulse-str", "seed-float",
+             "seed-negative", "rolloff-str", "f-if-str", "sample-rate-null", "tx-spacing-str",
+             "rx-spacing-list", "spacing-m-str", "wavelength-m-str", "duration-str",
+             "path-delay-str", "path-theta-str", "rotor-rate-str", "probe-phi-str"],
     )
     def test_bad_field_names_field(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})

@@ -10,10 +10,10 @@ demap away from decision boundaries), within the solver gate for the
 two-stream solver that switched on ``which``, relabelled the channels for
 the second stream, validated every projection and retraction and evaluated
 the full sum SINR per trial, and for the two-stream experiment that kept its
-couplings in a dict (an objective no more than 1e-9 relative below the
-reference's, a monotone trace, SINRs within 1e-6 relative, EVMs within
-1e-5 dB and equal BERs), within 1e-12 where the operations were
-reordered (dense steering, the dense transform W = U diag(f) and the folds,
+couplings in a dict, run on the library solver (an objective no more than
+1e-9 relative below the reference's, a monotone trace, SINRs within 1e-6
+relative, EVMs within 1e-5 dB and equal BERs), within 1e-12 where the
+operations were reordered (dense steering, the dense transform W = U diag(f) and the folds,
 probes, scattering and beampatterns built on it, the full-matrices SVD, the
 materialized reflection array, and the CLI's ``simulate`` chain through a
 (K, T) magnitude tile), and within 2e-14 V for the per-query ``brentq``
@@ -738,7 +738,13 @@ def test_solver_matches_which_reference_on_drawn_channels(half, sigma2, cross, i
 
 def reference_two_stream_experiment(scenario, snr_db=25.0, orders=(16, 64), n_symbols=600,
                                     cross_gain=1.0, shared_h_eff=True, optimizer=None):
-    """``two_stream_experiment`` with dict-keyed couplings and the ``which`` solver."""
+    """``two_stream_experiment`` with dict-keyed couplings, on the library solver.
+
+    The experiment's plumbing (channel draws, start list, winner rule,
+    per-receiver chain) is what this reference checks. The solver itself is
+    gated against ``reference_alternating_optimize`` by the tests above: its
+    Newton finish moves per-receiver SINRs by up to 3.5e-3 relative from that
+    ascent-only reference, beyond this test's 1e-6."""
     half = scenario.n_elements // 2
     seed = scenario.seed
     rng = np.random.default_rng([seed, 0x2575])
@@ -772,7 +778,7 @@ def reference_two_stream_experiment(scenario, snr_db=25.0, orders=(16, 64), n_sy
     opts = dict(optimizer or {})
     kinds = ["nulling", "closed_form"] + ["random"] * opts.pop("restarts", 2)
     candidates = [
-        reference_alternating_optimize(ch, init=kind, restarts=1, seed=[seed, i], **opts)
+        pc.alternating_optimize(ch, init=kind, restarts=1, seed=[seed, i], **opts)
         for i, kind in enumerate(kinds)
     ]
     base = sinrs(couplings(phi_before), ch.sigma2)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import metatx.precoder as pc
@@ -168,6 +172,69 @@ class TestGradients:
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(grad)) < 1e-5
 
 
+def angle_objective(ch):
+    """The sum SINR as a function of both streams' angles, batched over leading axes."""
+    half = ch.b1.size
+    return lambda theta: sum_sinr(
+        np.exp(1j * theta[..., :half]), np.exp(1j * theta[..., half:]), ch
+    )
+
+
+def central_hessian(f, theta, step):
+    """Four-point central second differences of ``f`` for every pair of angles."""
+    d = step * np.eye(theta.size)
+    rows, cols = theta + d[:, None], theta - d[:, None]
+    return (f(rows + d) - f(rows - d) - f(cols + d) + f(cols - d)) / (4 * step**2)
+
+
+class TestJointDerivatives:
+    """The angle gradient and Hessian that the solver's Newton phase uses."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 16),
+        st.floats(1e-3, 1.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_match_central_differences(self, half, sigma2, cross, seed):
+        rng = np.random.default_rng([seed, 1])
+        ch = random_two_stream(seed, n=half, cross=cross, sigma2=sigma2)
+        theta = 2 * np.pi * rng.random(2 * half)
+        grad, hess = pc._joint_derivatives(
+            (np.exp(1j * theta[:half]), np.exp(1j * theta[half:])), pc._rows(ch), sigma2
+        )
+        f = angle_objective(ch)
+        value = f(theta)
+        eye = 1e-6 * np.eye(2 * half)
+        grad_fd = (f(theta + eye) - f(theta - eye)) / 2e-6
+        # Richardson-extrapolated (h = 1e-3, 5e-4): the plain difference is
+        # limited to about 1e-5 by truncation above h = 1e-4 and by rounding below.
+        hess_fd = (4 * central_hessian(f, theta, 5e-4) - central_hessian(f, theta, 1e-3)) / 3
+        # Relative to the largest entry, floored at 1e-3 of the objective: with
+        # one element per stream every derivative is zero up to rounding.
+        for exact, fd in ((grad, grad_fd), (hess, hess_fd)):
+            assert np.abs(exact - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-3 * value)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 16),
+        st.floats(1e-3, 1.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_common_rotation_of_either_stream_is_flat(self, half, sigma2, cross, seed):
+        rng = np.random.default_rng([seed, 1])
+        ch = random_two_stream(seed, n=half, cross=cross, sigma2=sigma2)
+        phis = tuple(np.exp(2j * np.pi * rng.random(half)) for _ in (0, 1))
+        grad, hess = pc._joint_derivatives(phis, pc._rows(ch), sigma2)
+        value = sum_sinr(*phis, ch)
+        for ones in (np.repeat([1.0, 0.0], half), np.repeat([0.0, 1.0], half)):
+            assert abs(grad @ ones) <= 1e-11 * value
+            assert np.abs(hess @ ones).max() <= 1e-11 * value
+        assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * value)
+
+
 class TestManifoldOps:
     def test_projection_tangency(self):
         rng = np.random.default_rng(14)
@@ -294,9 +361,44 @@ class TestAlternatingOptimize:
         with pytest.raises(ValueError, match="tol"):
             alternating_optimize(random_two_stream(20), tol=tol)
 
-    def test_zero_tol_runs_the_full_budget(self):
+    def test_zero_tol_ascent_runs_the_full_budget(self):
         sol = alternating_optimize(random_two_stream(20), tol=0, max_iter=3)
-        assert sol.trace.size == 4
+        assert sol.trace.size == 4 and sol.stats["newton_steps"] == 0
+
+    def test_zero_tol_newton_phase_ends_where_no_step_gains(self):
+        # A Newton step with no Armijo point ends the run, whatever tol is:
+        # on these two-element streams that happens within 12 outer iterations.
+        for seed in (11, 13):
+            sol = alternating_optimize(
+                random_two_stream(seed, n=2), init="closed_form", tol=0, max_iter=100
+            )
+            assert sol.converged and sol.trace.size - 1 < 100
+            assert sol.stats["newton_steps"] > 0
+
+    def test_newton_phase_takes_over_and_shares_the_budget(self):
+        ch = random_two_stream(21, n=8)
+        sol = alternating_optimize(ch, init="nulling")
+        assert sol.stats["ascent_iterations"] >= 1 and sol.stats["newton_steps"] >= 1
+        assert sol.converged
+        capped = alternating_optimize(ch, init="nulling", tol=0, max_iter=4)
+        assert capped.trace.size <= 5
+        for run in (sol, capped):
+            assert run.stats["ascent_iterations"] + run.stats["newton_steps"] == run.trace.size - 1
+
+    def test_newton_phase_is_skipped_above_the_size_limit(self, monkeypatch):
+        ch = random_two_stream(22, n=8)
+        monkeypatch.setattr(pc, "NEWTON_MAX_ANGLES", 15)
+        sol = alternating_optimize(ch, init="nulling", tol=0, max_iter=12)
+        assert sol.stats["newton_steps"] == 0
+        assert sol.stats["ascent_iterations"] == sol.trace.size - 1 == 12
+
+    def test_stats_stay_out_of_the_json(self):
+        sol = alternating_optimize(random_two_stream(23), init="multi", restarts=2)
+        assert set(sol.stats) == {"ascent_iterations", "newton_steps", "backtracks"}
+        assert set(json.loads(sol.to_json())) == {
+            "objective", "converged", "quantized", "iterations", "trace", "phases_rad",
+            "power_bound",
+        }
 
     def test_constructs_no_channel_objects(self, monkeypatch):
         ch = random_two_stream(19)
