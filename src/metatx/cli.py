@@ -1,7 +1,8 @@
 """Command-line front end: scenario configs, experiment dispatch, artifacts.
 
-Configs are JSON with SI-unit-suffixed keys; every key has a default, unknown
-keys are rejected, and flag overrides beat config values which beat defaults.
+Configs are JSON with SI-unit-suffixed keys; every key has a default whose type
+checks its value, unknown keys are rejected, and flag overrides (written into
+the config before the check) beat config values which beat defaults.
 Each run writes its metric files plus a manifest (config hash, seeds, output
 index); re-running with the same config and seed reproduces the metric files
 byte for byte.
@@ -14,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -108,199 +110,136 @@ _DEFAULT_CONFIG = {
 }
 
 
-def _merge_defaults(user, defaults, path=""):
-    """Overlay a user dict onto the defaults, rejecting unknown keys."""
-    if isinstance(defaults, dict):
+# What a leaf's default type cannot say, keyed by path with "[]" for a list
+# entry: "min" an integer minimum (else 1), "allowed" the only values (of the
+# default's type), "len" a list's exact length, "positive" a number > 0, and
+# "inf" a number that may also be +Infinity.
+_RULES = {
+    "seed": {"min": 0},
+    "modem.samples_per_symbol": {"min": 2},
+    "simulate.n_symbols": {"min": 2},
+    "two_stream.n_symbols": {"min": 2},
+    "sweep.realizations": {"min": 2},
+    "fading": {"allowed": sim.FADING_MODES},
+    "sweep.precoding": {"allowed": sim.PRECODING_MODES},
+    "modem.pulse": {"allowed": md.PULSE_KINDS},
+    "modem.order": {"allowed": md.QAM_ORDERS},
+    "sweep.order": {"allowed": md.QAM_ORDERS},
+    "two_stream.orders": {"len": 2},
+    "two_stream.orders[]": {"allowed": md.QAM_ORDERS},
+    "carrier_hz": {"positive": True},
+    "sense.duration_s": {"positive": True},
+    "sense.signal_rate_hz": {"positive": True},
+    "sweep.snr_db[]": {"inf": True},  # an infinite SNR is a noise-free run
+}
+
+
+def _merge_defaults(user, default, path=""):
+    """Overlay a user value onto its default, checking it by the default's type.
+
+    A dict rejects unknown keys and fills missing ones; a list must be
+    non-empty, each entry walked against the default's first entry. ``path``
+    names the value in errors (``paths_tx_to_surface[0].gain.re``).
+    """
+    where, rule = path or "config", _RULES.get(re.sub(r"\[\d+\]", "[]", path), {})
+    if isinstance(default, dict):
         if not isinstance(user, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
-        merged = {}
-        for key, default_value in defaults.items():
-            sub = f"{path}.{key}" if path else key
-            if key in user:
-                if isinstance(default_value, dict) and not isinstance(
-                    user[key], dict
-                ):
-                    raise ConfigError(f"{sub}: expected an object")
-                if isinstance(default_value, dict):
-                    merged[key] = _merge_defaults(user[key], default_value, sub)
-                elif isinstance(default_value, list) and default_value and isinstance(default_value[0], dict):
-                    if not isinstance(user[key], list):
-                        raise ConfigError(f"{sub}: expected a list")
-                    merged[key] = [
-                        _merge_defaults(item, default_value[0], f"{sub}[{i}]")
-                        for i, item in enumerate(user[key])
-                    ]
-                else:
-                    merged[key] = user[key]
-            else:
-                merged[key] = default_value
-        unknown = set(user) - set(defaults)
+            raise ConfigError(f"{where}: expected an object")
+        dot = "." if path else ""
+        unknown = sorted(set(user) - set(default))
         if unknown:
-            name = sorted(unknown)[0]
-            where = f"{path}.{name}" if path else name
-            raise ConfigError(f"{where}: unknown key")
-        return merged
+            raise ConfigError(f"{path}{dot}{unknown[0]}: unknown key")
+        return {
+            name: _merge_defaults(user.get(name, value), value, f"{path}{dot}{name}")
+            for name, value in default.items()
+        }
+    if isinstance(default, list):
+        if not isinstance(user, list) or not user:
+            raise ConfigError(f"{where}: must be a non-empty list, got {user!r}")
+        if len(user) != rule.get("len", len(user)):
+            raise ConfigError(f"{where}: must list exactly {rule['len']} entries, got {user!r}")
+        return [_merge_defaults(item, default[0], f"{path}[{i}]") for i, item in enumerate(user)]
+    if isinstance(default, str) or "allowed" in rule:
+        if type(user) is not type(default) or user not in rule["allowed"]:
+            raise ConfigError(f"{where}: must be one of {rule['allowed']}, got {user!r}")
+    elif isinstance(default, int):
+        minimum = rule.get("min", 1)
+        if type(user) is not int or user < minimum:
+            raise ConfigError(f"{where}: must be an integer >= {minimum}, got {user!r}")
+    elif not (default is None and user is None):
+        number = isinstance(user, (int, float)) and not isinstance(user, bool)
+        top = math.inf if rule.get("inf") else sys.float_info.max
+        if not number or not -sys.float_info.max <= user <= top:
+            raise ConfigError(f"{where}: must be a finite number, got {user!r}")
+        if rule.get("positive") and not user > 0:
+            raise ConfigError(f"{where}: must be a number > 0, got {user!r}")
     return user
 
 
 def effective_config(user: dict) -> dict:
     """Fully-defaulted configuration dict; re-parsing it is a no-op."""
     cfg = _merge_defaults(user, _DEFAULT_CONFIG)
-    carrier = cfg["carrier_hz"]
-    if isinstance(carrier, bool) or not isinstance(carrier, (int, float)) or not carrier > 0:
-        raise ConfigError(f"carrier_hz: must be a number > 0, got {carrier!r}")
-    if cfg["geometry"]["wavelength_m"] is None:
-        cfg["geometry"]["wavelength_m"] = SPEED_OF_LIGHT / cfg["carrier_hz"]
-    _check_number(cfg["geometry"]["wavelength_m"], "geometry.wavelength_m")
-    if cfg["geometry"]["spacing_m"] is None:
-        cfg["geometry"]["spacing_m"] = cfg["geometry"]["wavelength_m"] / 2
+    geometry = cfg["geometry"]
+    if geometry["wavelength_m"] is None:
+        geometry["wavelength_m"] = SPEED_OF_LIGHT / cfg["carrier_hz"]
+    if geometry["spacing_m"] is None:
+        geometry["spacing_m"] = geometry["wavelength_m"] / 2
     return cfg
 
 
-# (section, key, minimum) of every integer-valued field
-_INTEGER_FIELDS = (
-    ("geometry", "rows", 1),
-    ("geometry", "cols", 1),
-    ("grid", "n_theta", 1),
-    ("grid", "n_phi", 1),
-    ("modem", "samples_per_symbol", 2),
-    ("modem", "span_symbols", 1),
-    ("tx", "antennas", 1),
-    ("rx", "antennas", 1),
-    ("simulate", "n_symbols", 2),
-    ("two_stream", "n_symbols", 2),
-    ("sweep", "trials", 1),
-    ("sweep", "realizations", 2),
-    ("sweep", "min_bits", 1),
-)
-
-
-# (section, key) of every real-valued field in a section
-_NUMBER_FIELDS = (
-    ("geometry", "spacing_m"),
-    ("tx", "spacing_wavelengths"),
-    ("rx", "spacing_wavelengths"),
-    ("modem", "f_if_hz"),
-    ("modem", "sample_rate_hz"),
-    ("modem", "rolloff"),
-    ("two_stream", "snr_db"),
-    ("sense", "duration_s"),
-    ("sense", "signal_rate_hz"),
-)
-
-
-def _check_int(value, minimum: int, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{where}: must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_order(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value not in md.QAM_ORDERS:
-        raise ConfigError(f"{where}: must be a QAM order in {md.QAM_ORDERS}, got {value!r}")
-
-
-def _check_number(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-        raise ConfigError(f"{where}: must be a number, got {value!r}")
-
-
-def _complex(entry: dict, where: str) -> complex:
-    _check_number(entry["re"], f"{where}.re")
-    _check_number(entry["im"], f"{where}.im")
-    return complex(entry["re"], entry["im"])
+def _checked(where: str, make):
+    """Call ``make()``; a library ValueError becomes a ConfigError naming ``where``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _path_component(entry: dict, where: str) -> PathComponent:
-    gain = _complex(entry["gain"], f"{where}.gain")
-    for key in ("delay_s", "theta_surface_rad", "phi_surface_rad",
-                "theta_terminal_rad", "phi_terminal_rad"):
-        _check_number(entry[key], f"{where}.{key}")
-    try:
-        return PathComponent(
-            gain=gain,
-            delay_s=entry["delay_s"],
-            direction_at_surface=Direction(entry["theta_surface_rad"], entry["phi_surface_rad"]),
-            direction_at_terminal=Direction(entry["theta_terminal_rad"], entry["phi_terminal_rad"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _checked(where, lambda: PathComponent(
+        gain=complex(entry["gain"]["re"], entry["gain"]["im"]),
+        delay_s=entry["delay_s"],
+        direction_at_surface=Direction(entry["theta_surface_rad"], entry["phi_surface_rad"]),
+        direction_at_terminal=Direction(entry["theta_terminal_rad"], entry["phi_terminal_rad"]),
+    ))
+
+
+def _sense_inputs(sense: dict) -> tuple[list[RotorSpec], list[Direction]]:
+    """The sense rotors and probe directions; a bad entry names its index."""
+    nyquist = sense["signal_rate_hz"] / 2
+    for i, r in enumerate(sense["rotors"]):
+        if r["max_doppler_hz"] >= nyquist:
+            raise ConfigError(f"sense.rotors[{i}].max_doppler_hz: must be below "
+                              f"signal_rate_hz / 2 = {nyquist!r}, got {r['max_doppler_hz']!r}")
+    rotors = [RotorSpec(r["rate_hz"], r["blades"], r["max_doppler_hz"]) for r in sense["rotors"]]
+    probes = [
+        _checked(f"sense.probes[{i}]", lambda: Direction(p["theta_rad"], p["phi_rad"]))
+        for i, p in enumerate(sense["probes"])
+    ]
+    return rotors, probes
 
 
 def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     """Validate a config dict into a ScenarioConfig plus the effective dict."""
     cfg = effective_config(user)
-    _check_int(cfg["seed"], 0, "seed")
-    for section, key, minimum in _INTEGER_FIELDS:
-        _check_int(cfg[section][key], minimum, f"{section}.{key}")
-    for section, key in _NUMBER_FIELDS:
-        _check_number(cfg[section][key], f"{section}.{key}")
-    for section, key in (("sense", "probes"), ("sweep", "snr_db"), ("sweep", "k_list")):
-        if not isinstance(cfg[section][key], list) or not cfg[section][key]:
-            raise ConfigError(f"{section}.{key}: must be a non-empty list")
-    for i, k in enumerate(cfg["sweep"]["k_list"]):
-        _check_int(k, 1, f"sweep.k_list[{i}]")
-    for where, value, allowed in (
-        ("fading", cfg["fading"], sim.FADING_MODES),
-        ("sweep.precoding", cfg["sweep"]["precoding"], sim.PRECODING_MODES),
-        ("modem.pulse", cfg["modem"]["pulse"], md.PULSE_KINDS),
-    ):
-        if value not in allowed:
-            raise ConfigError(f"{where}: must be one of {allowed}, got {value!r}")
-    orders = cfg["two_stream"]["orders"]
-    if not isinstance(orders, list) or len(orders) != 2:
-        raise ConfigError(f"two_stream.orders: must list exactly two QAM orders, got {orders!r}")
-    _check_order(cfg["modem"]["order"], "modem.order")
-    _check_order(cfg["sweep"]["order"], "sweep.order")
-    for i, order in enumerate(orders):
-        _check_order(order, f"two_stream.orders[{i}]")
-    _check_number(cfg["sigma2"], "sigma2")
-    _check_number(cfg["pattern_exponent"], "pattern_exponent")
-    for i, snr_db in enumerate(cfg["sweep"]["snr_db"]):
-        _check_number(snr_db, f"sweep.snr_db[{i}]")
-    for i, rotor in enumerate(cfg["sense"]["rotors"]):
-        _check_number(rotor["rate_hz"], f"sense.rotors[{i}].rate_hz")
-        _check_int(rotor["blades"], 1, f"sense.rotors[{i}].blades")
-        _check_number(rotor["max_doppler_hz"], f"sense.rotors[{i}].max_doppler_hz")
-    for i, probe in enumerate(cfg["sense"]["probes"]):
-        _check_number(probe["theta_rad"], f"sense.probes[{i}].theta_rad")
-        _check_number(probe["phi_rad"], f"sense.probes[{i}].phi_rad")
-    try:
-        geometry = ArrayGeometry(
-            rows=cfg["geometry"]["rows"],
-            cols=cfg["geometry"]["cols"],
-            spacing_m=cfg["geometry"]["spacing_m"],
-            wavelength_m=cfg["geometry"]["wavelength_m"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-    try:
-        grid = hemisphere_grid(cfg["grid"]["n_theta"], cfg["grid"]["n_phi"])
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    try:
-        params = md.IFParams(
-            f_if_hz=cfg["modem"]["f_if_hz"],
-            sample_rate_hz=cfg["modem"]["sample_rate_hz"],
-            samples_per_symbol=cfg["modem"]["samples_per_symbol"],
-        )
-        pulse = md.PulseShape(
-            kind=cfg["modem"]["pulse"],
-            rolloff=cfg["modem"]["rolloff"],
-            span_symbols=cfg["modem"]["span_symbols"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"modem: {exc}") from exc
-    tx = TerminalArray.ula(cfg["tx"]["antennas"], cfg["tx"]["spacing_wavelengths"])
-    rx = TerminalArray.ula(cfg["rx"]["antennas"], cfg["rx"]["spacing_wavelengths"])
+    _sense_inputs(cfg["sense"])
+    geometry = _checked("geometry", lambda: ArrayGeometry(**cfg["geometry"]))
+    grid = _checked("grid", lambda: hemisphere_grid(cfg["grid"]["n_theta"], cfg["grid"]["n_phi"]))
+    modem = cfg["modem"]
+    params = _checked("modem", lambda: md.IFParams(
+        modem["f_if_hz"], modem["sample_rate_hz"], modem["samples_per_symbol"]
+    ))
+    pulse = _checked("modem", lambda: md.PulseShape(
+        kind=modem["pulse"], rolloff=modem["rolloff"], span_symbols=modem["span_symbols"]
+    ))
+    tx, rx = (TerminalArray.ula(cfg[end]["antennas"], cfg[end]["spacing_wavelengths"])
+              for end in ("tx", "rx"))
     beam = np.ones(tx.n_antennas, dtype=complex) / np.sqrt(tx.n_antennas)
-    paths_in = [
-        _path_component(p, f"paths_tx_to_surface[{i}]")
-        for i, p in enumerate(cfg["paths_tx_to_surface"])
-    ]
-    paths_out = [
-        _path_component(p, f"paths_surface_to_rx[{i}]")
-        for i, p in enumerate(cfg["paths_surface_to_rx"])
-    ]
+    paths = {
+        name: [_path_component(p, f"{name}[{i}]") for i, p in enumerate(cfg[name])]
+        for name in ("paths_tx_to_surface", "paths_surface_to_rx")
+    }
+    envelope = cfg["carrier_envelope"]
     try:
         scenario = ScenarioConfig(
             geometry=geometry,
@@ -308,10 +247,9 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
             carrier_hz=cfg["carrier_hz"],
             tx=tx,
             rx=rx,
-            paths_tx_to_surface=paths_in,
-            paths_surface_to_rx=paths_out,
+            **paths,
             tx_beam=beam,
-            carrier_envelope=_complex(cfg["carrier_envelope"], "carrier_envelope"),
+            carrier_envelope=complex(envelope["re"], envelope["im"]),
             modem=params,
             pulse=pulse,
             sigma2=cfg["sigma2"],
@@ -324,16 +262,19 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     return scenario, cfg
 
 
-def parse_config(path) -> tuple[ScenarioConfig, dict]:
-    """Load and validate a JSON scenario config file."""
+def _load_json(path):
     try:
         with open(path) as fh:
-            user = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return scenario_from_dict(user)
+
+
+def parse_config(path) -> tuple[ScenarioConfig, dict]:
+    """Load and validate a JSON scenario config file."""
+    return scenario_from_dict(_load_json(path))
 
 
 @dataclass
@@ -386,14 +327,14 @@ def _json_dump(path, payload) -> None:
         fh.write("\n")
 
 
-def _run_simulate(scenario, cfg, out, trials):
+def _run_simulate(scenario, cfg, out):
     report = sim.simulate(scenario, cfg["simulate"]["n_symbols"], cfg["modem"]["order"])
     write_complex_csv(out.path("tx_symbols.csv"), report.pop("tx_symbols").reshape(-1, 1))
     write_complex_csv(out.path("rx_symbols.csv"), report.pop("rx_symbols").reshape(-1, 1))
     _json_dump(out.path("simulate_metrics.json"), report)
 
 
-def _run_precode(scenario, cfg, out, trials):
+def _run_precode(scenario, cfg, out):
     link = sim.build_link(scenario)
     solution = pc.closed_form_phases(link.h_out, link.h_eff)
     with open(out.path("precode.json"), "w") as fh:
@@ -402,30 +343,29 @@ def _run_precode(scenario, cfg, out, trials):
     write_csv(out.path("phases_rad.csv"), np.angle(solution.phases[0]), "phase_rad")
 
 
-def _run_ber_sweep(scenario, cfg, out, trials):
+def _run_ber_sweep(scenario, cfg, out):
     sweep = cfg["sweep"]
     result = sim.ber_sweep(
         scenario,
         sweep["snr_db"],
         sweep["order"],
         precoding=sweep["precoding"],
-        trials=sweep["trials"] if trials is None else trials,
+        trials=sweep["trials"],
         min_bits=sweep["min_bits"],
     )
     result.to_csv(out.path("ber_sweep.csv"))
     _json_dump(out.path("ber_sweep_meta.json"), result.seed_manifest)
 
 
-def _run_diversity_sweep(scenario, cfg, out, trials):
+def _run_diversity_sweep(scenario, cfg, out):
     sweep = cfg["sweep"]
-    realizations = sweep["realizations"] if trials is None else trials
-    result = sim.diversity_sweep(scenario, sweep["k_list"], realizations)
+    result = sim.diversity_sweep(scenario, sweep["k_list"], sweep["realizations"])
     result.to_csv(out.path("diversity_sweep.csv"))
     extras = {key: result.extras[key] for key in ("loglog_slope", "mean_power_bound")}
     _json_dump(out.path("diversity_meta.json"), {**extras, **result.seed_manifest})
 
 
-def _run_two_stream(scenario, cfg, out, trials):
+def _run_two_stream(scenario, cfg, out):
     settings = cfg["two_stream"]
     report = sim.two_stream_experiment(
         scenario, settings["snr_db"], tuple(settings["orders"]), n_symbols=settings["n_symbols"]
@@ -443,13 +383,9 @@ def _run_two_stream(scenario, cfg, out, trials):
     )
 
 
-def _run_sense(scenario, cfg, out, trials):
+def _run_sense(scenario, cfg, out):
     settings = cfg["sense"]
-    rotors = [
-        RotorSpec(r["rate_hz"], r["blades"], r["max_doppler_hz"])
-        for r in settings["rotors"]
-    ]
-    probes = [Direction(p["theta_rad"], p["phi_rad"]) for p in settings["probes"]]
+    rotors, probes = _sense_inputs(settings)
     report = sim.doppler_spoof_experiment(
         scenario,
         rotors,
@@ -477,8 +413,6 @@ def _run_sense(scenario, cfg, out, trials):
     )
 
 
-# Every handler takes (scenario, cfg, out, trials): ``trials`` is the
-# --trials override (None when absent), read only by the sweeps.
 _HANDLERS = {
     "simulate": _run_simulate,
     "precode": _run_precode,
@@ -488,6 +422,17 @@ _HANDLERS = {
     "sense": _run_sense,
 }
 SUBCOMMANDS = tuple(_HANDLERS)
+# the config field a --trials flag sets, per subcommand that takes one
+_TRIALS_FIELD = {"ber-sweep": "sweep.trials", "diversity-sweep": "sweep.realizations"}
+
+
+def _set_flag(user, path: str, value) -> None:
+    """Write a flag at a dotted config path, where the schema checks and hashes it."""
+    *sections, name = path.split(".")
+    for section in sections:
+        user = user.setdefault(section, {}) if isinstance(user, dict) else None
+    if isinstance(user, dict):  # otherwise the schema refuses the config
+        user[name] = value
 
 
 def run(
@@ -501,17 +446,20 @@ def run(
     """Execute one experiment and write its artifacts plus a manifest."""
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    scenario, cfg = parse_config(config_path)
-    if seed is not None:
-        cfg["seed"] = int(seed)
-        scenario, cfg = scenario_from_dict(cfg)
+    if trials is not None and subcommand not in _TRIALS_FIELD:
+        raise ConfigError(f"--trials: only {' and '.join(_TRIALS_FIELD)} take a trial count")
+    user = _load_json(config_path)
+    for path, value in (("seed", seed), (_TRIALS_FIELD.get(subcommand), trials)):
+        if value is not None:
+            _set_flag(user, path, value)
+    scenario, cfg = scenario_from_dict(user)
     os.makedirs(out_dir, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     canonical = json.dumps(cfg, sort_keys=True).encode()
     config_hash = hashlib.sha256(canonical).hexdigest()
     out = _Outputs(out_dir)
     try:
-        _HANDLERS[subcommand](scenario, cfg, out, trials)
+        _HANDLERS[subcommand](scenario, cfg, out)
     except Exception:
         out.cleanup()
         raise

@@ -155,11 +155,6 @@ class PulseShape:
                 p[i] = np.sinc(ti) * np.cos(np.pi * beta * ti) / den
         return p * math.sqrt(sps / np.sum(p**2))
 
-    def gain(self, sps: int) -> float:
-        """Peak tap value; the per-symbol amplitude seen at ideal sampling."""
-        taps = self.taps(sps)
-        return float(taps[len(taps) // 2]) if self.kind == "raised_cosine" else 1.0
-
     def delay_samples(self, sps: int) -> int:
         return 0 if self.kind == "rect" else self.span_symbols * sps // 2
 
@@ -232,9 +227,11 @@ def ddc(
     y = np.convolve(z, lp)
     delay = pulse.delay_samples(sps) + (n_taps - 1) // 2
     n_avail = max(0, (y.size - delay - 1) // sps + 1)
-    expected = (x.size - pulse.taps(sps).size + 1 + sps - 1) // sps
+    taps = pulse.taps(sps)
+    expected = (x.size - taps.size + 1 + sps - 1) // sps
     n = min(n_avail, expected) if n_symbols is None else min(n_symbols, n_avail)
-    return y[delay + np.arange(n) * sps] / pulse.gain(sps)
+    # the peak tap is the per-symbol amplitude seen at ideal sampling
+    return y[delay + np.arange(n) * sps] / taps[taps.size // 2]
 
 
 def evm_db(rx: np.ndarray, ref: np.ndarray) -> float:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from metatx.cli import (
+    _DEFAULT_CONFIG,
+    _RULES,
     ConfigError,
     _json_dump,
     effective_config,
@@ -82,6 +84,13 @@ class TestParseConfig:
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError, match=r"paths_tx_to_surface\[0\]"):
             parse_config(path)
+
+    def test_defaults_survive_a_parse(self):
+        # filling in the wavelength must not write into the shared defaults
+        scenario_from_dict({})
+        _, cfg = scenario_from_dict({"carrier_hz": 1e9})
+        assert cfg["geometry"]["wavelength_m"] == pytest.approx(299792458.0 / 1e9)
+        assert _DEFAULT_CONFIG["geometry"]["wavelength_m"] is None
 
     def test_effective_config_round_trip(self):
         cfg = effective_config(SMALL_CONFIG)
@@ -180,9 +189,12 @@ class TestRun:
 
     def test_trials_override(self, tmp_path):
         config = write_config(tmp_path, SMALL_CONFIG)
-        run("ber-sweep", config, tmp_path / "t", trials=2, quiet=True)
+        m1 = run("ber-sweep", config, tmp_path / "a", quiet=True)
+        m2 = run("ber-sweep", config, tmp_path / "t", trials=2, quiet=True)
         meta = json.loads((tmp_path / "t" / "ber_sweep_meta.json").read_text())
         assert meta["trials"] == 2
+        # the flag is a config field, so its runs carry their own hash
+        assert m1.config_hash != m2.config_hash
 
     def test_two_stream_subcommand(self, tmp_path):
         payload = dict(SMALL_CONFIG, geometry={"rows": 2, "cols": 4})
@@ -223,9 +235,10 @@ class TestMain:
             ("ber-sweep", {}, ["--trials", "0"], "trials"),
             ("diversity-sweep", {"realizations": 0}, [], "realizations"),
             ("diversity-sweep", {}, ["--trials", "1"], "realizations"),
+            ("simulate", {}, ["--trials", "3"], "--trials"),
         ],
         ids=["config-trials-0", "flag-trials-neg", "flag-trials-0",
-             "config-realizations-0", "flag-realizations-1"],
+             "config-realizations-0", "flag-realizations-1", "flag-trials-simulate"],
     )
     def test_bad_trial_count_exits_one(self, tmp_path, capsys, subcommand, sweep, flags, field):
         payload = dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], **sweep))
@@ -234,7 +247,7 @@ class TestMain:
         code = main([subcommand, "--config", str(config), "--out", str(out_dir), *flags])
         assert code == 1
         assert field in capsys.readouterr().err
-        assert not out_dir.exists() or os.listdir(out_dir) == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "subcommand, override, field",
@@ -313,6 +326,11 @@ class TestMain:
              "paths_surface_to_rx[0].theta_surface_rad"),
             ("simulate", {"sense": {"rotors": [{"rate_hz": "x"}]}}, "sense.rotors[0].rate_hz"),
             ("simulate", {"sense": {"probes": [{}, {"phi_rad": "x"}]}}, "sense.probes[1].phi_rad"),
+            ("sense", {"sense": {"probes": [{}, {"theta_rad": 2.0}]}}, "sense.probes[1]: theta"),
+            ("simulate", {"sense": {"rotors": [{"max_doppler_hz": 1000.0}]}},
+             "sense.rotors[0].max_doppler_hz"),
+            ("sense", {"sense": {"rotors": []}}, "sense.rotors"),
+            ("simulate", {"paths_tx_to_surface": []}, "paths_tx_to_surface"),
         ],
         ids=["simulate-n-symbols-0", "two-stream-n-symbols-0", "simulate-n-symbols-1",
              "two-stream-n-symbols-1", "sense-no-probes",
@@ -330,7 +348,8 @@ class TestMain:
              "fading-list", "sweep-precoding-str", "modem-pulse-str", "seed-float",
              "seed-negative", "rolloff-str", "f-if-str", "sample-rate-null", "tx-spacing-str",
              "rx-spacing-list", "spacing-m-str", "wavelength-m-str", "duration-str",
-             "path-delay-str", "path-theta-str", "rotor-rate-str", "probe-phi-str"],
+             "path-delay-str", "path-theta-str", "rotor-rate-str", "probe-phi-str",
+             "probe-off-hemisphere", "rotor-above-nyquist", "sense-no-rotors", "no-tx-paths"],
     )
     def test_bad_field_names_field(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})
@@ -362,3 +381,70 @@ class TestMain:
         code = main(["precode", "--config", str(config), "--quiet"])
         assert code == 0
         assert (tmp_path / "envout" / "precode.json").exists()
+
+
+def leaf_overrides(default, path=""):
+    """(path, wrap) for every leaf of the default config, every list and the
+    first entry of every list; ``wrap(value)`` is the user config that puts
+    ``value`` at ``path`` and leaves every other field at its default."""
+    if isinstance(default, dict):
+        for name, sub in default.items():
+            for where, wrap in leaf_overrides(sub, f"{path}.{name}" if path else name):
+                yield where, lambda value, name=name, wrap=wrap: {name: wrap(value)}
+        return
+    yield path, lambda value: value
+    if isinstance(default, list):
+        for where, wrap in leaf_overrides(default[0], f"{path}[0]"):
+            yield where, lambda value, wrap=wrap: [wrap(value), *default[1:]]
+
+
+LEAF_CASES = [
+    pytest.param(where, wrap, value, id=f"{where}={value!r}")
+    for where, wrap in leaf_overrides(_DEFAULT_CONFIG)
+    for value in ("x", True, float("nan"), float("inf"), float("-inf"))
+]
+
+
+@pytest.mark.parametrize("where, wrap, value", LEAF_CASES)
+def test_every_leaf_refuses_a_bad_value(tmp_path, capsys, where, wrap, value):
+    user = wrap(value)
+    out_dir = tmp_path / "out"
+    if where == "sweep.snr_db[0]" and value == float("inf"):
+        # an infinite SNR is a noise-free point, the one non-finite number allowed
+        user["sweep"].update(trials=4, min_bits=2000)
+        config = write_config(tmp_path, user)
+        assert main(["ber-sweep", "--config", str(config), "--out", str(out_dir), "--quiet"]) == 0
+        rows = (out_dir / "ber_sweep.csv").read_text().splitlines()
+        assert rows[1].startswith("inf,0,")
+        return
+    config = write_config(tmp_path, user)
+    assert main(["precode", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert f"error: {where}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def rule_target(key):
+    """The default value a ``_RULES`` key names; ``[]`` steps into a list entry."""
+    node = _DEFAULT_CONFIG
+    for part in key.split("."):
+        node = node[part.removesuffix("[]")]
+        if part.endswith("[]"):
+            node = node[0]
+    return node
+
+
+def test_rule_keys_name_default_leaves():
+    kinds = {"min": int, "allowed": (str, int), "len": list, "positive": float, "inf": float}
+    for key, rule in _RULES.items():
+        target = rule_target(key)
+        for kind in rule:
+            assert isinstance(target, kinds[kind]), (key, kind)
+        if "allowed" in rule:
+            assert target in rule["allowed"], key
+        if "len" in rule:
+            assert len(target) == rule["len"], key
+    # a string leaf is only ever one of its listed values
+    for where, _ in leaf_overrides(_DEFAULT_CONFIG):
+        key = where.replace("[0]", "[]")
+        if isinstance(rule_target(key), str):
+            assert "allowed" in _RULES.get(key, {}), key
