@@ -2,8 +2,9 @@
 
 The surface reflects an unmodulated carrier while its per-element reflection
 magnitudes carry the information waveform and its phases steer the beam.
-Modules: ``geometry`` (directions, steering, transforms), ``reflection``
-(array scattering), ``channel`` (multipath synthesis), ``modem``
+Modules: ``geometry`` (directions, steering, the field transform),
+``reflection`` (surface magnitudes and phases), ``channel`` (multipath
+synthesis, folded into element-domain channels), ``modem``
 (QAM/IF chain), ``mixer`` (diode nonlinearity and calibration), ``precoder``
 (phase optimization), ``simulator`` (end-to-end experiments), ``sensing``
 (Doppler-signature synthesis), ``cli`` (command-line front end).
@@ -23,12 +24,7 @@ from .geometry import (
     transform_matrix,
     unit_vector,
 )
-from .reflection import (
-    ElementPattern,
-    SurfaceConfig,
-    array_scatter,
-    beampattern,
-)
+from .reflection import SurfaceConfig
 from .channel import (
     EffectiveChannels,
     PathComponent,

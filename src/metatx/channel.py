@@ -100,8 +100,8 @@ def selection_vector(grid: DirectionGrid, direction: Direction) -> np.ndarray:
     On 4x4 to 32x64 grids the default CLI paths and sense probes have gains
     of 1.4-10.6 and 99% of directions inside the coverage stay below 53.
     """
-    cos_grid = np.cos(grid.thetas())
-    phi_grid = grid.phis()
+    cos_grid = np.cos(grid.theta)
+    phi_grid = grid.phi
     cos_vals = np.unique(np.round(cos_grid, 12))
     phi_vals = np.unique(np.round(phi_grid, 12))
     n_c, n_p = len(cos_vals), len(phi_vals)

@@ -182,6 +182,9 @@ def effective_config(user: dict) -> dict:
     geometry = cfg["geometry"]
     if geometry["wavelength_m"] is None:
         geometry["wavelength_m"] = SPEED_OF_LIGHT / cfg["carrier_hz"]
+        if not math.isfinite(geometry["wavelength_m"]):
+            raise ConfigError(f"carrier_hz: c / carrier_hz is not a finite wavelength, "
+                              f"got {cfg['carrier_hz']!r}")
     if geometry["spacing_m"] is None:
         geometry["spacing_m"] = geometry["wavelength_m"] / 2
     return cfg

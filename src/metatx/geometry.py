@@ -13,6 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_angles(theta, phi) -> None:
+    """Refuse a zenith angle outside [0, pi/2) or an azimuth outside [0, 2 pi).
+
+    Scalars or arrays; NaN fails both ranges. The error quotes the first
+    offending value.
+    """
+    for name, values, top, span in (
+        ("theta", theta, np.pi / 2, "[0, pi/2)"),
+        ("phi", phi, 2 * np.pi, "[0, 2*pi)"),
+    ):
+        values = np.asarray(values)
+        bad = ~((values >= 0.0) & (values < top))
+        if bad.any():
+            raise ValueError(f"{name} must be in {span}, got {values[bad][0]}")
+
+
 @dataclass(frozen=True)
 class Direction:
     """A propagation direction (zenith ``theta``, azimuth ``phi``), radians."""
@@ -21,50 +37,53 @@ class Direction:
     phi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta < np.pi / 2):
-            raise ValueError(f"theta must be in [0, pi/2), got {self.theta}")
-        if not (0.0 <= self.phi < 2 * np.pi):
-            raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
+        _check_angles(self.theta, self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionGrid:
     """Ordered discretization of the front hemisphere into M directions.
 
-    The ordering is fixed for the lifetime of a scenario: matrices built on a
-    grid index their columns by this ordering.
+    ``theta`` and ``phi`` are read-only (M,) arrays; direction m is
+    ``(theta[m], phi[m])``. The ordering is fixed for the lifetime of a
+    scenario: matrices built on a grid index their columns by it.
     """
 
-    directions: tuple[Direction, ...]
+    theta: np.ndarray
+    phi: np.ndarray
 
     def __post_init__(self):
-        if len(self.directions) < 1:
+        theta = np.array(self.theta, dtype=float)
+        phi = np.array(self.phi, dtype=float)
+        if theta.ndim != 1 or theta.shape != phi.shape:
+            raise ValueError(f"theta {theta.shape} and phi {phi.shape} must be matching 1-d arrays")
+        if theta.size < 1:
             raise ValueError("grid needs at least one direction")
-        seen = set()
-        for d in self.directions:
-            key = (d.theta, d.phi)
-            if key in seen:
-                raise ValueError(f"duplicate grid direction {key}")
-            seen.add(key)
+        _check_angles(theta, phi)
+        order = np.lexsort((phi, theta))
+        same = (np.diff(theta[order]) == 0) & (np.diff(phi[order]) == 0)
+        if same.any():
+            m = order[np.argmax(same)]
+            raise ValueError(f"duplicate grid direction {(float(theta[m]), float(phi[m]))}")
+        for name, values in (("theta", theta), ("phi", phi)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
-        return len(self.directions)
+        return self.theta.shape[0]
 
-    def thetas(self) -> np.ndarray:
-        return np.array([d.theta for d in self.directions])
-
-    def phis(self) -> np.ndarray:
-        return np.array([d.phi for d in self.directions])
+    def __getitem__(self, m: int) -> Direction:
+        return Direction(float(self.theta[m]), float(self.phi[m]))
 
     def nearest_index(self, direction: Direction) -> int:
         """Index of the grid direction closest to ``direction`` in (cos theta, phi)."""
-        dc = np.cos(self.thetas()) - np.cos(direction.theta)
-        dphi = np.angle(np.exp(1j * (self.phis() - direction.phi)))
+        dc = np.cos(self.theta) - np.cos(direction.theta)
+        dphi = np.angle(np.exp(1j * (self.phi - direction.phi)))
         return int(np.argmin(dc**2 + dphi**2))
 
 
 def hemisphere_grid(n_theta: int = 32, n_phi: int = 64) -> DirectionGrid:
-    """Uniform grid in (cos theta, phi) over the front hemisphere.
+    """Uniform grid in (cos theta, phi) over the front hemisphere, theta-major.
 
     Cell centers are used, so theta=0 and theta=pi/2 are never on the grid and
     all (theta, phi) pairs are distinct. Uniform cos(theta) spacing gives
@@ -74,10 +93,7 @@ def hemisphere_grid(n_theta: int = 32, n_phi: int = 64) -> DirectionGrid:
         raise ValueError("grid dimensions must be >= 1")
     cos_t = 1.0 - (np.arange(n_theta) + 0.5) / n_theta
     phis = 2 * np.pi * np.arange(n_phi) / n_phi
-    dirs = [
-        Direction(float(np.arccos(c)), float(p)) for c in cos_t for p in phis
-    ]
-    return DirectionGrid(tuple(dirs))
+    return DirectionGrid(np.repeat(np.arccos(cos_t), n_phi), np.tile(phis, n_theta))
 
 
 @dataclass(frozen=True)
@@ -97,10 +113,9 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
-        if self.spacing_m <= 0:
-            raise ValueError("spacing_m must be > 0")
-        if self.wavelength_m <= 0:
-            raise ValueError("wavelength_m must be > 0")
+        for name in ("spacing_m", "wavelength_m"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def n_elements(self) -> int:
@@ -140,9 +155,9 @@ def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarr
     C[j, m] = exp(-j s j u_y(O_m)), s = 2 pi spacing / wavelength:
     (K_r + K_c) M exponentials instead of K M.
     """
-    proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.thetas())
-    row = np.exp(-1j * np.outer(np.arange(1, geom.rows + 1), proj * np.cos(grid.phis())))
-    col = np.exp(-1j * np.outer(np.arange(1, geom.cols + 1), proj * np.sin(grid.phis())))
+    proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.theta)
+    row = np.exp(-1j * np.outer(np.arange(1, geom.rows + 1), proj * np.cos(grid.phi)))
+    col = np.exp(-1j * np.outer(np.arange(1, geom.cols + 1), proj * np.sin(grid.phi)))
     return row, col
 
 
@@ -175,8 +190,8 @@ class FieldTransform:
     """The static transform W = U diag(f) kept as its factors, never formed.
 
     W[(i, j), m] = row[i, m] col[j, m] pattern[m], element k = i K_c + j
-    row-major. ``apply`` and ``adjoint`` cost O(K M) per column and hold
-    one (K_r, M) temporary, against K M complex values for W itself. Any
+    row-major. ``apply`` forms W x at O(K M) per column and holds one
+    (K_r, M) temporary, against K M complex values for W itself. Any
     dense (K, M) matrix is the transform with ``row = ones((1, M))``,
     ``col = W`` and ``pattern = ones(M)``.
     """
@@ -215,16 +230,3 @@ class FieldTransform:
         for n in range(fx.shape[1]):
             out[:, n] = ((self.row * fx[:, n]) @ self.col.T).ravel()
         return out.reshape((k,) + x.shape[1:])
-
-    def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """W^H z for z of shape (K,) or (K, n), with no K x M temporary."""
-        z = np.asarray(z)
-        k, m = self.shape
-        if z.shape[0] != k:
-            raise ValueError(f"z has {z.shape[0]} elements, the transform expects {k}")
-        zs = z.reshape(self.row.shape[0], self.col.shape[0], -1)
-        row, col = self.row.conj(), self.col.conj()
-        out = np.empty((m, zs.shape[2]), dtype=complex)
-        for n in range(zs.shape[2]):
-            out[:, n] = np.sum(row * (zs[:, :, n] @ col), axis=0)
-        return (self.pattern.conj()[:, None] * out).reshape((m,) + z.shape[1:])

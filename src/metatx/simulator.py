@@ -31,7 +31,7 @@ from .channel import (
 )
 from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
-from .reflection import ElementPattern, SurfaceConfig
+from .reflection import SurfaceConfig
 from .sensing import RotorSpec, Spectrogram, doppler_signature, istft_synthesize, signature_fidelity, stft
 
 
@@ -71,6 +71,8 @@ class ScenarioConfig:
             raise ValueError("tx_beam must have unit norm")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
+        if not self.pattern_exponent >= 0:
+            raise ValueError(f"pattern_exponent must be >= 0, got {self.pattern_exponent!r}")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
 
@@ -90,10 +92,10 @@ def default_scenario(**overrides) -> ScenarioConfig:
         tx=TerminalArray.ula(1),
         rx=TerminalArray.ula(1),
         paths_tx_to_surface=[
-            PathComponent(1.0, 0.0, grid.directions[40], Direction(0.1, 0.0))
+            PathComponent(1.0, 0.0, grid[40], Direction(0.1, 0.0))
         ],
         paths_surface_to_rx=[
-            PathComponent(1.0, 0.0, grid.directions[200], Direction(0.2, 1.0))
+            PathComponent(1.0, 0.0, grid[200], Direction(0.2, 1.0))
         ],
         tx_beam=np.array([1.0 + 0.0j]),
     )
@@ -113,8 +115,8 @@ class LinkState:
 
 def build_link(scenario: ScenarioConfig) -> LinkState:
     """Assemble the transform, H_i, H_o and h_eff from the scenario's path lists."""
-    pattern = ElementPattern.cosine(scenario.grid, scenario.pattern_exponent)
-    transform = FieldTransform.on_grid(scenario.geometry, scenario.grid, pattern.values)
+    pattern = np.cos(scenario.grid.theta) ** scenario.pattern_exponent
+    transform = FieldTransform.on_grid(scenario.geometry, scenario.grid, pattern)
     h_tx = channel_tx_to_surface(
         scenario.paths_tx_to_surface, scenario.tx, scenario.grid, scenario.carrier_hz
     )
@@ -139,20 +141,17 @@ def simulate_rx(
     scenario: ScenarioConfig,
     surface: SurfaceConfig,
     link: LinkState | None = None,
-    noise_seed=None,
 ) -> np.ndarray:
     """Received signal y(t) = H_o diag(gamma(t)) h_eff s_c + n(t).
 
     Shape (N_r,) for a static surface state or (N_r, T) for magnitude time
-    series; deterministic given the scenario seed (or an explicit
-    ``noise_seed``).
+    series; the noise is drawn from the scenario seed.
     """
     link = build_link(scenario) if link is None else link
     if surface.n_elements != scenario.n_elements:
         raise ValueError("surface state and geometry disagree on K")
     y = _reflect(link.h_out * link.h_eff[np.newaxis, :], surface) * scenario.carrier_envelope
-    seed = scenario.seed if noise_seed is None else noise_seed
-    return add_noise(y, scenario.sigma2, seed)
+    return add_noise(y, scenario.sigma2, scenario.seed)
 
 
 def _probe_rows(scenario: ScenarioConfig, link: LinkState, probes) -> np.ndarray:
@@ -397,12 +396,12 @@ def diversity_sweep(
     )
 
 
-def _magnitude_drive(x: np.ndarray, center: float = 0.5, span: float = 0.45):
-    """Map a bipolar waveform into the [0, 1] reflection-magnitude range."""
+def _magnitude_drive(x: np.ndarray):
+    """Map a bipolar waveform onto 0.5 +- 0.45, inside the [0, 1] magnitude range."""
     peak = np.max(np.abs(x))
     if peak == 0:
-        return np.full(x.shape, center), 1.0
-    return center + span * x / peak, span / peak
+        return np.full(x.shape, 0.5), 1.0
+    return 0.5 + 0.45 * x / peak, 0.45 / peak
 
 
 def combine(y: np.ndarray, gain, scale: float) -> np.ndarray:

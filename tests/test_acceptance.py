@@ -89,7 +89,7 @@ def test_criterion_02_isotropy():
             rng.uniform(0, 2 * np.pi, k), rng.uniform(0.05, 1.0, 200)
         )
         step = len(sc.grid) // 8
-        probes = [sc.grid.directions[3 + i * step] for i in range(8)]
+        probes = [sc.grid[3 + i * step] for i in range(8)]
         out = isotropy_check(sc, surface, probes)
         worst = max(worst, out["max_deviation"])
     verdict(
@@ -337,7 +337,7 @@ def test_criterion_09_mixer_model():
 def test_criterion_10_spoofing_chain():
     sc = default_scenario(seed=30)
     rotors = [RotorSpec(4.0, 2, 300.0), RotorSpec(6.5, 3, 500.0)]
-    probes = [sc.grid.directions[40], sc.grid.directions[300]]
+    probes = [sc.grid[40], sc.grid[300]]
     report = doppler_spoof_experiment(sc, rotors, probes)
     fids = [f for f in report["fidelities"] if f is not None]
     cross = report["probe_cross_correlation"]

@@ -30,7 +30,7 @@ def grid():
 
 
 def on_grid(grid, idx):
-    return grid.directions[idx]
+    return grid[idx]
 
 
 def dense(w):
@@ -60,9 +60,7 @@ class TestSelectionVector:
 
         cos_vals = [0.96, 0.97, 0.98, 0.99]
         phis = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
-        narrow = DirectionGrid(
-            tuple(Direction(float(np.arccos(c)), p) for c in cos_vals for p in phis)
-        )
+        narrow = DirectionGrid(np.repeat(np.arccos(cos_vals), 4), np.tile(phis, 4))
         with pytest.warns(UserWarning):
             selection_vector(narrow, Direction(1.5, 0.0))
 
@@ -174,7 +172,7 @@ class TestEffectiveChannels:
         # one path per side, on-grid: H_o Phi H_i collapses to the rank-1
         # closed form with the surface steering inner product in the middle
         geom = ArrayGeometry(3, 2, 0.02, 0.0517)
-        f = np.cos(grid.thetas())
+        f = np.cos(grid.theta)
         w = FieldTransform.on_grid(geom, grid, f)
         tx, rx = TerminalArray.ula(2), TerminalArray.ula(2)
         mi, mo = 30, 70

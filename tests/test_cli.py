@@ -7,6 +7,7 @@ import pytest
 from metatx.cli import (
     _DEFAULT_CONFIG,
     _RULES,
+    SUBCOMMANDS,
     ConfigError,
     _json_dump,
     effective_config,
@@ -273,6 +274,7 @@ class TestMain:
             ("simulate", {"carrier_hz": 0}, "carrier_hz"),
             ("simulate", {"carrier_hz": -5.8e9}, "carrier_hz"),
             ("simulate", {"carrier_hz": "5.8e9"}, "carrier_hz"),
+            ("simulate", {"carrier_hz": 5e-324}, "carrier_hz"),
             ("ber-sweep", {"sweep": {"snr_db": []}}, "sweep.snr_db"),
             ("diversity-sweep", {"sweep": {"k_list": []}}, "sweep.k_list"),
             ("two-stream", {"two_stream": {"orders": [16]}}, "two_stream.orders"),
@@ -337,6 +339,7 @@ class TestMain:
              "rows-float", "rows-str", "cols-bool", "cols-0", "n-theta-0", "n-phi-float",
              "sps-float", "sps-1", "span-0", "tx-0", "rx-float", "n-symbols-bool",
              "two-stream-n-symbols-float", "carrier-0", "carrier-neg", "carrier-str",
+             "carrier-subnormal",
              "snr-db-empty", "k-list-empty", "orders-one", "orders-three",
              "trials-float", "trials-0", "min-bits-str", "realizations-float",
              "realizations-1", "modem-order-float", "modem-order-bool", "sweep-order-3",
@@ -358,6 +361,20 @@ class TestMain:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_negative_pattern_exponent_refused_at_parse(self, tmp_path, capsys, subcommand):
+        config = write_config(tmp_path, {**SMALL_CONFIG, "pattern_exponent": -1.0})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
+        assert "error: pattern_exponent must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_pattern_exponent_bound_is_inclusive(self):
+        scenario, _ = scenario_from_dict({"pattern_exponent": 0.0})
+        assert scenario.pattern_exponent == 0.0
+        with pytest.raises(ConfigError, match="pattern_exponent"):
+            scenario_from_dict({"pattern_exponent": -1e-300})
 
     def test_single_k_slope_is_strict_json_null(self, tmp_path):
         def reject(token):

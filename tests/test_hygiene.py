@@ -1,5 +1,6 @@
-"""Source hygiene: no module of metatx imports a name it never uses, and no
-module draws from numpy's legacy global random state.
+"""Source hygiene: no module of metatx imports a name it never uses, no
+module draws from numpy's legacy global random state, and every function the
+benchmark's tracer patches by name still exists.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -9,11 +10,14 @@ single draw.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "metatx"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "metatx"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -79,3 +83,43 @@ def test_legacy_random_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_legacy_global_random_draws(path):
     assert legacy_random_names(path.read_text()) == []
+
+
+def load_tracer():
+    """``bench/tracer.py`` loaded as a module, without installing it anywhere."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unresolved_targets(targets) -> list[str]:
+    """Tracer targets with no module attribute, or no method in the class ``__dict__``."""
+    missing = []
+    for module_name, attr, *_ in targets:
+        owner, _, name = attr.rpartition(".")
+        module = importlib.import_module(f"metatx.{module_name}")
+        if owner:
+            found = name in vars(getattr(module, owner, object))
+        else:
+            found = hasattr(module, name)
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    return missing
+
+
+def test_unresolved_target_detector():
+    targets = [("geometry", "no_such_function"), ("reflection", "SurfaceConfig.no_such_method"),
+               ("reflection", "NoSuchClass.uniform"), ("geometry", "hemisphere_grid"),
+               ("reflection", "SurfaceConfig.uniform")]
+    assert unresolved_targets(targets) == [
+        "geometry.no_such_function",
+        "reflection.SurfaceConfig.no_such_method",
+        "reflection.NoSuchClass.uniform",
+    ]
+
+
+def test_every_tracer_target_resolves():
+    targets = load_tracer().TARGETS
+    assert targets
+    assert unresolved_targets(targets) == []

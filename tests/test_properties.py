@@ -148,9 +148,17 @@ def test_gradient_matches_central_differences(case):
 )
 def test_uniform_magnitudes_are_isotropic(phases, magnitudes, probe_idx):
     surface = SurfaceConfig.uniform(np.array(phases), np.array(magnitudes))
-    probes = [SCENARIO.grid.directions[i] for i in probe_idx]
+    probes = [SCENARIO.grid[i] for i in probe_idx]
     out = isotropy_check(SCENARIO, surface, probes, LINK)
     assert out["max_deviation"] < 1e-10
+
+
+@FAST
+@given(st.integers(1, 64), st.integers(1, 128), st.data())
+def test_nearest_index_of_a_grid_direction_is_its_index(n_theta, n_phi, data):
+    grid = hemisphere_grid(n_theta, n_phi)
+    m = data.draw(st.integers(0, len(grid) - 1))
+    assert grid.nearest_index(grid[m]) == m
 
 
 GRIDS = [hemisphere_grid(*shape) for shape in ((1, 1), (2, 3), (6, 12), (16, 32))]
@@ -160,7 +168,7 @@ GRIDS = [hemisphere_grid(*shape) for shape in ((1, 1), (2, 3), (6, 12), (16, 32)
 def directions_between_grid_rows(draw):
     """A grid and a direction whose cos(theta) lies between its outermost rows."""
     grid = draw(st.sampled_from(GRIDS))
-    cos_grid = np.cos(grid.thetas())
+    cos_grid = np.cos(grid.theta)
     c0 = draw(st.floats(cos_grid.min(), cos_grid.max()))
     phi = draw(st.floats(0.0, 2 * np.pi, exclude_max=True))
     return grid, Direction(float(np.arccos(c0)), phi)
@@ -186,7 +194,7 @@ def test_selection_vector_has_unit_sum(case):
     lambda g: st.tuples(st.just(g), st.integers(0, len(g) - 1))))
 def test_selection_vector_on_grid_is_one_hot(case):
     grid, idx = case
-    v = selection_vector(grid, grid.directions[idx])
+    v = selection_vector(grid, grid[idx])
     expected = np.zeros(len(grid))
     expected[idx] = 1.0
     # The kernel's cos(theta) span comes from cos values rounded to 12

@@ -140,7 +140,7 @@ class TestSimulateRx:
 class TestIsotropy:
     def probes(self, grid, count=8):
         step = len(grid) // count
-        return [grid.directions[i * step + 3] for i in range(count)]
+        return [grid[i * step + 3] for i in range(count)]
 
     def test_uniform_magnitudes_any_phase(self, scenario):
         rng = np.random.default_rng(2)
@@ -162,13 +162,13 @@ class TestIsotropy:
         surface = SurfaceConfig.uniform(
             np.zeros(scenario.n_elements), np.linspace(0.1, 1, 50)
         )
-        out = isotropy_check(scenario, surface, [scenario.grid.directions[5]])
+        out = isotropy_check(scenario, surface, [scenario.grid[5]])
         assert out["max_deviation"] == 0.0
 
     def test_static_surface_rejected(self, scenario):
         surface = SurfaceConfig(np.ones(scenario.n_elements), np.zeros(scenario.n_elements))
         with pytest.raises(ValueError):
-            isotropy_check(scenario, surface, [scenario.grid.directions[0]])
+            isotropy_check(scenario, surface, [scenario.grid[0]])
 
 
 class TestWilson:
@@ -420,7 +420,7 @@ class TestSpoofChain:
     def test_dual_rotor_chain(self):
         sc = default_scenario(seed=30)
         rotors = [RotorSpec(4.0, 2, 300.0), RotorSpec(6.5, 3, 500.0)]
-        probes = [sc.grid.directions[40], sc.grid.directions[300]]
+        probes = [sc.grid[40], sc.grid[300]]
         report = doppler_spoof_experiment(sc, rotors, probes)
         fids = [f for f in report["fidelities"] if f is not None]
         assert len(fids) == 2
