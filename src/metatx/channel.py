@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .geometry import Direction, DirectionGrid, FieldTransform, unit_vector
 
 SPEED_OF_LIGHT = 299792458.0
@@ -214,11 +213,3 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 def rayleigh_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """I.i.d. circularly-symmetric CN(0, 1) entries (Rayleigh magnitudes)."""
     return complex_gaussian(rng, shape) / np.sqrt(2)
-
-
-def write_complex_csv(path, matrix: np.ndarray) -> None:
-    """Dump a complex matrix as CSV with alternating re/im columns."""
-    matrix = np.atleast_2d(np.ascontiguousarray(matrix, dtype=complex))
-    header = ",".join(f"re{c},im{c}" for c in range(matrix.shape[1]))
-    write_csv(path, matrix.view(float), header)  # a C-order complex row is re, im, ...
-

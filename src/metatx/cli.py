@@ -3,9 +3,11 @@
 Configs are JSON with SI-unit-suffixed keys; every key has a default whose type
 checks its value, unknown keys are rejected, and flag overrides (written into
 the config before the check) beat config values which beat defaults.
-Each run writes its metric files plus a manifest (config hash, seeds, output
-index); re-running with the same config and seed reproduces the metric files
-byte for byte.
+This is the one module that writes files: the library computes, and each
+handler here lays out its results as CSV (``csvio.write_csv``) and JSON
+through ``_Outputs``. Each run writes its metric files plus a manifest
+(config hash, seeds, output index); re-running with the same config and seed
+reproduces the metric files byte for byte.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from . import __version__
 from . import modem as md
 from . import precoder as pc
 from . import simulator as sim
-from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray, write_complex_csv
+from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray
 from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, hemisphere_grid
-from .sensing import RotorSpec, write_spectrogram
+from .sensing import RotorSpec
 from .simulator import ScenarioConfig
 
 OUT_DIR_ENV = "METATX_OUT"
@@ -293,21 +295,35 @@ class RunManifest:
     outputs: list[dict] = field(default_factory=list)
 
 
+def _json_dump(path, payload, sort_keys=True, end="\n") -> None:
+    """Strict JSON (no NaN) at indent 1. Metric files sort their keys and end
+    in a newline; precode.json keeps its key order; sidecars also end bare."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=sort_keys, allow_nan=False)
+        fh.write(end)
+
+
 class _Outputs:
-    """Tracks files written during a run so failures can clean up."""
+    """Writes a run's files, registering each path before opening it, so no
+    file is on disk without being in the manifest and the failure cleanup."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.paths: list[str] = []
 
-    def path(self, name: str) -> str:
+    def _add(self, name: str) -> str:
         full = os.path.join(self.out_dir, name)
         self.paths.append(full)
         return full
 
-    def sidecar(self, name: str) -> None:
-        """Register a sidecar file a writer helper created alongside."""
-        self.paths.append(os.path.join(self.out_dir, name))
+    def csv(self, name: str, rows, header: str | None = None, sidecar: dict | None = None):
+        """``rows`` as CSV; a ``sidecar`` dict goes beside it as ``<name>.json``."""
+        write_csv(self._add(name), rows, header)
+        if sidecar is not None:
+            _json_dump(self._add(f"{name}.json"), sidecar, sort_keys=False, end="")
+
+    def json(self, name: str, payload, sort_keys: bool = True) -> None:
+        _json_dump(self._add(name), payload, sort_keys)
 
     def index(self) -> list[dict]:
         entries = []
@@ -324,26 +340,34 @@ class _Outputs:
                 os.remove(p)
 
 
-def _json_dump(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def _run_simulate(scenario, cfg, out):
     report = sim.simulate(scenario, cfg["simulate"]["n_symbols"], cfg["modem"]["order"])
-    write_complex_csv(out.path("tx_symbols.csv"), report.pop("tx_symbols").reshape(-1, 1))
-    write_complex_csv(out.path("rx_symbols.csv"), report.pop("rx_symbols").reshape(-1, 1))
-    _json_dump(out.path("simulate_metrics.json"), report)
+    for name in ("tx_symbols", "rx_symbols"):
+        out.csv(f"{name}.csv", report.pop(name).view(float).reshape(-1, 2), "re0,im0")
+    out.json("simulate_metrics.json", report)
 
 
 def _run_precode(scenario, cfg, out):
     link = sim.build_link(scenario)
     solution = pc.closed_form_phases(link.h_out, link.h_eff)
-    with open(out.path("precode.json"), "w") as fh:
-        fh.write(solution.to_json())
-        fh.write("\n")
-    write_csv(out.path("phases_rad.csv"), np.angle(solution.phases[0]), "phase_rad")
+    angles = solution.angles()
+    payload = {
+        "objective": solution.objective,
+        "converged": solution.converged,
+        "quantized": False,  # phases are continuous; the key keeps the layout
+        "iterations": int(solution.trace.size),
+        "trace": solution.trace.tolist(),
+        "phases_rad": [a.tolist() for a in angles],
+        "power_bound": solution.power_bound,
+    }
+    out.json("precode.json", payload, sort_keys=False)
+    out.csv("phases_rad.csv", angles[0], "phase_rad")
+
+
+def _sweep_csv(out, name, result) -> None:
+    columns = (result.axis, result.values, result.ci_low, result.ci_high, result.counts)
+    header = f"{result.axis_name},{result.metric_name},ci_low,ci_high,n"
+    out.csv(name, np.column_stack(columns), header)
 
 
 def _run_ber_sweep(scenario, cfg, out):
@@ -356,16 +380,16 @@ def _run_ber_sweep(scenario, cfg, out):
         trials=sweep["trials"],
         min_bits=sweep["min_bits"],
     )
-    result.to_csv(out.path("ber_sweep.csv"))
-    _json_dump(out.path("ber_sweep_meta.json"), result.seed_manifest)
+    _sweep_csv(out, "ber_sweep.csv", result)
+    out.json("ber_sweep_meta.json", result.seed_manifest)
 
 
 def _run_diversity_sweep(scenario, cfg, out):
     sweep = cfg["sweep"]
     result = sim.diversity_sweep(scenario, sweep["k_list"], sweep["realizations"])
-    result.to_csv(out.path("diversity_sweep.csv"))
+    _sweep_csv(out, "diversity_sweep.csv", result)
     extras = {key: result.extras[key] for key in ("loglog_slope", "mean_power_bound")}
-    _json_dump(out.path("diversity_meta.json"), {**extras, **result.seed_manifest})
+    out.json("diversity_meta.json", {**extras, **result.seed_manifest})
 
 
 def _run_two_stream(scenario, cfg, out):
@@ -373,8 +397,8 @@ def _run_two_stream(scenario, cfg, out):
     report = sim.two_stream_experiment(
         scenario, settings["snr_db"], tuple(settings["orders"]), n_symbols=settings["n_symbols"]
     )
-    _json_dump(
-        out.path("two_stream.json"),
+    out.json(
+        "two_stream.json",
         {
             "sinr_before_db": [10 * np.log10(s) for s in report["sinr_before"]],
             "sinr_after_db": [10 * np.log10(s) for s in report["sinr_after"]],
@@ -384,6 +408,17 @@ def _run_two_stream(scenario, cfg, out):
             "sum_sinr": report["objective"],
         },
     )
+
+
+def _spectrogram_csv(out, name, spec) -> None:
+    """The magnitude grid, with the STFT framing that inverts it in the sidecar."""
+    header = {
+        "hop": spec.hop,
+        "window_length": spec.window_length,
+        "sample_rate_hz": spec.sample_rate_hz,
+        "n_samples": spec.n_samples,
+    }
+    out.csv(name, spec.magnitude, sidecar=header)
 
 
 def _run_sense(scenario, cfg, out):
@@ -396,18 +431,19 @@ def _run_sense(scenario, cfg, out):
         duration_s=settings["duration_s"],
         signal_rate_hz=settings["signal_rate_hz"],
     )
-    write_spectrogram(out.path("target_spectrogram.csv"), report["target"])
-    out.sidecar("target_spectrogram.csv.json")
+    _spectrogram_csv(out, "target_spectrogram.csv", report["target"])
     wave = md.IFWaveform(report["drive_waveform"], settings["signal_rate_hz"])
-    md.write_waveform(out.path("drive_waveform.csv"), wave)
-    out.sidecar("drive_waveform.csv.json")
+    out.csv("drive_waveform.csv", wave.samples, sidecar={
+        "sample_rate_hz": wave.sample_rate_hz,
+        "origin_s": 0.0,  # the drive starts at t = 0; the key keeps the layout
+        "format": "csv",
+        "n_samples": wave.samples.size,
+    })
     for idx, spec in enumerate(report["recovered"]):
-        if spec is None:
-            continue
-        write_spectrogram(out.path(f"recovered_{idx}.csv"), spec)
-        out.sidecar(f"recovered_{idx}.csv.json")
-    _json_dump(
-        out.path("sense_metrics.json"),
+        if spec is not None:
+            _spectrogram_csv(out, f"recovered_{idx}.csv", spec)
+    out.json(
+        "sense_metrics.json",
         {
             "fidelities": report["fidelities"],
             "probe_cross_correlation": report["probe_cross_correlation"],

@@ -51,17 +51,6 @@ class DiodeModel:
     def second_order_resistance_ohm(self) -> float:
         return self.dynamic_resistance_ohm / self.alpha_per_volt
 
-    def linear_region_v(self, tolerance: float = 0.1) -> tuple[float, float]:
-        """Voltage span around the bias where R_d' stays within ``tolerance``.
-
-        R_d'(v)/R_d'(V_b) = exp(-a (v - V_b)), so the span follows directly
-        from the model instead of being hard-coded.
-        """
-        a = self.alpha_per_volt
-        lo = self.bias_voltage_v - math.log(1 + tolerance) / a
-        hi = self.bias_voltage_v - math.log(1 - tolerance) / a
-        return (lo, hi)
-
 
 def diode_current(v, model: DiodeModel, mode: str = "exact"):
     """Diode current at total voltage ``v`` (volts).

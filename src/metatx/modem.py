@@ -9,13 +9,11 @@ is no timing or carrier recovery.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import write_csv
 
 EVM_FLOOR_DB = -120.0
 
@@ -108,7 +106,6 @@ class IFWaveform:
 
     samples: np.ndarray
     sample_rate_hz: float
-    origin_s: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -269,20 +266,3 @@ def rate_params(
         "symbol_rate_hz": symbol_rate,
         "data_rate_bps": symbol_rate * math.log2(order),
     }
-
-
-def write_waveform(path, waveform: IFWaveform) -> None:
-    """Persist a waveform as single-column CSV.
-
-    A JSON sidecar ``<path>.json`` records the sample rate and origin.
-    """
-    path = str(path)
-    write_csv(path, waveform.samples)
-    sidecar = {
-        "sample_rate_hz": waveform.sample_rate_hz,
-        "origin_s": waveform.origin_s,
-        "format": "csv",
-        "n_samples": int(waveform.samples.size),
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)

@@ -16,7 +16,6 @@ joint Riemannian Newton steps on both streams' element angles finish the run
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ class PhaseSolution:
     trace: np.ndarray
     converged: bool = True
     power_bound: float | None = None
-    # Solver statistics, in memory only: to_json leaves them out.
+    # Solver statistics, in memory only: precode.json leaves them out.
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -43,21 +42,6 @@ class PhaseSolution:
 
     def angles(self) -> list[np.ndarray]:
         return [np.angle(p) for p in self.phases]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "objective": self.objective,
-                "converged": self.converged,
-                "quantized": False,  # phases are continuous; the key keeps the layout
-                "iterations": int(self.trace.size),
-                "trace": self.trace.tolist(),
-                "phases_rad": [np.angle(p).tolist() for p in self.phases],
-                "power_bound": self.power_bound,
-            },
-            indent=1,
-            allow_nan=False,
-        )
 
 
 @dataclass(eq=False)

@@ -9,12 +9,10 @@ overlap-add condition needed for exact resynthesis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -62,13 +60,6 @@ class Spectrogram:
     @property
     def n_frames(self) -> int:
         return self.values.shape[0]
-
-    def frequencies_hz(self) -> np.ndarray:
-        return np.fft.rfftfreq(self.window_length, 1 / self.sample_rate_hz)
-
-    def times_s(self) -> np.ndarray:
-        # frame centers, accounting for the centering pad
-        return (np.arange(self.n_frames) * self.hop) / self.sample_rate_hz
 
 
 def stft(
@@ -275,18 +266,3 @@ def _resample_grid(grid: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
         [np.interp(cols, np.arange(grid.shape[1]), tmp[r]) for r in range(shape[0])],
         axis=0,
     )
-
-
-def write_spectrogram(path, spec: Spectrogram) -> None:
-    """CSV magnitude grid plus a JSON header sidecar."""
-    path = str(path)
-    write_csv(path, spec.magnitude)
-    header = {
-        "hop": spec.hop,
-        "window_length": spec.window_length,
-        "sample_rate_hz": spec.sample_rate_hz,
-        "n_samples": spec.n_samples,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh, indent=1)
-

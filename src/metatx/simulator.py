@@ -29,7 +29,6 @@ from .channel import (
     rayleigh_matrix,
     selection_vector,
 )
-from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
 from .reflection import SurfaceConfig
 from .sensing import RotorSpec, Spectrogram, doppler_signature, istft_synthesize, signature_fidelity, stft
@@ -73,6 +72,9 @@ class ScenarioConfig:
             raise ValueError("sigma2 must be >= 0")
         if not self.pattern_exponent >= 0:
             raise ValueError(f"pattern_exponent must be >= 0, got {self.pattern_exponent!r}")
+        if not np.any(np.cos(self.grid.theta) ** self.pattern_exponent):
+            raise ValueError(f"pattern_exponent: cos(theta)^{self.pattern_exponent!r} "
+                             "underflows to 0 on every grid direction")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
 
@@ -223,10 +225,6 @@ class SweepResult:
     counts: np.ndarray
     seed_manifest: dict
     extras: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.axis, self.values, self.ci_low, self.ci_high, self.counts])
-        write_csv(path, rows, f"{self.axis_name},{self.metric_name},ci_low,ci_high,n")
 
 
 def _draw_channels(rng, n_rx: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,6 @@ from metatx.channel import (
     effective_channels,
     rayleigh_matrix,
     selection_vector,
-    write_complex_csv,
 )
 from metatx.geometry import (
     ArrayGeometry,
@@ -248,15 +247,3 @@ class TestNoise:
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             add_noise(np.ones(3, dtype=complex), -1.0, 0)
-
-
-class TestCsvRoundTrip:
-    def test_matrix_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        m = rayleigh_matrix(rng, 3, 4)
-        path = tmp_path / "h.csv"
-        write_complex_csv(path, m)
-        with open(path) as fh:
-            assert fh.readline() == "re0,im0,re1,im1,re2,im2,re3,im3\n"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert_allclose(data[:, 0::2] + 1j * data[:, 1::2], m, rtol=1e-15)

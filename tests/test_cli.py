@@ -3,7 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+import metatx.simulator as sim
 from metatx.cli import (
     _DEFAULT_CONFIG,
     _RULES,
@@ -142,18 +144,20 @@ class TestRun:
         assert m1.config_hash != m2.config_hash
         assert m2.seed == 10
 
-    def test_manifest_indexes_all_outputs(self, tmp_path):
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_manifest_indexes_all_outputs(self, tmp_path, subcommand):
         config = write_config(tmp_path, SMALL_CONFIG)
-        out_dir = tmp_path / "sense"
-        manifest = run("sense", config, out_dir, quiet=True)
+        out_dir = tmp_path / subcommand
+        manifest = run(subcommand, config, out_dir, quiet=True)
         listed = {entry["name"] for entry in manifest.outputs}
         on_disk = set(os.listdir(out_dir)) - {"run_manifest.json"}
         assert listed == on_disk
         # manifest is valid JSON and repeats the index
         data = json.loads((out_dir / "run_manifest.json").read_text())
         assert {e["name"] for e in data["outputs"]} == listed
-        metrics = json.loads((out_dir / "sense_metrics.json").read_text())
-        assert min(metrics["fidelities"]) >= 0.95
+        if subcommand == "sense":
+            metrics = json.loads((out_dir / "sense_metrics.json").read_text())
+            assert min(metrics["fidelities"]) >= 0.95
 
     def test_monotone_ber_column_bypass(self, tmp_path):
         payload = dict(SMALL_CONFIG)
@@ -183,6 +187,19 @@ class TestRun:
         assert "diversity_sweep.csv" not in leftovers
         assert "run_manifest.json" not in leftovers
 
+    def test_failed_sidecar_leaves_no_file(self, tmp_path, monkeypatch):
+        # the sidecar path is registered before it is opened, so cleanup finds it
+        config = write_config(tmp_path, SMALL_CONFIG)
+        out_dir = tmp_path / "fail"
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(json, "dump", boom)
+        with pytest.raises(RuntimeError):
+            run("sense", config, out_dir, quiet=True)
+        assert os.listdir(out_dir) == []
+
     def test_unknown_subcommand(self, tmp_path):
         config = write_config(tmp_path, SMALL_CONFIG)
         with pytest.raises(ValueError):
@@ -209,6 +226,73 @@ class TestRun:
             for rx in ("1", "2"):
                 assert 0.0 <= report[stage][rx]["ber"] <= 1.0
                 assert np.isfinite(report[stage][rx]["evm_db"])
+
+
+def capture(monkeypatch, name):
+    """The dict ``sim.<name>`` returns while the CLI runs it."""
+    seen, real = {}, getattr(sim, name)
+
+    def recorder(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.update(result)
+        return result
+
+    monkeypatch.setattr(sim, name, recorder)
+    return seen
+
+
+class TestArtifacts:
+    """Each file layout, read back from what ``run`` writes."""
+
+    def test_symbol_csv_round_trip(self, tmp_path, monkeypatch):
+        report = capture(monkeypatch, "simulate")
+        out_dir = tmp_path / "sim"
+        run("simulate", write_config(tmp_path, SMALL_CONFIG), out_dir, quiet=True)
+        for name in ("tx_symbols", "rx_symbols"):
+            path = out_dir / f"{name}.csv"
+            with open(path) as fh:
+                assert fh.readline() == "re0,im0\n"
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert_allclose(data[:, 0] + 1j * data[:, 1], report[name], rtol=1e-15)
+
+    def test_sense_csvs_and_sidecars(self, tmp_path, monkeypatch):
+        report = capture(monkeypatch, "doppler_spoof_experiment")
+        out_dir = tmp_path / "sense"
+        run("sense", write_config(tmp_path, SMALL_CONFIG), out_dir, quiet=True)
+        drive = report["drive_waveform"]
+        assert_allclose(np.loadtxt(out_dir / "drive_waveform.csv"), drive, rtol=1e-15)
+        text = (out_dir / "drive_waveform.csv.json").read_text()
+        assert not text.endswith("\n")
+        assert json.loads(text) == {
+            "sample_rate_hz": 2000.0,
+            "origin_s": 0.0,
+            "format": "csv",
+            "n_samples": drive.size,
+        }
+        spectrograms = {"target_spectrogram.csv": report["target"]}
+        for i, spec in enumerate(report["recovered"]):
+            if spec is not None:
+                spectrograms[f"recovered_{i}.csv"] = spec
+        assert len(spectrograms) == 3
+        for name, spec in spectrograms.items():
+            grid = np.loadtxt(out_dir / name, delimiter=",")
+            assert_allclose(grid, spec.magnitude, rtol=1e-15)
+            assert json.loads((out_dir / f"{name}.json").read_text()) == {
+                "hop": spec.hop,
+                "window_length": spec.window_length,
+                "sample_rate_hz": spec.sample_rate_hz,
+                "n_samples": spec.n_samples,
+            }
+
+    def test_precode_json_keys_in_order_without_solver_stats(self, tmp_path):
+        out_dir = tmp_path / "precode"
+        run("precode", write_config(tmp_path, SMALL_CONFIG), out_dir, quiet=True)
+        text = (out_dir / "precode.json").read_text()
+        assert text.endswith("}\n")
+        assert list(json.loads(text)) == [
+            "objective", "converged", "quantized", "iterations", "trace", "phases_rad",
+            "power_bound",
+        ]
 
 
 class TestMain:
@@ -363,11 +447,18 @@ class TestMain:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
-    def test_negative_pattern_exponent_refused_at_parse(self, tmp_path, capsys, subcommand):
-        config = write_config(tmp_path, {**SMALL_CONFIG, "pattern_exponent": -1.0})
+    @pytest.mark.parametrize("exponent, message", [
+        (-1.0, "error: pattern_exponent must be >= 0, got -1.0"),
+        # cos(theta)^1e6 is 0 on every grid direction
+        (1e6, "error: pattern_exponent: cos(theta)^1000000.0 underflows to 0"),
+    ], ids=["negative", "underflowing"])
+    def test_negative_pattern_exponent_refused_at_parse(
+        self, tmp_path, capsys, subcommand, exponent, message
+    ):
+        config = write_config(tmp_path, {**SMALL_CONFIG, "pattern_exponent": exponent})
         out_dir = tmp_path / "out"
         assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
-        assert "error: pattern_exponent must be >= 0, got -1.0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_pattern_exponent_bound_is_inclusive(self):

@@ -46,7 +46,6 @@ from metatx.channel import (
     effective_channels,
     rayleigh_matrix,
     selection_vector,
-    write_complex_csv,
 )
 from metatx.cli import parse_config, run
 from metatx.csvio import write_csv
@@ -96,8 +95,8 @@ def reference_simulate(scenario, cfg, out_dir):
     ref = md.qam_map(bits, order)[: symbols.size]
     fit = np.vdot(symbols, ref) / np.vdot(symbols, symbols)
     aligned = symbols * fit
-    write_complex_csv(out_dir / "tx_symbols.csv", ref.reshape(-1, 1))
-    write_complex_csv(out_dir / "rx_symbols.csv", aligned.reshape(-1, 1))
+    write_csv(out_dir / "tx_symbols.csv", ref.view(float).reshape(-1, 2), "re0,im0")
+    write_csv(out_dir / "rx_symbols.csv", aligned.view(float).reshape(-1, 2), "re0,im0")
     rx_bits = md.qam_demap(aligned, order)
     with open(out_dir / "simulate_metrics.json", "w") as fh:
         json.dump(

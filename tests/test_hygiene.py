@@ -1,6 +1,7 @@
 """Source hygiene: no module of metatx imports a name it never uses, no
-module draws from numpy's legacy global random state, and every function the
-benchmark's tracer patches by name still exists.
+module draws from numpy's legacy global random state, only the CLI and its
+CSV encoder touch files, and every function the benchmark's tracer patches by
+name still exists.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -83,6 +84,44 @@ def test_legacy_random_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_legacy_global_random_draws(path):
     assert legacy_random_names(path.read_text()) == []
+
+
+FILE_WRITERS = {"cli.py", "csvio.py"}  # the library computes; these lay out its files
+
+
+def file_access(source: str) -> list[str]:
+    """``json`` imports and ``open(...)`` calls, builtin or as a method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append(f"from {node.module}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                found.append("open()")
+    return sorted(found)
+
+
+def test_file_access_detector():
+    source = (
+        "import json\nimport numpy as np\nfrom json import dumps\n"
+        "def f(path, opened):\n"
+        "    with open(path) as fh:\n"
+        "        return np.load(fh), path.open(), opened, dumps\n"
+    )
+    assert file_access(source) == ["from json", "import json", "open()", "open()"]
+    assert file_access("import numpy as np\ndef f(x):\n    return np.opened(x)\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name not in FILE_WRITERS],
+    ids=lambda p: p.name,
+)
+def test_only_the_cli_touches_files(path):
+    assert file_access(path.read_text()) == []
 
 
 def load_tracer():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -76,19 +74,6 @@ class TestDiodeCurrent:
             diode_current(np.inf, model)
         with pytest.raises(ValueError):
             diode_current(0.0, model, "taylor3")
-
-    def test_linear_region_bounds_rdprime_variation(self, model):
-        lo, hi = model.linear_region_v()
-        a = model.alpha_per_volt
-
-        def rdp(v):
-            return 1 / (a**2 * model.saturation_current_a * math.exp(a * v))
-
-        ref = model.second_order_resistance_ohm
-        for v in (lo, hi):
-            assert abs(rdp(v) / ref - 1) <= 0.1 + 1e-12
-        beyond = hi + 0.3 * (hi - lo)
-        assert abs(rdp(beyond) / ref - 1) > 0.1
 
 
 class TestMix:

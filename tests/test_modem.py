@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from metatx.modem import (
     qam_demap,
     qam_map,
     rate_params,
-    write_waveform,
 )
 
 RC = PulseShape()
@@ -256,20 +254,3 @@ class TestPulseProperties:
             16,
         )
         assert ber(bits[: out_bits.size], out_bits) == 0.0
-
-
-class TestWaveformIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        wave = IFWaveform(rng.standard_normal(257), 2e6, origin_s=1.5)
-        path = tmp_path / "wave.csv"
-        write_waveform(path, wave)
-        assert_allclose(np.loadtxt(path), wave.samples, rtol=1e-15)
-        with open(str(path) + ".json") as fh:
-            sidecar = json.load(fh)
-        assert sidecar == {
-            "sample_rate_hz": 2e6,
-            "origin_s": 1.5,
-            "format": "csv",
-            "n_samples": 257,
-        }

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,13 +390,9 @@ class TestAlternatingOptimize:
         assert sol.stats["newton_steps"] == 0
         assert sol.stats["ascent_iterations"] == sol.trace.size - 1 == 12
 
-    def test_stats_stay_out_of_the_json(self):
+    def test_stats_count_the_solver_phases(self):
         sol = alternating_optimize(random_two_stream(23), init="multi", restarts=2)
         assert set(sol.stats) == {"ascent_iterations", "newton_steps", "backtracks"}
-        assert set(json.loads(sol.to_json())) == {
-            "objective", "converged", "quantized", "iterations", "trace", "phases_rad",
-            "power_bound",
-        }
 
     def test_constructs_no_channel_objects(self, monkeypatch):
         ch = random_two_stream(19)
