@@ -164,13 +164,24 @@ def reflect_magnitude(v_bias, curve: MagnitudeCurve):
     return out if out.ndim else float(out)
 
 
+TABLE_POINTS = 4097  # bias points of the table that brackets each inverse query
+NEWTON_STEPS = 3  # safeguarded Newton steps before the certificate
+
+
 def calibrate_predistortion(curve: MagnitudeCurve):
     """Inverse of a magnitude curve: desired magnitude -> bias voltage.
 
-    Bisects all queries at once on the curve's domain, rising or falling,
-    until every bracket is at most 1e-14 + 4 eps max|v| wide (brentq's
-    tolerance), and returns the midpoints. Raises if the curve is not
-    strictly monotone over a dense probe grid.
+    Raises if the curve is not strictly monotone over a dense probe grid.
+    Calibration tabulates the curve, rising or falling, on ``TABLE_POINTS``
+    evenly spaced bias points with the sign folded in so the table rises.
+    The returned inverse takes each query's bracket from one ``searchsorted``
+    on that table, starts from the secant guess inside it and takes
+    ``NEWTON_STEPS`` steps with the interpolant's derivative, each clipped
+    to the bracket (none where the slope is not positive). A query is
+    accepted when the curve changes sign across v +- xtol/2, with xtol =
+    1e-14 + 4 eps max|v| (brentq's tolerance); the rest are bisected from
+    their table bracket until it is at most xtol wide and return its
+    midpoint. Either way the result lies within xtol/2 of a sign change.
     """
     lo, hi = curve.domain
     d = np.diff(curve._interp(np.linspace(lo, hi, 1024)))
@@ -178,6 +189,10 @@ def calibrate_predistortion(curve: MagnitudeCurve):
         raise ValueError("curve is not strictly monotone; cannot calibrate")
     m_lo, m_hi = curve.range
     xtol = 1e-14 + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    sign = 1.0 if d[0] > 0 else -1.0
+    v_tab = np.linspace(lo, hi, TABLE_POINTS)
+    g_tab = sign * curve._interp(v_tab)
+    slope = curve._interp.derivative()
 
     def inverse(m):
         m_arr = np.atleast_1d(np.asarray(m, dtype=float))
@@ -185,14 +200,27 @@ def calibrate_predistortion(curve: MagnitudeCurve):
             raise ValueError(
                 f"magnitude outside curve range [{m_lo}, {m_hi}]"
             )
-        m_arr = np.clip(m_arr, m_lo, m_hi)
-        a, b = np.full_like(m_arr, lo), np.full_like(m_arr, hi)
-        while np.any(b - a > xtol):
-            mid = (a + b) / 2
-            above = (curve._interp(mid) < m_arr) == (d[0] > 0)  # root above mid
-            a, b = np.where(above, mid, a), np.where(above, b, mid)
-        out = (a + b) / 2
-        return out if np.ndim(m) else float(out[0])
+        target = sign * np.clip(m_arr, m_lo, m_hi)
+        j = np.clip(np.searchsorted(g_tab, target), 1, TABLE_POINTS - 1)
+        a, b = v_tab[j - 1], v_tab[j]
+        g_a, g_b = g_tab[j - 1], g_tab[j]
+        t = np.divide(target - g_a, g_b - g_a, out=np.full_like(target, 0.5), where=g_b > g_a)
+        v = np.clip(a + t * (b - a), a, b)
+        for _ in range(NEWTON_STEPS):
+            r = sign * curve._interp(v) - target
+            s = sign * slope(v)
+            v = np.clip(v - np.divide(r, s, out=np.zeros_like(r), where=s > 0), a, b)
+        ends = np.clip(np.stack([v - xtol / 2, v + xtol / 2]), lo, hi)
+        g_ends = sign * curve._interp(ends) - target
+        rejected = ~((g_ends[0] <= 0) & (g_ends[1] >= 0))
+        if np.any(rejected):
+            a, b, target = a[rejected], b[rejected], target[rejected]
+            while np.any(b - a > xtol):
+                mid = (a + b) / 2
+                above = sign * curve._interp(mid) < target  # root above mid
+                a, b = np.where(above, mid, a), np.where(above, b, mid)
+            v[rejected] = (a + b) / 2
+        return v if np.ndim(m) else float(v[0])
 
     return inverse
 

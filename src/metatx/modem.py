@@ -9,6 +9,7 @@ is no timing or carrier recovery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -138,25 +139,35 @@ class PulseShape:
             raise ValueError("span_symbols must be >= 1")
 
     def taps(self, sps: int) -> np.ndarray:
-        if self.kind == "rect":
-            return np.ones(sps)
-        half = self.span_symbols * sps // 2
-        t = np.arange(-half, half + 1) / sps
-        beta = self.rolloff
-        p = np.empty_like(t)
-        for i, ti in enumerate(t):
-            den = 1 - (2 * beta * ti) ** 2
-            if beta > 0 and abs(den) < 1e-10:
-                p[i] = np.pi / 4 * np.sinc(1 / (2 * beta))
-            else:
-                p[i] = np.sinc(ti) * np.cos(np.pi * beta * ti) / den
-        return p * math.sqrt(sps / np.sum(p**2))
+        """The pulse sampled at ``sps`` samples per symbol, read-only and shared."""
+        return _pulse_taps(self.kind, self.rolloff, self.span_symbols, sps)
 
     def delay_samples(self, sps: int) -> int:
         return 0 if self.kind == "rect" else self.span_symbols * sps // 2
 
 
 RECT_PULSE = PulseShape(kind="rect")
+
+
+@functools.lru_cache(maxsize=32)
+def _pulse_taps(kind: str, rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
+    """``PulseShape.taps``, built once per shape and rate. The per-tap scalar
+    loop stays: numpy's array sinc/cos round differently in the last bit."""
+    if kind == "rect":
+        p = np.ones(sps)
+    else:
+        half = span_symbols * sps // 2
+        t = np.arange(-half, half + 1) / sps
+        p = np.empty_like(t)
+        for i, ti in enumerate(t):
+            den = 1 - (2 * rolloff * ti) ** 2
+            if rolloff > 0 and abs(den) < 1e-10:
+                p[i] = np.pi / 4 * np.sinc(1 / (2 * rolloff))
+            else:
+                p[i] = np.sinc(ti) * np.cos(np.pi * rolloff * ti) / den
+        p = p * math.sqrt(sps / np.sum(p**2))
+    p.flags.writeable = False
+    return p
 
 
 def duc(

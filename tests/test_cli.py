@@ -461,6 +461,28 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "sense", "precode"])
+    def test_pattern_exponent_that_zeroes_the_link_refused_at_parse(
+        self, tmp_path, capsys, subcommand
+    ):
+        # On the default config cos(theta)^20000 is still nonzero near the
+        # zenith, but the link gain through the paths falls to about 1e-275,
+        # and combining divides by its square, which underflows to 0.
+        config = write_config(tmp_path, {"pattern_exponent": 20000})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
+        assert "error: pattern_exponent: cos(theta)^20000 bounds the link gain" in (
+            capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "sense", "precode"])
+    @pytest.mark.parametrize("exponent", [700, 3000])
+    def test_steep_pattern_exponent_still_runs(self, tmp_path, subcommand, exponent):
+        config = write_config(tmp_path, {"pattern_exponent": exponent,
+                                         "sense": {"duration_s": 1.0}})
+        assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+
     def test_pattern_exponent_bound_is_inclusive(self):
         scenario, _ = scenario_from_dict({"pattern_exponent": 0.0})
         assert scenario.pattern_exponent == 0.0

@@ -16,8 +16,10 @@ relative, EVMs within 1e-5 dB and equal BERs), within 1e-12 where the
 operations were reordered (dense steering, the dense transform W = U diag(f) and the folds
 and probes built on it, the full-matrices SVD, the
 materialized reflection array, and the CLI's ``simulate`` chain through a
-(K, T) magnitude tile), and within 2e-14 V for the per-query ``brentq``
-predistortion inverse that array bisection replaced. The per-frame
+(K, T) magnitude tile), and within 2e-14 V for the predistortion inverse
+against both the per-query ``brentq`` and the whole-domain array bisection
+that the bracketed Newton inverse replaced. ``duc`` and ``ddc`` on the cached
+pulse taps must match the per-call tap loop exactly. The per-frame
 overlap-add loop must match exactly at hop n/2 (two addends per sample) and
 within 1e-15 at finer hops; the exp(1j angle) Griffin-Lim update that X/|X|
 replaced, and the ``sense`` artifacts built on it, within 1e-12. ``write_csv``
@@ -935,6 +937,21 @@ def reference_inverse(curve, m):
     ])
 
 
+def reference_bisection_inverse(curve, m):
+    """The predistortion inverse as about 44 bisection passes over all queries
+    on the whole domain, down to brentq's tolerance."""
+    lo, hi = curve.domain
+    rising = curve._interp(hi) > curve._interp(lo)
+    xtol = 1e-14 + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    m = np.clip(m, *curve.range)
+    a, b = np.full_like(m, lo), np.full_like(m, hi)
+    while np.any(b - a > xtol):
+        mid = (a + b) / 2
+        above = (curve._interp(mid) < m) == rising  # root above mid
+        a, b = np.where(above, mid, a), np.where(above, b, mid)
+    return (a + b) / 2
+
+
 @pytest.mark.parametrize("order", QAM_ORDERS)
 def test_constellation_matches_loop_reference(order):
     assert np.array_equal(md.QamConstellation(order).points, reference_points(order))
@@ -985,18 +1002,62 @@ def rising_curve():
     [mx.MagnitudeCurve.from_diode(mx.DiodeModel(), 0.10, 0.21), rising_curve()],
     ids=["falling-diode", "rising"],
 )
-def test_bisection_inverse_matches_brentq(curve):
+def test_newton_inverse_matches_bisection_and_brentq(curve):
     m_lo, m_hi = curve.range
     rng = np.random.default_rng(7)
     m = np.concatenate([[m_lo, m_hi], rng.uniform(m_lo, m_hi, 2500)])
     inverse = mx.calibrate_predistortion(curve)
-    assert np.max(np.abs(inverse(m) - reference_inverse(curve, m))) <= 2e-14
+    v = inverse(m)
+    assert np.max(np.abs(v - reference_bisection_inverse(curve, m))) <= 2e-14
+    assert np.max(np.abs(v - reference_inverse(curve, m))) <= 2e-14
     assert isinstance(inverse(m[2]), float)
     assert abs(inverse(m[2]) - reference_inverse(curve, m[2:3])[0]) <= 2e-14
     with pytest.raises(ValueError, match="outside curve range"):
         inverse(np.array([m_lo, m_hi + 1e-6]))
     with pytest.raises(ValueError, match="outside curve range"):
         inverse(m_lo - 1e-6)
+
+
+def reference_taps(pulse, sps):
+    """``PulseShape.taps`` as the per-call scalar loop, rebuilt on every call."""
+    if pulse.kind == "rect":
+        return np.ones(sps)
+    half = pulse.span_symbols * sps // 2
+    t = np.arange(-half, half + 1) / sps
+    beta = pulse.rolloff
+    p = np.empty_like(t)
+    for i, ti in enumerate(t):
+        den = 1 - (2 * beta * ti) ** 2
+        if beta > 0 and abs(den) < 1e-10:
+            p[i] = np.pi / 4 * np.sinc(1 / (2 * beta))
+        else:
+            p[i] = np.sinc(ti) * np.cos(np.pi * beta * ti) / den
+    return p * math.sqrt(sps / np.sum(p**2))
+
+
+@pytest.mark.parametrize("pulse", [
+    md.PulseShape(),
+    md.PulseShape(rolloff=0.0),
+    md.PulseShape(rolloff=0.5, span_symbols=6),  # t = +-1 takes the 0/0 limit
+    md.PulseShape(rolloff=1.0, span_symbols=3),
+    md.RECT_PULSE,
+], ids=["default", "sinc", "limit-taps", "full-rolloff", "rect"])
+def test_cached_taps_leave_duc_and_ddc_unchanged(pulse, monkeypatch):
+    params = md.DEFAULT_IF_PARAMS
+    sps = params.samples_per_symbol
+    bits = np.random.default_rng(11).integers(0, 2, 300 * 6)
+    symbols = md.qam_map(bits, 64)
+    wave = md.duc(symbols, params, pulse)
+    out = md.ddc(wave, params, pulse, n_symbols=symbols.size)
+    taps = pulse.taps(sps)
+    assert pulse.taps(sps) is taps
+    assert np.array_equal(taps, reference_taps(pulse, sps))
+    with pytest.raises(ValueError, match="read-only"):
+        taps[0] = 0.0
+    monkeypatch.setattr(md.PulseShape, "taps", reference_taps)
+    ref_wave = md.duc(symbols, params, pulse)
+    assert np.array_equal(wave.samples, ref_wave.samples)
+    assert np.array_equal(out, md.ddc(ref_wave, params, pulse, n_symbols=symbols.size))
 
 
 def reference_overlap_add(values, window, hop, length):

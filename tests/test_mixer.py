@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from metatx.mixer import (
+    NEWTON_STEPS,
     DiodeModel,
     MagnitudeCurve,
     calibrate_predistortion,
@@ -143,7 +145,70 @@ class TestMagnitudeCurve:
             MagnitudeCurve(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.9, 0.5]))
 
 
+class _CountingInterp:
+    """An interpolant that counts its evaluations."""
+
+    def __init__(self, interp):
+        self.interp, self.calls = interp, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.interp(v)
+
+    def derivative(self):
+        return self.interp.derivative()
+
+
+def _steep_curve():
+    # a 1e-7 V segment carrying 60% of the range, inside one 2.4e-4 V table bracket
+    return MagnitudeCurve(np.array([0.0, 0.5, 0.5 + 1e-7, 1.0]), np.array([0.1, 0.2, 0.8, 0.9]))
+
+
+def _flat_start_curve():
+    # PCHIP sets the end slope to 0 where the next segment is over 3x steeper
+    return MagnitudeCurve(np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.11, 0.9]))
+
+
 class TestCalibration:
+    def test_steep_segment_reaches_bisection_fallback(self):
+        curve = _steep_curve()
+        counter = _CountingInterp(curve._interp)
+        object.__setattr__(curve, "_interp", counter)
+        inverse = calibrate_predistortion(curve)
+        counter.calls = 0
+        inverse(np.array([0.15, 0.85]))  # on the gentle segments: certified
+        certified = counter.calls
+        assert certified == NEWTON_STEPS + 1  # the steps and the certificate
+        counter.calls = 0
+        m = np.array([0.3, 0.5, 0.7])
+        v = inverse(m)
+        assert counter.calls > certified + 10  # the bisection passes
+        ref = [brentq(lambda x: float(counter.interp(x)) - mi, 0.0, 1.0, xtol=1e-14) for mi in m]
+        assert np.max(np.abs(v - ref)) <= 2e-14
+
+    def test_empty_query_returns_empty_array(self, model):
+        inverse = calibrate_predistortion(MagnitudeCurve.from_diode(model, 0.10, 0.21))
+        out = inverse(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("make", [
+        lambda: MagnitudeCurve.from_diode(DiodeModel(), 0.10, 0.21),
+        _steep_curve,
+        _flat_start_curve,
+    ], ids=["diode", "steep", "flat-start"])
+    def test_inverse_raises_no_floating_point_error(self, make):
+        curve = make()
+        m_lo, m_hi = curve.range
+        m = np.concatenate([
+            np.linspace(m_lo, m_hi, 257),
+            m_lo + np.logspace(-15, -3, 13) * (m_hi - m_lo),
+            m_hi - np.logspace(-15, -3, 13) * (m_hi - m_lo),
+        ])
+        with np.errstate(all="raise"):
+            inverse = calibrate_predistortion(curve)
+            v = inverse(m)
+        assert np.all((v >= curve.domain[0]) & (v <= curve.domain[1]))
+
     def test_linear_curve_round_trip(self):
         curve = MagnitudeCurve(np.array([0.0, 1.0]), np.array([0.1, 0.9]))
         inverse = calibrate_predistortion(curve)

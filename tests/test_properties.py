@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from metatx.channel import MAX_KERNEL_GAIN, rayleigh_matrix, selection_vector
 from metatx.geometry import Direction, hemisphere_grid
@@ -73,6 +74,18 @@ def test_predistortion_inverse_round_trip(curve):
     m = np.linspace(*curve.range, 101)
     inverse = calibrate_predistortion(curve)
     assert np.max(np.abs(curve(inverse(m)) - m)) <= 1e-12
+
+
+@FAST
+@given(monotone_curves())
+def test_predistortion_inverse_matches_brentq(curve):
+    # The range ends are left out: where PCHIP sets an end slope to 0, every v
+    # within ~1e-8 of that end is a root to rounding, and brentq and the
+    # inverse may pick different ones. The round trip above covers the ends.
+    m = np.linspace(*curve.range, 101)[1:-1]
+    lo, hi = curve.domain
+    ref = [brentq(lambda v: float(curve._interp(v)) - mi, lo, hi, xtol=1e-14) for mi in m]
+    assert np.max(np.abs(calibrate_predistortion(curve)(m) - ref)) <= 1e-13
 
 
 @FAST
