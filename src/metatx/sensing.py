@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# inertia of fast Griffin-Lim's extrapolation step (Perraudin et al. 2013)
+GRIFFIN_LIM_MOMENTUM = 0.99
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -100,16 +102,25 @@ def istft_synthesize(
     spec: Spectrogram,
     phase_policy: str = "griffin_lim",
     seed: int | None = 0,
-    refine_iterations: int = 50,
+    refine_iterations: int = 25,
     length: int | None = None,
 ) -> np.ndarray:
     """Synthesize a time-domain waveform from a spectrogram.
 
     Complex grids invert directly by weighted overlap-add, which reproduces
     stft's input exactly. Magnitude-only grids need phases: ``random`` draws
-    them from a seeded generator, ``griffin_lim`` additionally runs a fixed
-    number of alternating-projection refinement passes.
+    them from a seeded generator, ``griffin_lim`` additionally runs
+    ``refine_iterations`` passes of fast Griffin-Lim (Perraudin, Balazs and
+    Søndergaard, "A fast Griffin-Lim algorithm", WASPAA 2013). Each pass
+    projects onto the target magnitudes, t = |S| X/|X| with X the stft of the
+    current waveform, then extrapolates t + 0.99 (t - t_prev); the waveform
+    returned is that of the last projection t, not of the extrapolation.
     """
+    if phase_policy not in ("random", "griffin_lim"):
+        raise ValueError("phase_policy must be 'random' or 'griffin_lim'")
+    if (isinstance(refine_iterations, bool) or not isinstance(refine_iterations, int)
+            or refine_iterations < 0):
+        raise ValueError(f"refine_iterations must be an int >= 0, got {refine_iterations!r}")
     window = hann_window(spec.window_length)
     if cola_deviation(window, spec.hop) > 1e-10:
         raise ValueError("window/hop pair does not satisfy overlap-add")
@@ -130,17 +141,18 @@ def istft_synthesize(
     if np.iscomplexobj(spec.values):
         return synthesize(spec.values)
 
-    if phase_policy not in ("random", "griffin_lim"):
-        raise ValueError("phase_policy must be 'random' or 'griffin_lim'")
     rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.random(spec.values.shape))
     values = spec.values * phases
+    projected = values[:kept]
     if phase_policy == "griffin_lim":
         for _ in range(refine_iterations):
             z = stft(synthesize(values), spec.sample_rate_hz, window, hop).values[:kept]
             mag = np.abs(z)
-            values = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
-    return synthesize(values)
+            t = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
+            values = t + GRIFFIN_LIM_MOMENTUM * (t - projected)
+            projected = t
+    return synthesize(projected)
 
 
 def _overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:

@@ -608,11 +608,12 @@ def doppler_spoof_experiment(
 ) -> dict:
     """Full spoofing chain: template -> waveform -> surface -> probes -> stft.
 
-    The target magnitude spectrogram is inverted to a drive waveform
-    (Griffin-Lim phase refinement), mapped into the reflection-magnitude
-    range, transmitted with uniform magnitudes across elements, and observed
-    from each probe direction. Reports per-probe recovered spectrograms,
-    their fidelity against the target, and the pairwise probe correlation.
+    The target magnitude spectrogram is inverted to a drive waveform (25
+    passes of fast Griffin-Lim phase refinement), mapped into the
+    reflection-magnitude range, transmitted with uniform magnitudes across
+    elements, and observed from each probe direction. Reports per-probe
+    recovered spectrograms, their fidelity against the target, and the
+    pairwise probe correlation.
     """
     seed = scenario.seed if seed is None else seed
     link = build_link(scenario)

@@ -21,9 +21,11 @@ against both the per-query ``brentq`` and the whole-domain array bisection
 that the bracketed Newton inverse replaced. ``duc`` and ``ddc`` on the cached
 pulse taps must match the per-call tap loop exactly. The per-frame
 overlap-add loop must match exactly at hop n/2 (two addends per sample) and
-within 1e-15 at finer hops; the exp(1j angle) Griffin-Lim update that X/|X|
-replaced, and the ``sense`` artifacts built on it, within 1e-12. ``write_csv``
-must write the bytes of ``np.savetxt``.
+within 1e-15 at finer hops; the exp(1j angle) fast Griffin-Lim update that
+X/|X| replaced, and the ``sense`` artifacts built on it, within 1e-12. Fast
+Griffin-Lim must give every spoofing probe a fidelity no lower than the plain
+Griffin-Lim loop it replaced. ``write_csv`` must write the bytes of
+``np.savetxt``.
 """
 
 import itertools
@@ -49,7 +51,7 @@ from metatx.channel import (
     rayleigh_matrix,
     selection_vector,
 )
-from metatx.cli import parse_config, run
+from metatx.cli import parse_config, run, scenario_from_dict
 from metatx.csvio import write_csv
 from metatx.geometry import (
     ArrayGeometry,
@@ -1079,8 +1081,12 @@ def reference_overlap_add(values, window, hop, length):
     return x[pad : pad + length]
 
 
-def reference_istft(spec, phase_policy="griffin_lim", seed=0, refine_iterations=50, length=None):
-    """``istft_synthesize`` with the frame loop and the exp(1j angle) phase update."""
+def reference_istft(spec, phase_policy="griffin_lim", seed=0, refine_iterations=25, length=None, momentum=0.99):
+    """``istft_synthesize`` with the frame loop and the exp(1j angle) phase update.
+
+    Each fast Griffin-Lim pass projects, t = |S| exp(1j angle), then steps to
+    t + momentum (t - t_prev); the last projection is resynthesised.
+    """
     window = hann_window(spec.window_length)
     if length is None:
         length = spec.n_samples
@@ -1091,13 +1097,22 @@ def reference_istft(spec, phase_policy="griffin_lim", seed=0, refine_iterations=
     rng = np.random.default_rng(seed)
     values = spec.values * np.exp(2j * np.pi * rng.random(spec.values.shape))
     if phase_policy == "griffin_lim":
+        projected = values
         for _ in range(refine_iterations):
             x = reference_overlap_add(values, window, spec.hop, length)
             reanalysed = stft(x, spec.sample_rate_hz, window, spec.hop)
             frames = min(reanalysed.values.shape[0], values.shape[0])
             angle = np.angle(reanalysed.values[:frames])
-            values = spec.values[:frames] * np.exp(1j * angle)
+            t = spec.values[:frames] * np.exp(1j * angle)
+            values = t + momentum * (t - projected[:frames])
+            projected = t
+        values = projected
     return reference_overlap_add(values, window, spec.hop, length)
+
+
+def reference_plain_griffin_lim(spec, phase_policy="griffin_lim", seed=0, refine_iterations=50, length=None):
+    """The plain Griffin-Lim loop that fast Griffin-Lim replaced: no inertia, 50 passes."""
+    return reference_istft(spec, phase_policy, seed, refine_iterations, length, momentum=0.0)
 
 
 def drawn_grid(rng, n_frames, n, complex_values):
@@ -1163,6 +1178,31 @@ def test_sense_subcommand_matches_exp_angle_reference(tmp_path, monkeypatch, pay
     metrics = [json.loads((d / "sense_metrics.json").read_text()) for d in (new, ref)]
     assert_close(metrics[0]["fidelities"], metrics[1]["fidelities"])
     assert metrics[0]["excluded_probes"] == metrics[1]["excluded_probes"]
+
+
+def spoof_fidelities(payload):
+    """Per-probe fidelities of ``doppler_spoof_experiment`` on a CLI config."""
+    scenario, cfg = scenario_from_dict(payload)
+    sense = cfg["sense"]
+    rotors = [RotorSpec(r["rate_hz"], r["blades"], r["max_doppler_hz"]) for r in sense["rotors"]]
+    probes = [Direction(p["theta_rad"], p["phi_rad"]) for p in sense["probes"]]
+    report = sim.doppler_spoof_experiment(
+        scenario, rotors, probes, duration_s=sense["duration_s"], signal_rate_hz=sense["signal_rate_hz"]
+    )
+    return report["fidelities"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [*({"seed": seed} for seed in range(5)), {"seed": 1, "sense": {"duration_s": 20.0}}],
+    ids=[*(f"seed{seed}" for seed in range(5)), "20s"],
+)
+def test_fast_griffin_lim_fidelity_at_least_plain(monkeypatch, payload):
+    fast = spoof_fidelities(payload)
+    monkeypatch.setattr(sim, "istft_synthesize", reference_plain_griffin_lim)
+    plain = spoof_fidelities(payload)
+    assert [f is None for f in fast] == [f is None for f in plain]
+    assert all(f >= p for f, p in zip(fast, plain) if f is not None), (fast, plain)
 
 
 def savetxt_bytes(path, rows, header=None):

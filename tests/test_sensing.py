@@ -139,6 +139,28 @@ class TestIstft:
         with pytest.raises(ValueError):
             istft_synthesize(spec, "exact")
 
+    def test_unknown_policy_rejected_on_complex_grid(self):
+        # complex grids ignore the policy, so a typo must not pass silently there
+        spec = stft(np.random.default_rng(7).standard_normal(1024), FS)
+        with pytest.raises(ValueError, match="phase_policy"):
+            istft_synthesize(spec, "bogus")
+
+    @pytest.mark.parametrize("iterations", [-3, True, False, 2.0, "5", None])
+    def test_bad_refine_iterations_rejected(self, iterations):
+        spec = Spectrogram(np.ones((10, 129)), 128, 256, FS, n_samples=1280)
+        with pytest.raises(ValueError, match="refine_iterations"):
+            istft_synthesize(spec, refine_iterations=iterations)
+
+    def test_zero_refine_iterations_is_the_random_start(self):
+        spec = Spectrogram(
+            np.abs(np.random.default_rng(8).standard_normal((20, 129))),
+            128, 256, FS, n_samples=2560,
+        )
+        assert np.array_equal(
+            istft_synthesize(spec, "griffin_lim", seed=3, refine_iterations=0),
+            istft_synthesize(spec, "random", seed=3),
+        )
+
 
 class TestDopplerSignature:
     def test_zero_rate_constant_line(self):
