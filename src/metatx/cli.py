@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import __version__
 from . import modem as md
 from . import precoder as pc
 from . import simulator as sim
-from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray, selection_vector
+from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray
 from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, hemisphere_grid
 from .sensing import RotorSpec
@@ -225,50 +224,10 @@ def _sense_inputs(sense: dict) -> tuple[list[RotorSpec], list[Direction]]:
     return rotors, probes
 
 
-# Maximum-ratio combining divides by |gain|^2, which stops being a normal
-# float below |gain| = 1.5e-154. The bound checked against this limit can
-# overstate the gain by orders of magnitude (random sense phases partly
-# cancel), hence the margin.
-_MIN_LINK_GAIN = 1e-140
-
-
-def _check_pattern_coupling(scenario: ScenarioConfig, probes: list[Direction]) -> None:
-    """Refuse a pattern_exponent that leaves the link no gain to combine by.
-
-    A surface direction couples through c = sum |pattern * v|, v its
-    selection vector, and a link gain is at most about K * c_tx * c_rx for
-    the best tx path and the best rx path or sense probe. Each v sums to 1,
-    so c >= min(pattern), and the vectors are built only when min(pattern)^2
-    is below ``_MIN_LINK_GAIN``.
-    """
-    pattern = np.cos(scenario.grid.theta) ** scenario.pattern_exponent
-    if pattern.min() ** 2 >= _MIN_LINK_GAIN:
-        return
-
-    def coupling(directions) -> float:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # build_link warns about off-grid paths itself
-            return max(float(np.abs(pattern * selection_vector(scenario.grid, d)).sum())
-                       for d in directions)
-
-    c_tx = coupling(p.direction_at_surface for p in scenario.paths_tx_to_surface)
-    receivers = {
-        "paths_surface_to_rx": [p.direction_at_surface for p in scenario.paths_surface_to_rx],
-        "sense.probes": probes,
-    }
-    for name, directions in receivers.items():
-        gain = scenario.n_elements * c_tx * coupling(directions)
-        if gain < _MIN_LINK_GAIN:
-            raise ConfigError(
-                f"pattern_exponent: cos(theta)^{scenario.pattern_exponent!r} bounds the link "
-                f"gain to {name} at {gain:.3g}, below {_MIN_LINK_GAIN:g}: too small to combine by"
-            )
-
-
 def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     """Validate a config dict into a ScenarioConfig plus the effective dict."""
     cfg = effective_config(user)
-    _, probes = _sense_inputs(cfg["sense"])
+    _sense_inputs(cfg["sense"])  # rotors and probes are checked before any output
     geometry = _checked("geometry", lambda: ArrayGeometry(**cfg["geometry"]))
     grid = _checked("grid", lambda: hemisphere_grid(cfg["grid"]["n_theta"], cfg["grid"]["n_phi"]))
     modem = cfg["modem"]
@@ -305,7 +264,6 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_pattern_coupling(scenario, probes)
     return scenario, cfg
 
 

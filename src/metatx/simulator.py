@@ -38,6 +38,12 @@ FADING_MODES = ("rayleigh", "bypass")
 PRECODING_MODES = ("none", "closed_form")
 
 
+def _element_pattern(grid: DirectionGrid, exponent: float) -> np.ndarray:
+    """cos(theta)^q on the grid; a steep pattern underflows to 0 off the zenith."""
+    with np.errstate(under="ignore"):
+        return np.cos(grid.theta) ** exponent
+
+
 @dataclass(eq=False)
 class ScenarioConfig:
     """Full description of one simulated deployment.
@@ -72,7 +78,7 @@ class ScenarioConfig:
             raise ValueError("sigma2 must be >= 0")
         if not self.pattern_exponent >= 0:
             raise ValueError(f"pattern_exponent must be >= 0, got {self.pattern_exponent!r}")
-        if not np.any(np.cos(self.grid.theta) ** self.pattern_exponent):
+        if not np.any(_element_pattern(self.grid, self.pattern_exponent)):
             raise ValueError(f"pattern_exponent: cos(theta)^{self.pattern_exponent!r} "
                              "underflows to 0 on every grid direction")
         if self.fading not in FADING_MODES:
@@ -117,7 +123,7 @@ class LinkState:
 
 def build_link(scenario: ScenarioConfig) -> LinkState:
     """Assemble the transform, H_i, H_o and h_eff from the scenario's path lists."""
-    pattern = np.cos(scenario.grid.theta) ** scenario.pattern_exponent
+    pattern = _element_pattern(scenario.grid, scenario.pattern_exponent)
     transform = FieldTransform.on_grid(scenario.geometry, scenario.grid, pattern)
     h_tx = channel_tx_to_surface(
         scenario.paths_tx_to_surface, scenario.tx, scenario.grid, scenario.carrier_hz
@@ -264,7 +270,7 @@ def ber_sweep(
     n_rx = scenario.rx.n_antennas
     k = scenario.n_elements
     sym_per_trial = max(1, math.ceil(min_bits / bits_per_symbol / trials))
-    envelope = scenario.carrier_envelope
+    envelope = _unit_envelope(scenario.carrier_envelope)  # keeps ||gain||^2 and p_ref normal
 
     # One channel draw per trial gives both the baseline normalization (mean
     # random-phase received power) and the link gain every SNR point reuses.
@@ -402,15 +408,48 @@ def _magnitude_drive(x: np.ndarray):
     return 0.5 + 0.45 * x / peak, 0.45 / peak
 
 
+# Below this modulus a gain's square is no longer a normal float.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
+def _ldexp(x, e: int):
+    """x * 2**e for real or complex x: exact while the result is a normal float."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    return np.ldexp(x, e)
+
+
+def _unit_scaled(x):
+    """(x * 2^-e, e) with max |x| in [2^(e-1), 2^e): an exact rescale to about 1."""
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return _ldexp(x, -e), e
+
+
+def _unit_envelope(envelope: complex) -> complex:
+    """``envelope``, or where its square underflows, its rescale to about 1.
+    Where the noise is set relative to the received signal, signal and noise
+    scale alike, so no sample decision changes."""
+    if abs(envelope) >= _SQRT_TINY:
+        return envelope
+    return complex(_unit_scaled(envelope)[0])
+
+
 def combine(y: np.ndarray, gain, scale: float) -> np.ndarray:
     """Recover the IF drive waveform from the received signal.
 
     Maximum-ratio combining by the link gain, z = gain^H y / ||gain||^2 on
     ``y`` of shape (N_r, T) (or (T,) for one antenna), then the DC offset of
-    the magnitude drive is removed and its scale undone.
+    the magnitude drive is removed and its scale undone. Where ||gain||^2
+    would underflow, the gain is scaled by 2^-e to about 1 for the division
+    and z by 2^-e after it, both exact.
     """
     gain = np.atleast_1d(gain)
-    z = (gain.conj() @ np.atleast_2d(y)) / np.linalg.norm(gain) ** 2
+    if np.max(np.abs(gain)) >= _SQRT_TINY:
+        z = (gain.conj() @ np.atleast_2d(y)) / np.linalg.norm(gain) ** 2
+    else:
+        unit, e = _unit_scaled(gain)
+        z = _ldexp((unit.conj() @ np.atleast_2d(y)) / np.linalg.norm(unit) ** 2, -e)
     return np.real(z - np.mean(z)) / scale
 
 
@@ -562,9 +601,9 @@ def two_stream_experiment(
 
     # Noise per receiver: optimized desired AC power over the target SNR.
     g_after = couplings(phi_after)
-    envelope = abs(scenario.carrier_envelope)
+    carrier = _unit_envelope(scenario.carrier_envelope)  # keeps the noise power normal
     noise_power = [
-        abs(g_after[i, i]) ** 2 * envelope**2 * float(np.var(drives[i]))
+        abs(g_after[i, i]) ** 2 * abs(carrier) ** 2 * float(np.var(drives[i]))
         / 10 ** (snr_db / 10)
         for i in (0, 1)
     ]
@@ -573,9 +612,9 @@ def two_stream_experiment(
         g = couplings(phis)
         out = {}
         for i in (0, 1):
-            y = (g[i, 0] * drives[0] + g[i, 1] * drives[1]) * scenario.carrier_envelope
+            y = (g[i, 0] * drives[0] + g[i, 1] * drives[1]) * carrier
             y = add_noise(y, noise_power[i], [seed, 0x51, i + 1, stage])
-            x_hat = combine(y, g[i, i] * scenario.carrier_envelope, scales[i])
+            x_hat = combine(y, g[i, i] * carrier, scales[i])
             order, bits, _ = streams[i]
             out[i + 1] = demodulate(scenario, x_hat, bits, order, n_symbols)[2]
         return g, out

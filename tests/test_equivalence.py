@@ -25,7 +25,10 @@ within 1e-15 at finer hops; the exp(1j angle) fast Griffin-Lim update that
 X/|X| replaced, and the ``sense`` artifacts built on it, within 1e-12. Fast
 Griffin-Lim must give every spoofing probe a fidelity no lower than the plain
 Griffin-Lim loop it replaced. ``write_csv`` must write the bytes of
-``np.savetxt``.
+``np.savetxt`` and of ``%`` on adversarial values (powers of ten and their
+neighbours, the fixed/scientific switch points, exact ties, subnormals,
+specials, large integers and random bit patterns), must leave the ties to
+``%``, and on a default ``sense`` run must leave it only the exact zeros.
 """
 
 import itertools
@@ -38,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from metatx import csvio
 from metatx import mixer as mx
 from metatx import modem as md
 from metatx import precoder as pc
@@ -1244,3 +1248,77 @@ def test_write_csv_matches_savetxt_bytes_on_drawn_floats(tmp_path_factory, n_row
     tmp = tmp_path_factory.mktemp("csv")
     write_csv(tmp / "new.csv", rows)
     assert (tmp / "new.csv").read_bytes() == savetxt_bytes(tmp / "ref.csv", rows)
+
+
+def percent_bytes(values):
+    return "".join("%.17g\n" % v for v in values.tolist()).encode()
+
+
+def exact_ties():
+    """Values whose 18th significant digit is an exact 5: m + 1/4 and m + 3/4
+    in [1e15, 2^51), m + odd eighths in [1e14, 1e15)."""
+    rng = np.random.default_rng(1)
+    quarters = rng.integers(10**15, 2**51, 200) + rng.choice([0.25, 0.75], 200)
+    eighths = rng.integers(10**14, 10**15, 200) + rng.choice([0.125, 0.375, 0.625, 0.875], 200)
+    return np.concatenate([[1000000000000000.25], quarters, eighths])
+
+
+def adversarial_values():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    rng = np.random.default_rng(2)
+    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(float)
+    big_ints = rng.integers(-(2**62), 2**62, 1000).astype(float)
+    return {
+        "powers-of-ten": np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]),
+        "switch-points": np.concatenate([switches, np.nextafter(switches, 0),
+                                         np.nextafter(switches, np.inf)]),
+        "ties": exact_ties(),
+        "specials": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                              np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0),
+                              np.finfo(float).max, -np.finfo(float).max]),
+        "subnormals": np.concatenate([subnormals, -subnormals]),
+        "2^62-integers": np.concatenate([big_ints, [2.0**62, -(2.0**62), 2.0**53 + 2]]),
+        "random-bits": np.random.default_rng(3).integers(0, 2**64, 10**5, dtype=np.uint64).view(float),
+    }
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """Every value ``write_csv`` leaves to Python's ``%``, in order."""
+    values = []
+    percent = csvio._percent_format
+    monkeypatch.setattr(csvio, "_percent_format", lambda v: values.extend(v.tolist()) or percent(v))
+    return values
+
+
+@pytest.mark.parametrize("name", list(adversarial_values()))
+def test_write_csv_matches_percent_on_adversarial_values(tmp_path, formatted, name):
+    values = adversarial_values()[name]
+    values = np.concatenate([values, -values])
+    write_csv(tmp_path / "col.csv", values)
+    assert (tmp_path / "col.csv").read_bytes() == percent_bytes(values)
+    write_csv(tmp_path / "rows.csv", values.reshape(-1, 2))
+    assert (tmp_path / "rows.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", values.reshape(-1, 2))
+    if name == "ties":
+        # a tie rounds to even, which only the exact conversion of % knows
+        assert set(np.abs(values).tolist()) <= set(np.abs(formatted).tolist())
+
+
+def test_default_sense_run_formats_only_zeros_in_python(tmp_path, formatted):
+    # Every value of the sense artifacts but an exact zero is certified by the
+    # numpy path; a formatter that fell back everywhere would write the same
+    # bytes at the old per-value cost.
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    run("sense", config, tmp_path / "out", quiet=True)
+    grids = [np.loadtxt(p, delimiter=",", ndmin=2) for p in sorted((tmp_path / "out").glob("*.csv"))]
+    assert sum(g.size for g in grids) > 10_000
+    assert set(formatted) <= {0.0}
+    assert len(formatted) == sum(int(np.sum(g == 0)) for g in grids)
+
+
+def test_write_csv_refuses_more_than_two_axes_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="1D or 2D"):
+        write_csv(tmp_path / "cube.csv", np.zeros((2, 2, 2)))
+    assert not (tmp_path / "cube.csv").exists()

@@ -218,6 +218,18 @@ class TestBerSweep:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.ci_low, b.ci_low)
 
+    @pytest.mark.parametrize("fading", ["rayleigh", "bypass"])
+    def test_tiny_envelope_gives_the_ber_of_a_normal_one(self, fading):
+        # Signal and noise both scale with the envelope; 1e-160 and 2^600 times
+        # it share a mantissa, so the exact rescale makes every draw agree.
+        tiny, normal = (default_scenario(fading=fading, seed=3, carrier_envelope=complex(env))
+                        for env in (1e-160, math.ldexp(1e-160, 600)))
+        with np.errstate(all="raise"):
+            a = ber_sweep(tiny, [0.0, 6.0], 16, precoding="closed_form", trials=5, min_bits=2000)
+        b = ber_sweep(normal, [0.0, 6.0], 16, precoding="closed_form", trials=5, min_bits=2000)
+        assert np.array_equal(a.values, b.values)
+        assert a.values[0] > a.values[1]
+
     def test_invalid_precoding(self, scenario):
         with pytest.raises(ValueError):
             ber_sweep(scenario, [10.0], 16, precoding="zf")
@@ -287,6 +299,21 @@ class TestCombine:
         y = gain[:, None] * (0.5 + 0.45 * x)[None, :]
         assert_allclose(combine(y, gain, 0.45), x - x.mean(), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("gain", [0.3 - 1.7j, np.array([0.2 + 1.1j, -0.9 + 0.4j])],
+                             ids=["one-antenna", "two-antennas"])
+    def test_gain_whose_square_underflows_combines_exactly(self, gain):
+        # ||2^-600 gain||^2 is about 1e-361, below the float range: the gain is
+        # rescaled by a power of two for the division, so the result equals
+        # the unscaled one bit for bit.
+        rng = np.random.default_rng(10)
+        drive = 0.5 + 0.45 * rng.uniform(-1, 1, 200)
+        y = add_noise(np.multiply.outer(gain, drive), 1e-4, 2)
+        with np.errstate(all="raise"):
+            tiny = combine(np.ldexp(y.real, -600) + 1j * np.ldexp(y.imag, -600),
+                           np.ldexp(np.real(gain), -600) + 1j * np.ldexp(np.imag(gain), -600),
+                           0.45)
+        assert np.array_equal(tiny, combine(y, gain, 0.45))
+
 
 class TestDemodulate:
     def test_one_symbol_rejected(self):
@@ -318,6 +345,16 @@ CRITERION_06_GEOMETRY = ArrayGeometry(8, 8, 0.02586, 0.05172)
 
 
 class TestTwoStream:
+    def test_tiny_envelope_gives_the_metrics_of_a_normal_one(self):
+        # The noise is set relative to each receiver's signal, so the exact
+        # rescale applies as in the BER sweep's test.
+        tiny, normal = (default_scenario(seed=4, carrier_envelope=complex(env))
+                        for env in (1e-160, math.ldexp(1e-160, 600)))
+        with np.errstate(all="raise"):
+            a = two_stream_experiment(tiny, snr_db=20.0, n_symbols=60)
+        b = two_stream_experiment(normal, snr_db=20.0, n_symbols=60)
+        assert (a["rx_before"], a["rx_after"]) == (b["rx_before"], b["rx_after"])
+
     def test_criterion_06_starts_converge_at_or_above_the_ascent(self, monkeypatch):
         runs = []
         solve = pc.alternating_optimize
