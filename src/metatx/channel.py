@@ -198,18 +198,22 @@ def add_noise(y: np.ndarray, sigma2: float, seed) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if sigma2 == 0:
         return y.copy()
-    return y + np.sqrt(sigma2 / 2) * complex_gaussian(np.random.default_rng(seed), y.shape)
+    re, im = np.random.default_rng(seed).standard_normal((2, *y.shape))  # real part drawn first
+    return y + np.sqrt(sigma2 / 2) * complex_from_parts(re, im)
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """re + j im with i.i.d. standard-normal parts, the real part drawn first.
-
-    The unscaled CN(0, 2) draw behind every noise and fading sample; callers
-    scale it, so each keeps its exact arithmetic and its RNG stream.
-    """
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + j im. With i.i.d. standard-normal parts, the real ones drawn first,
+    this is the unscaled CN(0, 2) draw behind every noise and fading sample;
+    callers scale it, so each keeps its exact arithmetic and its RNG stream."""
+    return re + 1j * im
 
 
 def rayleigh_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """I.i.d. circularly-symmetric CN(0, 1) entries (Rayleigh magnitudes)."""
-    return complex_gaussian(rng, shape) / np.sqrt(2)
+    return rayleigh_from_parts(*rng.standard_normal((2, *shape)))
+
+
+def rayleigh_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``rayleigh_matrix`` from standard-normal parts drawn elsewhere."""
+    return complex_from_parts(re, im) / np.sqrt(2)

@@ -41,6 +41,7 @@ class QamConstellation:
         norm = math.sqrt(2 * (side * side - 1) / 3)
         v = np.arange(self.order)
         pts = (gray_to_amp[v >> bits_per_axis] + 1j * gray_to_amp[v & (side - 1)]) / norm
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -48,10 +49,16 @@ class QamConstellation:
         return self.order.bit_length() - 1
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def constellation(order: int) -> QamConstellation:
+    """The ``QamConstellation`` of ``order``, built once and shared (read-only points)."""
+    return QamConstellation(order)
+
+
 def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     """Map a bit array (values 0/1) to unit-energy QAM symbols."""
     bits = np.asarray(bits, dtype=int)
-    const = QamConstellation(order)
+    const = constellation(order)
     k = const.bits_per_symbol
     if bits.size % k != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {k}")
@@ -69,7 +76,7 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     ``0+0j`` gives bits ``00`` at 4-QAM and ``1111`` at 16-QAM.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    k = QamConstellation(order).bits_per_symbol
+    k = constellation(order).bits_per_symbol
     side = 1 << (k // 2)
     norm = math.sqrt(2 * (side * side - 1) / 3)
     axes = np.stack((symbols.real, symbols.imag)) * norm

@@ -76,21 +76,31 @@ def closed_form_phases(h_out: np.ndarray, h_eff: np.ndarray) -> PhaseSolution:
     largest singular value. Entries of h_eff that are exactly zero contribute
     nothing and get phase 0. Reports the achieved power |H_o Phi h_eff|^2 and
     the upper bound sigma1^2 ||h_eff||^2; with more than one receive antenna
-    the alignment is a heuristic and the bound need not be attained.
+    the alignment is a heuristic and the bound need not be attained. Below
+    the float range either is 0.0, its correctly rounded value.
+
+    Leading batch axes, ``h_out`` (..., N_r, K) with ``h_eff`` (..., K), align
+    each pair bit for bit as its own call: ``phases[0]`` is then (..., K) and
+    ``objective``, ``power_bound`` and ``trace[0]`` arrays of the batch shape.
     """
     h_out = np.atleast_2d(np.asarray(h_out, dtype=complex))
     h_eff = np.asarray(h_eff, dtype=complex)
-    if h_out.shape[1] != h_eff.shape[0]:
-        raise ValueError("h_out columns must match h_eff length")
-    if not np.any(np.abs(h_out)) or not np.any(np.abs(h_eff)):
+    if h_out.shape[:-2] + h_out.shape[-1:] != h_eff.shape:
+        raise ValueError("h_out columns must match h_eff length, with the same batch axes")
+    if not (np.any(h_out, axis=(-2, -1)).all() and np.any(h_eff, axis=-1).all()):
         raise ValueError("degenerate all-zero channel")
     _, sing, vh = np.linalg.svd(h_out, full_matrices=False)
-    v1 = vh[0].conj()
-    angles = np.angle(v1) - np.angle(h_eff)
+    angles = np.angle(vh[..., 0, :].conj()) - np.angle(h_eff)
     angles[h_eff == 0] = 0.0
     w = np.exp(1j * angles)
-    power = float(np.linalg.norm(h_out @ (w * h_eff)) ** 2)
-    bound = float(sing[0] ** 2 * np.linalg.norm(h_eff) ** 2)
+    gain = (h_out @ (w * h_eff)[..., np.newaxis])[..., 0]
+    with np.errstate(under="ignore"):  # row by row: a stacked norm sums in another order
+        power, bound = np.array([
+            (np.linalg.norm(gain[i]) ** 2, sing[i][0] ** 2 * np.linalg.norm(h_eff[i]) ** 2)
+            for i in np.ndindex(h_eff.shape[:-1])
+        ]).T.reshape((2,) + h_eff.shape[:-1])
+    if power.ndim == 0:
+        power, bound = float(power), float(bound)
     return PhaseSolution(
         phases=[w], objective=power, trace=np.array([power]), power_bound=bound
     )

@@ -24,8 +24,9 @@ from .channel import (
     add_noise,
     channel_surface_to_rx,
     channel_tx_to_surface,
-    complex_gaussian,
+    complex_from_parts,
     effective_channels,
+    rayleigh_from_parts,
     rayleigh_matrix,
     selection_vector,
 )
@@ -233,12 +234,27 @@ class SweepResult:
     extras: dict = field(default_factory=dict)
 
 
-def _draw_channels(rng, n_rx: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm Rayleigh effective channel, then i.i.d. Rayleigh H_o."""
-    h_eff = rayleigh_matrix(rng, k)
-    h_eff = h_eff / np.linalg.norm(h_eff)
-    h_out = rayleigh_matrix(rng, n_rx, k)
-    return h_eff, h_out
+TRIAL_BLOCK = 32  # trials per stacked channel draw and closed_form_phases call of a sweep
+
+
+def _channel_blocks(seed: list, trials: int, n_rx: int, k: int, phases: bool = False):
+    """Yield (trial slice, h_eff (B, K), H_o (B, N_r, K), draws (B, K)) per
+    ``TRIAL_BLOCK`` trials. Trial t's generator ``[*seed, t]`` fills its rows:
+    a unit-norm Rayleigh h_eff, i.i.d. Rayleigh H_o, then with ``phases`` K
+    uniform draws. A standard-normal fill is its parts' draws in turn."""
+    normals = np.empty((TRIAL_BLOCK, 2 + 2 * n_rx, k))  # h_eff re, im; H_o re, im
+    draws = np.empty((TRIAL_BLOCK, k))
+    for start in range(0, trials, TRIAL_BLOCK):
+        n = min(TRIAL_BLOCK, trials - start)
+        for i in range(n):
+            rng = np.random.default_rng([*seed, start + i])
+            rng.standard_normal(out=normals[i])
+            if phases:
+                rng.random(out=draws[i])
+        h_eff = rayleigh_from_parts(normals[:n, 0], normals[:n, 1])
+        h_eff /= np.array([np.linalg.norm(row) for row in h_eff])[:, np.newaxis]
+        h_out = rayleigh_from_parts(normals[:n, 2 : 2 + n_rx], normals[:n, 2 + n_rx :])
+        yield slice(start, start + n), h_eff, h_out, draws[:n]
 
 
 BER_BLOCK_SYMBOLS = 2048  # symbols per array pass of ber_sweep: bounds its working memory
@@ -265,8 +281,7 @@ def ber_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     snr_db_list = np.asarray(snr_db_list, dtype=float)
-    const = md.QamConstellation(order)
-    bits_per_symbol = const.bits_per_symbol
+    bits_per_symbol = md.constellation(order).bits_per_symbol
     n_rx = scenario.rx.n_antennas
     k = scenario.n_elements
     sym_per_trial = max(1, math.ceil(min_bits / bits_per_symbol / trials))
@@ -280,14 +295,15 @@ def ber_sweep(
         gains[:] = envelope
     else:
         acc = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-            h_eff, h_out = _draw_channels(rng, n_rx, k)
-            phi = np.exp(2j * np.pi * rng.random(k))
-            acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
+        blocks = _channel_blocks([scenario.seed, 0xBA5E], trials, n_rx, k, phases=True)
+        for block, h_eff, h_out, draws in blocks:
+            gain = (h_out @ (np.exp(2j * np.pi * draws) * h_eff)[..., np.newaxis])[..., 0]
+            for row in gain:
+                acc += float(np.linalg.norm(row) ** 2)
             if precoding == "closed_form":
                 phi = pc.closed_form_phases(h_out, h_eff).phases[0]
-            gains[trial] = (h_out @ (phi * h_eff)) * envelope
+                gain = (h_out @ (phi * h_eff)[..., np.newaxis])[..., 0]
+            gains[block] = gain * envelope
         p_ref = acc / trials
     p_ref *= abs(envelope) ** 2
     gain_power = np.array([float(np.linalg.norm(gain) ** 2) for gain in gains])
@@ -295,7 +311,7 @@ def ber_sweep(
     # Each trial draws from its own seed [seed, point, trial], bits first and
     # then the noise's real and imaginary parts; map, channel, noise, maximum
     # ratio combining and demap then run once per block of trials. The
-    # stacked (1, N_r) @ (N_r, n) products round as the per-trial ones did.
+    # stacked products round as the per-trial ones did.
     n_bits = sym_per_trial * bits_per_symbol
     per_block = max(1, BER_BLOCK_SYMBOLS // sym_per_trial)
     values, lo, hi, counts, error_counts = [], [], [], [], []
@@ -306,16 +322,16 @@ def ber_sweep(
             block = slice(start, min(start + per_block, trials))
             n_trials = block.stop - start
             tx_bits = np.empty((n_trials, n_bits), dtype=np.int64)
-            noise = np.empty((n_trials, n_rx, sym_per_trial), dtype=complex)
+            noise = np.empty((n_trials, 2, n_rx, sym_per_trial))  # real, then imaginary
             for i in range(n_trials):
                 rng = np.random.default_rng([scenario.seed, point, start + i])
                 tx_bits[i] = rng.integers(0, 2, n_bits)
                 if sigma2 > 0:
-                    noise[i] = complex_gaussian(rng, (n_rx, sym_per_trial))
+                    rng.standard_normal(out=noise[i])
             x = md.qam_map(tx_bits, order).reshape(n_trials, 1, sym_per_trial)
             y = gains[block, :, None] * x
             if sigma2 > 0:
-                y = y + np.sqrt(sigma2 / 2) * noise
+                y = y + np.sqrt(sigma2 / 2) * complex_from_parts(noise[:, 0], noise[:, 1])
             z = (gains[block, None, :].conj() @ y)[:, 0] / gain_power[block, None]
             rx_bits = md.qam_demap(z.ravel(), order)
             errors += int(np.sum(rx_bits != tx_bits.ravel()))
@@ -373,12 +389,11 @@ def diversity_sweep(
     for idx, k in enumerate(k_list):
         powers = np.empty(realizations)
         bound_acc = 0.0
-        for trial in range(realizations):
-            rng = np.random.default_rng([scenario.seed, idx, trial])
-            h_eff, h_out = _draw_channels(rng, n_rx, k)
+        for block, h_eff, h_out, _ in _channel_blocks([scenario.seed, idx], realizations, n_rx, k):
             sol = pc.closed_form_phases(h_out, h_eff)
-            powers[trial] = sol.objective
-            bound_acc += sol.power_bound
+            powers[block] = sol.objective
+            for bound in sol.power_bound.tolist():
+                bound_acc += bound
         means.append(powers.mean())
         sem = powers.std(ddof=1) / math.sqrt(realizations)
         lo.append(means[-1] - 1.96 * sem)
@@ -485,7 +500,7 @@ def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
     ``rx_symbols``) with ``evm_db``, ``ber``, ``n_symbols`` and ``order``.
     """
     rng = np.random.default_rng([scenario.seed, 0x5117])
-    bits = rng.integers(0, 2, n_symbols * md.QamConstellation(order).bits_per_symbol)
+    bits = rng.integers(0, 2, n_symbols * md.constellation(order).bits_per_symbol)
     wave = md.duc(md.qam_map(bits, order), scenario.modem, scenario.pulse)
     alpha, scale = _magnitude_drive(wave.samples)
     if np.any(alpha < 0) or np.any(alpha > 1):
@@ -593,7 +608,7 @@ def two_stream_experiment(
     pulse = scenario.pulse
     streams = []
     for order in orders:
-        bits = rng.integers(0, 2, n_symbols * md.QamConstellation(order).bits_per_symbol)
+        bits = rng.integers(0, 2, n_symbols * md.constellation(order).bits_per_symbol)
         wave = md.duc(md.qam_map(bits, order), params, pulse)
         streams.append((order, bits, wave))
     n_samp = min(s[2].samples.size for s in streams)

@@ -484,6 +484,14 @@ class TestMain:
                 # the first line may be a header
                 assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
 
+    def test_precode_power_below_the_float_range_raises_no_float_error(self, tmp_path):
+        # The aligned power through cos(theta)^20000 is about 1e-550, and
+        # closed_form_phases reports its correctly rounded 0.0.
+        config = write_config(tmp_path, {"pattern_exponent": 20000})
+        with np.errstate(all="raise"):
+            assert main(["precode", "--config", str(config), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+
     @pytest.mark.parametrize("subcommand", ["simulate", "sense", "precode"])
     @pytest.mark.parametrize("exponent", [700, 3000])
     def test_steep_pattern_exponent_still_runs(self, tmp_path, subcommand, exponent):

@@ -4,9 +4,11 @@ Each test keeps a reference implementation of an earlier code path and
 asserts that the current code reproduces it: exactly where the floating-point
 operations are unchanged (the ``ber_sweep`` loop that redrew each trial's
 channel at every SNR point, the one that mapped, combined and demapped one
-trial at a time, the sweep artifacts, the per-point QAM constellation loop,
-the per-bit packing loop of ``qam_map``, and the dense nearest-point QAM
-demap away from decision boundaries), within the solver gate for the
+trial at a time, the sweep artifacts, the per-trial ``closed_form_phases``
+calls that the stacked one replaced, the per-point QAM constellation loop,
+the per-bit packing loop of ``qam_map``, ``qam_map`` and ``qam_demap`` on a
+constellation rebuilt on every call, and the dense nearest-point QAM demap
+away from decision boundaries), within the solver gate for the
 two-stream solver that switched on ``which``, relabelled the channels for
 the second stream, validated every projection and retraction and evaluated
 the full sum SINR per trial, and for the two-stream experiment that kept its
@@ -70,7 +72,7 @@ from metatx.geometry import (
 )
 from metatx.reflection import SurfaceConfig
 from metatx.sensing import RotorSpec, Spectrogram, doppler_signature, hann_window, istft_synthesize, stft
-from metatx.simulator import _draw_channels, default_scenario, wilson_interval
+from metatx.simulator import default_scenario, wilson_interval
 
 
 def reference_simulate(scenario, cfg, out_dir):
@@ -121,6 +123,15 @@ def reference_simulate(scenario, cfg, out_dir):
         fh.write("\n")
 
 
+def reference_draw_channels(rng, n_rx, k):
+    """One trial's sweep channels as drawn before the block buffers: a
+    unit-norm Rayleigh effective channel, then i.i.d. Rayleigh H_o."""
+    h_eff = rayleigh_matrix(rng, k)
+    h_eff = h_eff / np.linalg.norm(h_eff)
+    h_out = rayleigh_matrix(rng, n_rx, k)
+    return h_eff, h_out
+
+
 def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bits):
     """The ber_sweep loop that redrew every trial's channel per SNR point."""
     bits_per_symbol = md.QamConstellation(order).bits_per_symbol
@@ -134,7 +145,7 @@ def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bit
         acc = 0.0
         for trial in range(trials):
             rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-            h_eff, h_out = _draw_channels(rng, n_rx, k)
+            h_eff, h_out = reference_draw_channels(rng, n_rx, k)
             phi = np.exp(2j * np.pi * rng.random(k))
             acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
         p_ref = acc / trials
@@ -150,7 +161,7 @@ def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bit
                 gain = np.full(n_rx, scenario.carrier_envelope, dtype=complex)
             else:
                 ch_rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-                h_eff, h_out = _draw_channels(ch_rng, n_rx, k)
+                h_eff, h_out = reference_draw_channels(ch_rng, n_rx, k)
                 if precoding == "closed_form":
                     phi = pc.closed_form_phases(h_out, h_eff).phases[0]
                 else:
@@ -188,7 +199,7 @@ def reference_ber_sweep_per_trial(scenario, snr_db_list, order, precoding, trial
         acc, gains = 0.0, []
         for trial in range(trials):
             rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-            h_eff, h_out = _draw_channels(rng, n_rx, k)
+            h_eff, h_out = reference_draw_channels(rng, n_rx, k)
             phi = np.exp(2j * np.pi * rng.random(k))
             acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
             if precoding == "closed_form":
@@ -355,6 +366,24 @@ def reference_closed_form_phases(h_out, h_eff):
     )
 
 
+def reference_closed_form_rows(h_out, h_eff):
+    """``reference_closed_form_phases`` applied row by row over leading batch axes."""
+    h_out = np.atleast_2d(np.asarray(h_out, dtype=complex))
+    h_eff = np.asarray(h_eff, dtype=complex)
+    if h_eff.ndim == 1:
+        return reference_closed_form_phases(h_out, h_eff)
+    batch = h_eff.shape[:-1]
+    rows = [reference_closed_form_phases(g, h) for g, h in
+            zip(h_out.reshape(-1, *h_out.shape[-2:]), h_eff.reshape(-1, h_eff.shape[-1]))]
+    power = np.array([r.objective for r in rows]).reshape(batch)
+    return pc.PhaseSolution(
+        phases=[np.array([r.phases[0] for r in rows]).reshape(h_eff.shape)],
+        objective=power,
+        trace=np.array([power]),
+        power_bound=np.array([r.power_bound for r in rows]).reshape(batch),
+    )
+
+
 def reference_simulate_rx(scenario, surface, link):
     """``simulate_rx`` through the materialized (K,) or (K, T) complex gamma."""
     gamma = surface.reflection_coefficients()
@@ -464,12 +493,38 @@ def test_separable_steering_matches_dense_at_paper_scale():
 def test_reduced_svd_matches_full_matrices(n_rx, k):
     for trial in range(5):
         rng = np.random.default_rng([n_rx, k, trial])
-        h_eff, h_out = _draw_channels(rng, n_rx, k)
+        h_eff, h_out = reference_draw_channels(rng, n_rx, k)
         new = pc.closed_form_phases(h_out, h_eff)
         ref = reference_closed_form_phases(h_out, h_eff)
         assert np.max(np.abs(new.phases[0] - ref.phases[0])) <= 1e-12
         assert new.objective == pytest.approx(ref.objective, rel=1e-12, abs=0)
         assert new.power_bound == pytest.approx(ref.power_bound, rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 200),
+    st.sampled_from([(1,), (5,), (sim.TRIAL_BLOCK + 5,), (3, 7)]),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_closed_form_matches_per_pair_calls(n_rx, k, batch, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    h_out = rayleigh_matrix(rng, *batch, n_rx, k)
+    h_eff = rayleigh_matrix(rng, *batch, k)
+    h_eff[rng.random(h_eff.shape) < zero_share] = 0.0
+    h_eff[..., 0] = rayleigh_matrix(rng, *batch)  # no all-zero row
+    sol = pc.closed_form_phases(h_out, h_eff)
+    assert sol.phases[0].shape == h_eff.shape
+    assert sol.objective.shape == sol.power_bound.shape == batch
+    for idx in np.ndindex(*batch):
+        one = pc.closed_form_phases(h_out[idx], h_eff[idx])
+        assert np.array_equal(sol.phases[0][idx], one.phases[0])
+        assert sol.objective[idx] == one.objective
+        assert sol.trace[0][idx] == one.trace[0]
+        assert sol.power_bound[idx] == one.power_bound
+        assert np.all(sol.phases[0][idx][h_eff[idx] == 0] == 1.0)
 
 
 @pytest.mark.parametrize("time_series", [False, True], ids=["static", "series"])
@@ -618,7 +673,7 @@ def test_sweep_artifacts_match_full_svd_bytes(tmp_path, monkeypatch, payload, su
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
     run(subcommand, config, tmp_path / "new", quiet=True)
-    monkeypatch.setattr(pc, "closed_form_phases", reference_closed_form_phases)
+    monkeypatch.setattr(pc, "closed_form_phases", reference_closed_form_rows)
     run(subcommand, config, tmp_path / "ref", quiet=True)
     for name in files:
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
@@ -629,7 +684,7 @@ def test_diversity_sweep_two_rx_matches_full_svd(monkeypatch):
     # mean powers agree to a tolerance rather than byte for byte.
     sc = default_scenario(seed=3, rx=TerminalArray.ula(2))
     new = sim.diversity_sweep(sc, [8, 32, 128], 40)
-    monkeypatch.setattr(pc, "closed_form_phases", reference_closed_form_phases)
+    monkeypatch.setattr(pc, "closed_form_phases", reference_closed_form_rows)
     ref = sim.diversity_sweep(sc, [8, 32, 128], 40)
     assert_close(new.values, ref.values)
     assert_close(new.extras["mean_power_bound"], ref.extras["mean_power_bound"])
@@ -961,6 +1016,25 @@ def reference_bisection_inverse(curve, m):
 @pytest.mark.parametrize("order", QAM_ORDERS)
 def test_constellation_matches_loop_reference(order):
     assert np.array_equal(md.QamConstellation(order).points, reference_points(order))
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_cached_constellation_leaves_map_and_demap_unchanged(order, monkeypatch):
+    rng = np.random.default_rng([order, 0xCA])
+    bits = rng.integers(0, 2, 2000 * (order.bit_length() - 1))
+    symbols = md.qam_map(bits, order)
+    noise = rng.standard_normal(symbols.size) + 1j * rng.standard_normal(symbols.size)
+    noisy = symbols + 0.5 / math.sqrt(order) * noise
+    decided = md.qam_demap(noisy, order)
+    const = md.constellation(order)
+    assert md.constellation(order) is const
+    assert np.array_equal(const.points, reference_points(order))
+    with pytest.raises(ValueError, match="read-only"):
+        const.points[0] = 0.0
+    assert np.array_equal(md.qam_demap(symbols, order), bits)
+    monkeypatch.setattr(md, "constellation", md.QamConstellation)  # rebuilt per call
+    assert np.array_equal(md.qam_map(bits, order), symbols)
+    assert np.array_equal(md.qam_demap(noisy, order), decided)
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of metatx imports a name it never uses, no
 module draws from numpy's legacy global random state, the CSV encoder imports
-numpy alone, only the CLI and its CSV encoder touch files, and every function
-the benchmark's tracer patches by name still exists.
+numpy alone, only the CLI and its CSV encoder touch files, every function
+the benchmark's tracer patches by name still exists, and the sweeps make one
+``closed_form_phases`` call per block of trials, not one per trial.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -13,9 +14,14 @@ single draw.
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
+
+from metatx import precoder as pc
+from metatx.channel import TerminalArray
+from metatx.simulator import TRIAL_BLOCK, ber_sweep, default_scenario, diversity_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "metatx"
@@ -188,3 +194,17 @@ def test_every_tracer_target_resolves():
     targets = load_tracer().TARGETS
     assert targets
     assert unresolved_targets(targets) == []
+
+
+@pytest.mark.parametrize("trials", [2, TRIAL_BLOCK, TRIAL_BLOCK + 5, 200])
+def test_sweeps_call_closed_form_once_per_block_of_trials(monkeypatch, trials):
+    # Through the module attribute, where the benchmark's tracer counts them.
+    real = pc.closed_form_phases
+    calls = []
+    monkeypatch.setattr(pc, "closed_form_phases", lambda *a: calls.append(1) or real(*a))
+    scenario = default_scenario(seed=1, rx=TerminalArray.ula(2))
+    blocks = math.ceil(trials / TRIAL_BLOCK)
+    ber_sweep(scenario, [10.0], 4, "closed_form", trials, trials * 8)
+    assert len(calls) == blocks
+    diversity_sweep(scenario, [4, 8], trials)
+    assert len(calls) == 3 * blocks

@@ -8,7 +8,9 @@ forms neither U nor W (a K x M complex array each); ``simulate_rx`` must not
 form the (K, T) complex reflection array; ``simulate`` must not tile its one
 magnitude series into a (K, T) array; ``qam_demap`` must not form the
 (N, order) distance matrix; ``ber_sweep`` must work through its trials in
-blocks of ``BER_BLOCK_SYMBOLS`` symbols, not all at once; the CSV writer
+blocks of ``BER_BLOCK_SYMBOLS`` symbols, not all at once, and
+``diversity_sweep`` through its realizations in blocks of ``TRIAL_BLOCK``;
+the CSV writer
 must not format a whole waveform or grid as one string.
 """
 
@@ -21,7 +23,17 @@ from metatx.csvio import write_csv
 from metatx.geometry import ArrayGeometry, hemisphere_grid
 from metatx.modem import QamConstellation, qam_demap
 from metatx.reflection import SurfaceConfig
-from metatx.simulator import BER_BLOCK_SYMBOLS, ber_sweep, build_link, default_scenario, simulate, simulate_rx
+from metatx.channel import TerminalArray
+from metatx.simulator import (
+    BER_BLOCK_SYMBOLS,
+    TRIAL_BLOCK,
+    ber_sweep,
+    build_link,
+    default_scenario,
+    diversity_sweep,
+    simulate,
+    simulate_rx,
+)
 
 COMPLEX_BYTES = np.dtype(complex).itemsize
 FLOAT_BYTES = np.dtype(float).itemsize
@@ -103,7 +115,7 @@ def test_qam_demap_working_memory_is_linear_and_order_free():
 
 def test_ber_sweep_peak_is_one_block_whatever_the_trial_count():
     # 128 symbols per trial make 16 trials a block. The block's bits, symbols,
-    # noise and demap temporaries peak near 18 block-sized complex arrays; all
+    # noise and demap temporaries peak near 20 block-sized complex arrays; all
     # 1024 trials at once would hold 64 times that.
     scenario = default_scenario(seed=2)
     block_bytes = BER_BLOCK_SYMBOLS * COMPLEX_BYTES
@@ -113,6 +125,18 @@ def test_ber_sweep_peak_is_one_block_whatever_the_trial_count():
     }
     assert abs(peaks[1024] - peaks[64]) < 0.25 * peaks[64]
     assert peaks[1024] < 24 * block_bytes
+
+
+def test_diversity_sweep_peak_is_one_block_whatever_the_trial_count():
+    # The block's draws, channels, stacked SVD and phases peak near 6 times
+    # its complex channels; all 1024 realizations at once would hold 32 times
+    # that.
+    scenario = default_scenario(seed=2, rx=TerminalArray.ula(2))
+    k = 64
+    channel_bytes = TRIAL_BLOCK * (2 + 1) * k * COMPLEX_BYTES
+    peaks = {n: traced_peak(diversity_sweep, scenario, [k], n) for n in (64, 1024)}
+    assert abs(peaks[1024] - peaks[64]) < 0.25 * peaks[64]
+    assert peaks[1024] < 8 * channel_bytes
 
 
 @pytest.mark.parametrize("shape", [(200_000,), (2000, 129)], ids=["waveform", "grid"])

@@ -72,6 +72,27 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_phases(np.zeros((2, 3)), np.zeros(3))
 
+    def test_degenerate_or_mismatched_batch(self):
+        rng = np.random.default_rng(2)
+        h_out = rayleigh_matrix(rng, 3, 2, 4)
+        h_eff = rayleigh_matrix(rng, 3, 4)
+        with pytest.raises(ValueError, match="same batch axes"):
+            closed_form_phases(h_out, h_eff[:2])
+        h_eff[1] = 0.0
+        with pytest.raises(ValueError, match="degenerate"):
+            closed_form_phases(h_out, h_eff)
+
+    def test_power_below_the_float_range_is_zero_without_float_errors(self):
+        # Each power is about 1e-560; 0.0 is its correctly rounded value.
+        rng = np.random.default_rng(4)
+        h_out = 1e-140 * rayleigh_matrix(rng, 3, 2, 6)
+        h_eff = 1e-140 * rayleigh_matrix(rng, 3, 6)
+        with np.errstate(all="raise"):
+            sol = closed_form_phases(h_out, h_eff)
+            single = closed_form_phases(h_out[0], h_eff[0])
+        assert sol.objective.tolist() == sol.power_bound.tolist() == [0.0] * 3
+        assert single.objective == single.power_bound == 0.0
+
     def test_rank_one_bound_attained_with_matched_magnitudes(self):
         rng = np.random.default_rng(1)
         g = rayleigh_matrix(rng, 5)
