@@ -26,9 +26,11 @@ from .channel import (
     channel_tx_to_surface,
     complex_from_parts,
     effective_channels,
+    raw_bits,
     rayleigh_from_parts,
     rayleigh_matrix,
     selection_vector,
+    trial_generators,
 )
 from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
 from .reflection import SurfaceConfig
@@ -244,10 +246,10 @@ def _channel_blocks(seed: list, trials: int, n_rx: int, k: int, phases: bool = F
     uniform draws. A standard-normal fill is its parts' draws in turn."""
     normals = np.empty((TRIAL_BLOCK, 2 + 2 * n_rx, k))  # h_eff re, im; H_o re, im
     draws = np.empty((TRIAL_BLOCK, k))
+    rngs = trial_generators(seed, range(trials))
     for start in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - start)
-        for i in range(n):
-            rng = np.random.default_rng([*seed, start + i])
+        for i, rng in zip(range(n), rngs):
             rng.standard_normal(out=normals[i])
             if phases:
                 rng.random(out=draws[i])
@@ -308,26 +310,29 @@ def ber_sweep(
     p_ref *= abs(envelope) ** 2
     gain_power = np.array([float(np.linalg.norm(gain) ** 2) for gain in gains])
 
-    # Each trial draws from its own seed [seed, point, trial], bits first and
-    # then the noise's real and imaginary parts; map, channel, noise, maximum
-    # ratio combining and demap then run once per block of trials. The
-    # stacked products round as the per-trial ones did.
+    # Each trial draws from its own seed [seed, point, trial], bits first (as
+    # the raw words ``integers(0, 2, n_bits)`` reads) and then the noise's
+    # real and imaginary parts; bits, map, channel, noise, maximum ratio
+    # combining and demap then run once per block of trials. The stacked
+    # products round as the per-trial ones did.
     n_bits = sym_per_trial * bits_per_symbol
+    n_words = -(-n_bits // 2)  # raw 64-bit words behind integers(0, 2, n_bits)
     per_block = max(1, BER_BLOCK_SYMBOLS // sym_per_trial)
     values, lo, hi, counts, error_counts = [], [], [], [], []
     for point, snr_db in enumerate(snr_db_list):
         sigma2 = p_ref / 10 ** (snr_db / 10)
         errors = 0
+        rngs = trial_generators([scenario.seed, point], range(trials))
         for start in range(0, trials, per_block):
             block = slice(start, min(start + per_block, trials))
             n_trials = block.stop - start
-            tx_bits = np.empty((n_trials, n_bits), dtype=np.int64)
+            words = np.empty((n_trials, n_words), dtype=np.uint64)
             noise = np.empty((n_trials, 2, n_rx, sym_per_trial))  # real, then imaginary
-            for i in range(n_trials):
-                rng = np.random.default_rng([scenario.seed, point, start + i])
-                tx_bits[i] = rng.integers(0, 2, n_bits)
+            for i, rng in zip(range(n_trials), rngs):
+                words[i] = rng.bit_generator.random_raw(n_words)
                 if sigma2 > 0:
                     rng.standard_normal(out=noise[i])
+            tx_bits = raw_bits(words, n_bits)
             x = md.qam_map(tx_bits, order).reshape(n_trials, 1, sym_per_trial)
             y = gains[block, :, None] * x
             if sigma2 > 0:
@@ -456,15 +461,16 @@ def combine(y: np.ndarray, gain, scale: float) -> np.ndarray:
     Maximum-ratio combining by the link gain, z = gain^H y / ||gain||^2 on
     ``y`` of shape (N_r, T) (or (T,) for one antenna), then the DC offset of
     the magnitude drive is removed and its scale undone. Where ||gain||^2
-    would underflow, the gain is scaled by 2^-e to about 1 for the division
-    and z by 2^-e after it, both exact.
+    would underflow, the gain and ``y`` are scaled by powers of two to about 1
+    for the product and the division, and z back after them, all exact.
     """
     gain = np.atleast_1d(gain)
     if np.max(np.abs(gain)) >= _SQRT_TINY:
         z = (gain.conj() @ np.atleast_2d(y)) / np.linalg.norm(gain) ** 2
     else:
         unit, e = _unit_scaled(gain)
-        z = _ldexp((unit.conj() @ np.atleast_2d(y)) / np.linalg.norm(unit) ** 2, -e)
+        y_unit, e_y = _unit_scaled(np.atleast_2d(y))
+        z = _ldexp((unit.conj() @ y_unit) / np.linalg.norm(unit) ** 2, e_y - e)
     return np.real(z - np.mean(z)) / scale
 
 

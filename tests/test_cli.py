@@ -492,6 +492,19 @@ class TestMain:
             assert main(["precode", "--config", str(config), "--out", str(tmp_path / "out"),
                          "--quiet"]) == 0
 
+    def test_steep_pattern_simulate_raises_no_float_error(self, tmp_path):
+        # The received samples are about 1e-275 of the drive: combining scales
+        # them by a power of two with the gain, so no product underflows.
+        config = write_config(tmp_path, {"pattern_exponent": 20000})
+        out_dir = tmp_path / "out"
+        with np.errstate(all="raise"):
+            assert main(["simulate", "--config", str(config), "--out", str(out_dir),
+                         "--quiet"]) == 0
+        metrics = json.loads((out_dir / "simulate_metrics.json").read_text())
+        assert metrics["ber"] == 0.0 and np.isfinite(metrics["evm_db"])
+        for path in out_dir.glob("*.csv"):
+            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+
     @pytest.mark.parametrize("subcommand", ["simulate", "sense", "precode"])
     @pytest.mark.parametrize("exponent", [700, 3000])
     def test_steep_pattern_exponent_still_runs(self, tmp_path, subcommand, exponent):

@@ -31,6 +31,7 @@ Griffin-Lim loop it replaced. ``write_csv`` must write the bytes of
 neighbours, the fixed/scientific switch points, exact ties, subnormals,
 specials, large integers and random bit patterns), must leave the ties to
 ``%``, and on a default ``sense`` run must leave it only the exact zeros.
+``channel.raw_bits`` must give the bits of ``integers(0, 2, n)`` exactly.
 """
 
 import itertools
@@ -43,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from metatx import csvio
+from metatx import channel, csvio
 from metatx import mixer as mx
 from metatx import modem as md
 from metatx import precoder as pc
@@ -55,7 +56,9 @@ from metatx.channel import (
     channel_tx_to_surface,
     effective_channels,
     rayleigh_matrix,
+    raw_bits,
     selection_vector,
+    trial_generators,
 )
 from metatx.cli import parse_config, run, scenario_from_dict
 from metatx.csvio import write_csv
@@ -688,6 +691,32 @@ def test_diversity_sweep_two_rx_matches_full_svd(monkeypatch):
     ref = sim.diversity_sweep(sc, [8, 32, 128], 40)
     assert_close(new.values, ref.values)
     assert_close(new.extras["mean_power_bound"], ref.extras["mean_power_bound"])
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 503, 504])
+def test_raw_word_bits_match_integers_and_the_noise_follows(n_bits):
+    ref = np.random.default_rng([5, n_bits])
+    bits, noise = ref.integers(0, 2, n_bits), ref.standard_normal((2, 3))
+    rng = next(trial_generators([5], range(n_bits, n_bits + 1)))
+    words = rng.bit_generator.random_raw(-(-n_bits // 2))
+    new = raw_bits(words, n_bits)
+    assert new.dtype == bits.dtype and np.array_equal(new, bits)
+    assert np.array_equal(rng.standard_normal((2, 3)), noise)
+    stacked = raw_bits(np.stack([words, words[::-1]]), n_bits)
+    assert np.array_equal(stacked[0], bits)
+    assert np.array_equal(stacked[1], raw_bits(words[::-1], n_bits))
+
+
+def test_trial_generators_refuse_a_numpy_that_seeds_otherwise(monkeypatch):
+    monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
+    with pytest.raises(RuntimeError, match=np.__version__):
+        next(trial_generators([1, 2], range(5)))
+
+
+@pytest.mark.parametrize("ids", [range(-1, 3), range(2**32 - 1, 2**32 + 1)], ids=str)
+def test_trial_generators_refuse_ids_outside_32_bits(ids):
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        next(trial_generators([1], ids))
 
 
 def reference_swapped(ch):

@@ -1,8 +1,10 @@
 """Source hygiene: no module of metatx imports a name it never uses, no
 module draws from numpy's legacy global random state, the CSV encoder imports
 numpy alone, only the CLI and its CSV encoder touch files, every function
-the benchmark's tracer patches by name still exists, and the sweeps make one
-``closed_form_phases`` call per block of trials, not one per trial.
+the benchmark's tracer patches by name still exists, the sweeps make one
+``closed_form_phases`` call per block of trials, not one per trial, and
+they seed their trials through ``channel.trial_generators``, not one
+``default_rng`` per trial.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -208,3 +210,36 @@ def test_sweeps_call_closed_form_once_per_block_of_trials(monkeypatch, trials):
     assert len(calls) == blocks
     diversity_sweep(scenario, [4, 8], trials)
     assert len(calls) == 3 * blocks
+
+
+def called_attributes(source: str, function: str) -> list[str]:
+    """Names called, bare or as attributes, anywhere in ``function``'s body."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    found.append(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+    return sorted(found)
+
+
+def test_called_attributes_detector():
+    source = (
+        "import numpy as np\n"
+        "def f(seed):\n    return np.random.default_rng(seed).integers(0, 2, 4)\n"
+        "def g(rng):\n    return len(rng.random(3))\n"
+    )
+    assert called_attributes(source, "f") == ["default_rng", "integers"]
+    assert called_attributes(source, "g") == ["len", "random"]
+
+
+@pytest.mark.parametrize("function", ["ber_sweep", "_channel_blocks"])
+def test_sweeps_build_no_generator_per_trial(function):
+    # A default_rng per trial costs more than the draws it serves;
+    # trial_generators gives the same streams, and the bits come from raw
+    # words, not integers().
+    called = called_attributes((SRC / "simulator.py").read_text(), function)
+    assert "trial_generators" in called
+    assert not {"default_rng", "integers"} & set(called)

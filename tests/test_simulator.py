@@ -315,6 +315,20 @@ class TestCombine:
         assert np.array_equal(tiny, combine(y, gain, 0.45))
 
 
+    def test_samples_whose_products_underflow_combine_exactly(self):
+        # At 2^-960 the gain's 1e-17 imaginary part times the samples' is
+        # below the float range inside gain^H y; the samples are rescaled by
+        # a power of two with the gain, so the result equals the unscaled one.
+        rng = np.random.default_rng(11)
+        drive = 0.5 + 0.45 * rng.uniform(-1, 1, 200)
+        gain = 0.8 - 1e-17j
+        y = gain * drive
+        with np.errstate(all="raise"):
+            tiny = combine(np.ldexp(y.real, -960) + 1j * np.ldexp(y.imag, -960),
+                           math.ldexp(0.8, -960) - 1j * math.ldexp(1e-17, -960), 0.45)
+        assert np.array_equal(tiny, combine(y, gain, 0.45))
+
+
 class TestDemodulate:
     def test_one_symbol_rejected(self):
         # a lone symbol lets the phase fit absorb the whole error (-120 dB EVM)
