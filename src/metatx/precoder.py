@@ -8,10 +8,11 @@ maximization on the complex circle manifold in two phases. Alternating
 gradient ascent (project the Euclidean gradient onto the tangent space, step
 with a backtracking line search, retract by elementwise normalization) runs
 while it gains fast; once one outer iteration gains less than 1e-2 relative,
-joint Riemannian Newton steps on both streams' element angles finish the run
-(Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
-2008, ch. 6), their Hessian modified by its eigenvalues' absolute values
-(Nocedal & Wright, *Numerical Optimization*, 2006, sec. 3.4).
+joint Riemannian trust-region Newton steps on both streams' element angles
+finish the run (Absil, Baker & Gallivan, "Trust-region methods on Riemannian
+manifolds", *Found. Comput. Math.* 7, 2007), each model solved by truncated
+conjugate gradients on Hessian-vector products (Steihaug, *SIAM J. Numer.
+Anal.* 20, 1983).
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ class TwoStreamChannels:
             raise ValueError("sigma2 must be > 0")
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex (..., K) array, bit for bit.
+
+    The norm is sqrt(re . re + im . im) with each product one BLAS dot; a
+    stacked (1, K) @ (K, 1) product takes the same dot per row, whereas
+    ``norm(axis=-1)`` sums in another order.
+    """
+    re, im = x.real, x.imag
+    return np.sqrt((re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0])
+
+
 def closed_form_phases(h_out: np.ndarray, h_eff: np.ndarray) -> PhaseSolution:
     """Single-stream phase alignment through the dominant mode of ``h_out``.
 
@@ -94,11 +106,9 @@ def closed_form_phases(h_out: np.ndarray, h_eff: np.ndarray) -> PhaseSolution:
     angles[h_eff == 0] = 0.0
     w = np.exp(1j * angles)
     gain = (h_out @ (w * h_eff)[..., np.newaxis])[..., 0]
-    with np.errstate(under="ignore"):  # row by row: a stacked norm sums in another order
-        power, bound = np.array([
-            (np.linalg.norm(gain[i]) ** 2, sing[i][0] ** 2 * np.linalg.norm(h_eff[i]) ** 2)
-            for i in np.ndindex(h_eff.shape[:-1])
-        ]).T.reshape((2,) + h_eff.shape[:-1])
+    with np.errstate(under="ignore"):
+        power = np.float_power(row_norms(gain), 2)
+        bound = np.float_power(sing[..., 0], 2) * np.float_power(row_norms(h_eff), 2)
     if power.ndim == 0:
         power, bound = float(power), float(bound)
     return PhaseSolution(
@@ -224,89 +234,95 @@ def _ascend(phi, rows, noise, other, sigma2, current, max_inner=50, armijo=1e-4)
     return phi, current, inner, rejected
 
 
-def _joint_derivatives(phis, rows_pair, sigma2):
-    """Gradient and Hessian of the sum SINR in both streams' angles theta.
+def _joint_model(phis, rows_pair, sigma2):
+    """Angle gradient and Hessian-vector product of the sum SINR.
 
     With phi = e^{j theta}, a power q = |r^T phi|^2 has, for w = r o phi and
-    u = sum(w), dq/dtheta_k = -2 Im(u* w_k) and
-    d2q/dtheta_k dtheta_l = 2 Re(w_k w_l*) - delta_kl 2 Re(u* w_k).
-    Stream i's desired power S_i and leak power L_i (``rows_pair`` as
-    :func:`_rows`) enter f = S_1 / N_2 + S_2 / N_1 with N_i = L_i + sigma2;
-    the quotient rule gives each stream's block, and the cross block pairs
-    one stream's desired (leak) power with the held stream's leak (desired)
-    power. Returns the gradient (2n,) and the symmetric Hessian (2n, 2n),
-    stream 1's angles first.
+    u = sum(w), the gradient g = -2 Im(u* w) and the Hessian
+    2 Re(w w^H) - diag(2 Re(u* w)) in theta. The desired powers S_i and
+    leak powers L_i (``rows_pair`` as :func:`_rows`) enter
+    f = S_1 / N_2 + S_2 / N_1 with N_i = L_i + sigma2, so by the chain rule
+    the Hessian is sum_q (df/dq) H_q plus, over the power gradients,
+    2 S_o / N_i^3 g_Li g_Li^T and -(g_Si g_Lo^T + g_Lo g_Si^T) / N_o^2: a
+    diagonal plus a term of rank 8, so H v costs O(n). Returns the gradient
+    (2n,), stream 1's angles first, and the product v -> H v.
     """
     n = phis[0].size
-    diag = np.arange(n)
-    powers, grads, hessians = [], [], []
-    for phi, rows in zip(phis, rows_pair):
-        w = rows.T * phi  # (2, n): desired and leak terms
-        u = w.sum(axis=1)
-        z = u.conj()[:, None] * w
-        hess = 2 * (w[:, :, None] * w[:, None, :].conj()).real
-        hess[:, diag, diag] -= 2 * z.real
-        powers.append((u * u.conj()).real)
-        grads.append(-2 * z.imag)
-        hessians.append(hess)
-    grad = np.empty(2 * n)
-    hess = np.empty((2 * n, 2 * n))
-    for i, o in ((0, 1), (1, 0)):
-        own, other = slice(i * n, (i + 1) * n), slice(o * n, (o + 1) * n)
-        (g_s, g_l), (h_s, h_l) = grads[i], hessians[i]
-        noise, noise_o, signal_o = powers[i][1] + sigma2, powers[o][1] + sigma2, powers[o][0]
-        grad[own] = g_s / noise_o - signal_o / noise**2 * g_l
-        hess[own, own] = (
-            h_s / noise_o - signal_o / noise**2 * h_l + 2 * signal_o / noise**3 * np.outer(g_l, g_l)
-        )
-        hess[own, other] = (
-            -np.outer(g_s, grads[o][1]) / noise_o**2 - np.outer(g_l, grads[o][0]) / noise**2
-        )
-    return grad, hess
+    w = np.zeros((4, 2 * n), dtype=complex)  # S_1, L_1, S_2, L_2, each on its stream's angles
+    w[:2, :n], w[2:, n:] = (rows.T * phi for phi, rows in zip(phis, rows_pair))
+    u = w.sum(axis=1)
+    s1, l1, s2, l2 = (u * u.conj()).real
+    noise1, noise2 = l1 + sigma2, l2 + sigma2
+    coef = np.array([1 / noise2, -s2 / noise1**2, 1 / noise1, -s1 / noise2**2])  # df/dq
+    c1, c2, d1, d2 = -1 / noise1**2, -1 / noise2**2, 2 * s2 / noise1**3, 2 * s1 / noise2**3
+    k = np.array([[0, 0, 0, c2], [0, d1, c1, 0], [0, c1, 0, 0], [c2, 0, 0, d2]])
+    z = u.conj()[:, None] * w
+    g = -2 * z.imag
+    diag = coef @ (-2 * z.real)
+    return coef @ g, lambda v: diag * v + 2 * ((coef * (w @ v).conj()) @ w).real + (k @ (g @ v)) @ g
 
 
-def _newton_step(phis, rows_pair, sigma2, current, armijo=1e-4, max_move=0.5):
-    """One joint Newton step on both streams' angles, Armijo-backtracked.
+def _truncated_cg(grad, hess, radius, value):
+    """Steihaug-Toint truncated CG for max g.s + s.Hs/2 subject to ||s|| <= radius.
 
-    The Hessian's eigenvalues are replaced by their absolute values, floored
-    at 1e-8 of the largest (a common rotation of either stream is flat), so
-    the step ascends; it is scaled so no angle moves more than ``max_move``
-    rad and halved from t = 1 down to 1e-12 until the objective gains at
-    least ``armijo`` t times the slope. Returns the phase pair, its value,
-    the number of rejected trials and whether a step was taken.
+    Stops inside once the model gradient r = g + H s falls to
+    ||g|| min(||g|| / value, 1e-3), superlinear in the relative gradient
+    (Absil, Baker & Gallivan's theta = 1), or on the boundary along a
+    direction of non-negative curvature or one that leaves the region.
+    Returns the step, its model gain s.(g + r)/2 and whether it ended inside.
     """
-    grad, hess = _joint_derivatives(phis, rows_pair, sigma2)
-    lam, vec = np.linalg.eigh(hess)
-    mag = np.abs(lam)
-    if not mag.max() > 0:
-        return phis, current, 0, False
-    step = vec @ ((grad @ vec) / np.maximum(mag, 1e-8 * mag.max()))
-    largest = np.abs(step).max()
-    if largest > max_move:
-        step *= max_move / largest
-    slope = float(grad @ step)
-    if not slope > 0:
-        return phis, current, 0, False
-    n = phis[0].size
-    t = 1.0
+    step, resid, direction = np.zeros_like(grad), grad, grad
+    rr = float(grad @ grad)
+    stop = min(rr * rr, 1e-6 * rr * value**2)  # that test squared and times value^2: no 0 / 0
+    for _ in range(grad.size):
+        if rr * value**2 <= stop:
+            break
+        h_dir = hess(direction)
+        curvature = float(direction @ h_dir)
+        nxt = step + rr / -curvature * direction if curvature < 0 else None
+        if nxt is None or nxt @ nxt >= radius**2:  # on to tau >= 0 with ||step + tau d|| = radius
+            a, b, c = direction @ direction, step @ direction, step @ step - radius**2
+            tau = (np.sqrt(b * b - a * c) - b) / a
+            step = step + tau * direction
+            return step, float(step @ (grad + resid + tau * h_dir)) / 2, False
+        resid, step = resid + rr / -curvature * h_dir, nxt
+        rr, rr_prev = float(resid @ resid), rr
+        direction = resid + rr / rr_prev * direction
+    return step, float(step @ (grad + resid)) / 2, True
+
+
+def _trust_step(phis, rows_pair, sigma2, current, radius):
+    """One trust-region Newton iteration on both streams' angles.
+
+    Takes the :func:`_truncated_cg` step on the model of :func:`_joint_model`
+    if the objective gains more than a tenth of the model's gain, else tries
+    again, down to a radius of 1e-12. A gain below a quarter of the model's
+    cuts the radius to a quarter of the step's length; one above three
+    quarters on the boundary doubles it, up to ``MAX_RADIUS``. Returns the
+    phase pair, its value, the radius, the rejected trials and whether a
+    step was taken.
+    """
+    grad, hess = _joint_model(phis, rows_pair, sigma2)
     rejected = 0
-    while t > 1e-12:
-        turn = np.exp(1j * t * step)
-        candidate = (phis[0] * turn[:n], phis[1] * turn[n:])
+    while radius > 1e-12:
+        step, model_gain, interior = _truncated_cg(grad, hess, radius, current)
+        if not model_gain > 0:
+            break
+        candidate = tuple(p * turn for p, turn in zip(phis, np.split(np.exp(1j * step), 2)))
         (d1, l1), (d2, l2) = ((p @ rows).tolist() for p, rows in zip(candidate, rows_pair))
         new = abs(d1) ** 2 / (abs(l2) ** 2 + sigma2) + abs(d2) ** 2 / (abs(l1) ** 2 + sigma2)
-        if new >= current + armijo * t * slope:
-            return candidate, new, rejected, True
+        ratio = (new - current) / model_gain
+        if ratio < 0.25:
+            radius = 0.25 * float(np.sqrt(step @ step))
+        elif ratio > 0.75 and not interior:
+            radius = min(2 * radius, MAX_RADIUS)
+        if ratio > 0.1:
+            return candidate, new, radius, rejected, True
         rejected += 1
-        t *= 0.5
-    return phis, current, rejected, False
+    return phis, current, radius, rejected, False
 
 
-# Largest 2n (both streams' angles) for which the Newton phase runs. Each
-# step's dense (2n, 2n) eigendecomposition grows as n^3: on criterion-06-shaped
-# experiments the Newton finish was faster than ascent alone at 2n = 128 and
-# 256 and slower in total at 384 and above (27x at 1024).
-NEWTON_MAX_ANGLES = 256
+MAX_RADIUS = 0.5  # each start's first and largest trust radius, in rad over all 2n angles
 
 
 def alternating_optimize(
@@ -334,16 +350,15 @@ def alternating_optimize(
     Each start first runs outer iterations of alternating ascent, one
     :func:`_ascend` per stream with the other held. Once one of them gains
     less than ``max(tol, 1e-2)`` relative (and not less than ``tol``), every
-    further outer iteration is one :func:`_newton_step` on both streams'
-    2n angles. Ascent and Newton iterations alike add one trace entry and use
-    one unit of ``max_iter``. A Newton step that finds no Armijo point ends
-    the run as converged: its direction ascends, so no gain is left that
-    floating point resolves. The Newton phase runs only while 2n <= 256
-    (``NEWTON_MAX_ANGLES``), since it takes one dense (2n, 2n)
-    eigendecomposition per step; larger problems ascend for the whole
-    budget. The returned solution's ``stats`` count the ascent iterations,
-    Newton steps and rejected line-search trials ("backtracks") of the
-    winning run.
+    further outer iteration is one :func:`_trust_step` on both streams' 2n
+    angles, at every problem size. Ascent and Newton iterations alike add
+    one trace entry and use one unit of ``max_iter``. The Newton phase ends
+    once two successive steps each gain less than ``tol`` relative (one
+    short step may have been cut by the trust region), or, as converged
+    whatever ``tol`` is, when no trial gains before the radius falls below
+    1e-12. The returned solution's ``stats`` count the ascent iterations,
+    Newton steps and rejected trials (line-search steps and trust radii,
+    "backtracks") of the winning run.
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
         raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
@@ -390,17 +405,16 @@ def alternating_optimize(
 
     rows1, rows2 = _rows(ch)
     sigma2 = ch.sigma2
-    switch = max(tol, 1e-2) if 2 * n <= NEWTON_MAX_ANGLES else -np.inf
     best = None
     for phi1, phi2 in starts:
         trace = [sum_sinr(phi1, phi2, ch)]
         inner2 = (phi2 @ rows2).tolist()
         stats = {"ascent_iterations": 0, "newton_steps": 0, "backtracks": 0}
-        newton = converged = False
+        newton, converged, quiet, radius = False, False, False, MAX_RADIUS
         for _ in range(max_iter):
             if newton:
-                (phi1, phi2), value, rejected, moved = _newton_step(
-                    (phi1, phi2), (rows1, rows2), sigma2, trace[-1]
+                (phi1, phi2), value, radius, rejected, moved = _trust_step(
+                    (phi1, phi2), (rows1, rows2), sigma2, trace[-1], radius
                 )
                 stats["newton_steps"] += 1
             else:
@@ -415,10 +429,12 @@ def alternating_optimize(
             stats["backtracks"] += rejected
             trace.append(value)
             gain, scale = trace[-1] - trace[-2], max(abs(trace[-2]), 1e-30)
-            if not moved or gain < tol * scale:
+            small = gain < tol * scale
+            if not moved or small and (quiet or not newton):
                 converged = True
                 break
-            newton = newton or gain < switch * scale
+            quiet = newton and small
+            newton = newton or gain < max(tol, 1e-2) * scale
         solution = PhaseSolution([phi1, phi2], trace[-1], np.array(trace), converged, stats=stats)
         if best is None or solution.objective > best.objective:
             best = solution

@@ -99,33 +99,27 @@ def stft(
 
 
 def istft_synthesize(
-    spec: Spectrogram,
-    phase_policy: str = "griffin_lim",
-    seed: int | None = 0,
-    refine_iterations: int = 25,
-    length: int | None = None,
+    spec: Spectrogram, seed: int | None = 0, refine_iterations: int = 25
 ) -> np.ndarray:
-    """Synthesize a time-domain waveform from a spectrogram.
+    """Synthesize a waveform of ``spec.n_samples`` samples (hop x (frames - 1)
+    where that is None) from a spectrogram.
 
     Complex grids invert directly by weighted overlap-add, which reproduces
-    stft's input exactly. Magnitude-only grids need phases: ``random`` draws
-    them from a seeded generator, ``griffin_lim`` additionally runs
-    ``refine_iterations`` passes of fast Griffin-Lim (Perraudin, Balazs and
+    stft's input exactly. Magnitude-only grids need phases: they start from
+    a seeded random draw, refined by ``refine_iterations`` (0 keeps the
+    draw) passes of fast Griffin-Lim (Perraudin, Balazs and
     Søndergaard, "A fast Griffin-Lim algorithm", WASPAA 2013). Each pass
     projects onto the target magnitudes, t = |S| X/|X| with X the stft of the
     current waveform, then extrapolates t + 0.99 (t - t_prev); the waveform
     returned is that of the last projection t, not of the extrapolation.
     """
-    if phase_policy not in ("random", "griffin_lim"):
-        raise ValueError("phase_policy must be 'random' or 'griffin_lim'")
     if (isinstance(refine_iterations, bool) or not isinstance(refine_iterations, int)
             or refine_iterations < 0):
         raise ValueError(f"refine_iterations must be an int >= 0, got {refine_iterations!r}")
     window = hann_window(spec.window_length)
     if cola_deviation(window, spec.hop) > 1e-10:
         raise ValueError("window/hop pair does not satisfy overlap-add")
-    if length is None:
-        length = spec.n_samples if spec.n_samples is not None else spec.hop * (spec.n_frames - 1)
+    length = spec.n_samples if spec.n_samples is not None else spec.hop * (spec.n_frames - 1)
     n, hop, pad = window.size, spec.hop, window.size // 2
     total = pad + length + pad + n
     # frames past total are dropped; stft of `length` samples has no fewer than `kept`
@@ -145,13 +139,12 @@ def istft_synthesize(
     phases = np.exp(2j * np.pi * rng.random(spec.values.shape))
     values = spec.values * phases
     projected = values[:kept]
-    if phase_policy == "griffin_lim":
-        for _ in range(refine_iterations):
-            z = stft(synthesize(values), spec.sample_rate_hz, window, hop).values[:kept]
-            mag = np.abs(z)
-            t = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
-            values = t + GRIFFIN_LIM_MOMENTUM * (t - projected)
-            projected = t
+    for _ in range(refine_iterations):
+        z = stft(synthesize(values), spec.sample_rate_hz, window, hop).values[:kept]
+        mag = np.abs(z)
+        t = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
+        values = t + GRIFFIN_LIM_MOMENTUM * (t - projected)
+        projected = t
     return synthesize(projected)
 
 
@@ -210,7 +203,6 @@ def doppler_signature(
     duration_s: float,
     sample_rate_hz: float,
     window_length: int = 256,
-    hop: int | None = None,
     normalize: bool = True,
 ) -> Spectrogram:
     """Micro-Doppler magnitude template for a multi-rotor target.
@@ -228,7 +220,7 @@ def doppler_signature(
         for r in rotors
     )
     window = hann_window(window_length)
-    spec = stft(signal.real, sample_rate_hz, window, hop)
+    spec = stft(signal.real, sample_rate_hz, window)
     grid = spec.magnitude
     if normalize:
         peak = grid.max()

@@ -210,11 +210,11 @@ def isotropy_check(
     }
 
 
-def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
+    """Wilson score interval (95%, z = 1.96) for a binomial proportion."""
     if n == 0:
         return (0.0, 1.0)
-    p = errors / n
+    p, z = errors / n, 1.96
     denom = 1 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
@@ -254,7 +254,7 @@ def _channel_blocks(seed: list, trials: int, n_rx: int, k: int, phases: bool = F
             if phases:
                 rng.random(out=draws[i])
         h_eff = rayleigh_from_parts(normals[:n, 0], normals[:n, 1])
-        h_eff /= np.array([np.linalg.norm(row) for row in h_eff])[:, np.newaxis]
+        h_eff /= pc.row_norms(h_eff)[:, np.newaxis]
         h_out = rayleigh_from_parts(normals[:n, 2 : 2 + n_rx], normals[:n, 2 + n_rx :])
         yield slice(start, start + n), h_eff, h_out, draws[:n]
 
@@ -296,19 +296,18 @@ def ber_sweep(
         p_ref = 1.0
         gains[:] = envelope
     else:
-        acc = 0.0
+        base_power = np.empty(trials)
         blocks = _channel_blocks([scenario.seed, 0xBA5E], trials, n_rx, k, phases=True)
         for block, h_eff, h_out, draws in blocks:
             gain = (h_out @ (np.exp(2j * np.pi * draws) * h_eff)[..., np.newaxis])[..., 0]
-            for row in gain:
-                acc += float(np.linalg.norm(row) ** 2)
+            base_power[block] = np.float_power(pc.row_norms(gain), 2)
             if precoding == "closed_form":
                 phi = pc.closed_form_phases(h_out, h_eff).phases[0]
                 gain = (h_out @ (phi * h_eff)[..., np.newaxis])[..., 0]
             gains[block] = gain * envelope
-        p_ref = acc / trials
+        p_ref = float(np.cumsum(base_power)[-1]) / trials  # summed in trial order
     p_ref *= abs(envelope) ** 2
-    gain_power = np.array([float(np.linalg.norm(gain) ** 2) for gain in gains])
+    gain_power = np.float_power(pc.row_norms(gains), 2)
 
     # Each trial draws from its own seed [seed, point, trial], bits first (as
     # the raw words ``integers(0, 2, n_bits)`` reads) and then the noise's
@@ -392,18 +391,15 @@ def diversity_sweep(
     n_rx = scenario.rx.n_antennas
     means, lo, hi, bounds = [], [], [], []
     for idx, k in enumerate(k_list):
-        powers = np.empty(realizations)
-        bound_acc = 0.0
+        powers, power_bounds = np.empty(realizations), np.empty(realizations)
         for block, h_eff, h_out, _ in _channel_blocks([scenario.seed, idx], realizations, n_rx, k):
             sol = pc.closed_form_phases(h_out, h_eff)
-            powers[block] = sol.objective
-            for bound in sol.power_bound.tolist():
-                bound_acc += bound
+            powers[block], power_bounds[block] = sol.objective, sol.power_bound
         means.append(powers.mean())
         sem = powers.std(ddof=1) / math.sqrt(realizations)
         lo.append(means[-1] - 1.96 * sem)
         hi.append(means[-1] + 1.96 * sem)
-        bounds.append(bound_acc / realizations)
+        bounds.append(float(np.cumsum(power_bounds)[-1]) / realizations)  # in trial order
     slope = None  # a single K admits no fit; the CLI writes null
     if len(k_list) >= 2:
         slope = float(np.polyfit(np.log(k_list), np.log(means), 1)[0])
@@ -531,7 +527,6 @@ def two_stream_experiment(
     scenario: ScenarioConfig,
     snr_db: float = 25.0,
     orders: tuple[int, int] = (16, 64),
-    seed: int | None = None,
     n_symbols: int = 600,
     cross_gain: float = 1.0,
     shared_h_eff: bool = True,
@@ -542,9 +537,10 @@ def two_stream_experiment(
     The surface splits into halves, each modulating its own QAM stream onto
     a shared effective channel. Phases start random ("before") and are then
     jointly optimized by alternating manifold ascent finished with joint
-    Newton steps ("after"). Reports analytic SINRs, measured EVMs and BERs
-    per receiver, at a noise level calibrated so each receiver's
-    desired-signal power over sigma2 equals ``snr_db`` after optimization.
+    trust-region Newton steps ("after"). Reports analytic SINRs, measured
+    EVMs and BERs per receiver, at a noise level calibrated so each
+    receiver's desired-signal power over sigma2 equals ``snr_db`` after
+    optimization.
 
     The effective channel uses plane-wave illumination (uniform magnitude,
     random phase across elements), shared by both sub-surfaces by default;
@@ -567,7 +563,7 @@ def two_stream_experiment(
     if len(orders) != 2:
         raise ValueError(f"two-stream needs exactly two QAM orders, got {list(orders)}")
     half = k // 2
-    seed = scenario.seed if seed is None else seed
+    seed = scenario.seed
     rng = np.random.default_rng([seed, 0x2575])
 
     h_eff_1 = np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
@@ -663,27 +659,22 @@ def doppler_spoof_experiment(
     probe_directions: list[Direction],
     duration_s: float = 2.0,
     signal_rate_hz: float = 2000.0,
-    seed: int | None = None,
-    phases: np.ndarray | None = None,
 ) -> dict:
     """Full spoofing chain: template -> waveform -> surface -> probes -> stft.
 
     The target magnitude spectrogram is inverted to a drive waveform (25
     passes of fast Griffin-Lim phase refinement), mapped into the
-    reflection-magnitude range, transmitted with uniform magnitudes across
-    elements, and observed from each probe direction. Reports per-probe
-    recovered spectrograms, their fidelity against the target, and the
-    pairwise probe correlation.
+    reflection-magnitude range, transmitted with uniform magnitudes and
+    seeded random phases across elements, and observed from each probe
+    direction. Reports per-probe recovered spectrograms, their fidelity
+    against the target, and the pairwise probe correlation.
     """
-    seed = scenario.seed if seed is None else seed
+    seed = scenario.seed
     link = build_link(scenario)
-    k = scenario.n_elements
-    rng = np.random.default_rng([seed, 0xD09])
-    if phases is None:
-        phases = 2 * np.pi * rng.random(k)
+    phases = 2 * np.pi * np.random.default_rng([seed, 0xD09]).random(scenario.n_elements)
 
     target = doppler_signature(rotors, duration_s, signal_rate_hz)
-    drive_wave = istft_synthesize(target, "griffin_lim", seed=seed)
+    drive_wave = istft_synthesize(target, seed=seed)
     alpha, scale = _magnitude_drive(drive_wave)
 
     rows = _probe_rows(scenario, link, probe_directions)

@@ -1237,7 +1237,7 @@ def drawn_grid(rng, n_frames, n, complex_values):
 def test_hop_phase_overlap_add_matches_frame_loop_at_half_hop(n_frames, n, n_samples, complex_values):
     rng = np.random.default_rng([n_frames, n])
     spec = Spectrogram(drawn_grid(rng, n_frames, n, complex_values), n // 2, n, 2000.0, n_samples)
-    assert np.array_equal(istft_synthesize(spec, "random"), reference_istft(spec, "random"))
+    assert np.array_equal(istft_synthesize(spec, refine_iterations=0), reference_istft(spec, "random"))
 
 
 @pytest.mark.parametrize("divisor", [4, 8])
@@ -1249,7 +1249,7 @@ def test_hop_phase_overlap_add_matches_frame_loop_at_finer_hops(
     # more than two addends per sample: the phase order changes the sums' order
     rng = np.random.default_rng([divisor, n_frames])
     spec = Spectrogram(drawn_grid(rng, n_frames, 256, complex_values), 256 // divisor, 256, 2000.0, n_samples)
-    assert_close(istft_synthesize(spec, "random"), reference_istft(spec, "random"), rel=1e-15)
+    assert_close(istft_synthesize(spec, refine_iterations=0), reference_istft(spec, "random"), rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

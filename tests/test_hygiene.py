@@ -2,9 +2,12 @@
 module draws from numpy's legacy global random state, the CSV encoder imports
 numpy alone, only the CLI and its CSV encoder touch files, every function
 the benchmark's tracer patches by name still exists, the sweeps make one
-``closed_form_phases`` call per block of trials, not one per trial, and
-they seed their trials through ``channel.trial_generators``, not one
-``default_rng`` per trial.
+``closed_form_phases`` call per block of trials, not one per trial, they
+seed their trials through ``channel.trial_generators``, not one
+``default_rng`` per trial, and take their norms through
+``precoder.row_norms``, not one ``np.linalg.norm`` per row, and the
+two-stream solver's Newton finish takes no eigendecomposition and has no
+size limit.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -243,3 +246,67 @@ def test_sweeps_build_no_generator_per_trial(function):
     called = called_attributes((SRC / "simulator.py").read_text(), function)
     assert "trial_generators" in called
     assert not {"default_rng", "integers"} & set(called)
+
+
+def dotted_calls(source: str, function: str | None = None) -> list[str]:
+    """Dotted names called (``np.linalg.norm``), in ``function``'s body or the whole module."""
+    tree = ast.parse(source)
+    scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    found = []
+    for scope in scopes if function else [tree]:
+        for call in ast.walk(scope):
+            if isinstance(call, ast.Call):
+                parts, node = [], call.func
+                while isinstance(node, ast.Attribute):
+                    parts.append(node.attr)
+                    node = node.value
+                if isinstance(node, ast.Name):
+                    found.append(".".join([node.id, *reversed(parts)]))
+    return sorted(found)
+
+
+def module_names(source: str) -> set[str]:
+    """Names a module binds at its top level by assignment or definition."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return found
+
+
+def test_dotted_calls_detector():
+    source = (
+        "import numpy as np\n"
+        "def f(x):\n    return np.linalg.eigh(x), np.linalg.norm(x[0]), len(x)\n"
+        "def g(x):\n    return x.conj().sum()\n"
+    )
+    assert dotted_calls(source, "f") == ["len", "np.linalg.eigh", "np.linalg.norm"]
+    assert dotted_calls(source, "g") == ["x.conj"]
+    assert dotted_calls(source) == ["len", "np.linalg.eigh", "np.linalg.norm", "x.conj"]
+
+
+def test_module_names_detector():
+    source = (
+        "import numpy as np\nNEWTON_MAX_ANGLES = 256\nA, (B, C) = 1, (2, 3)\nD: int = 4\n"
+        "def f(x):\n    LOCAL = 5\n    return x\nclass E:\n    pass\n"
+    )
+    assert module_names(source) == {"NEWTON_MAX_ANGLES", "A", "B", "C", "D", "f", "E"}
+
+
+def test_newton_finish_takes_no_eigendecomposition_and_no_size_limit():
+    # One matrix-free trust-region step serves every problem size.
+    source = (SRC / "precoder.py").read_text()
+    assert not {"np.linalg.eigh", "np.linalg.eig", "np.linalg.eigvalsh"} & set(dotted_calls(source))
+    assert "NEWTON_MAX_ANGLES" not in module_names(source)
+
+
+@pytest.mark.parametrize("module, function", [
+    ("simulator.py", "ber_sweep"), ("simulator.py", "diversity_sweep"),
+    ("simulator.py", "_channel_blocks"), ("precoder.py", "closed_form_phases"),
+])
+def test_sweep_norms_go_through_row_norms(module, function):
+    # A per-row np.linalg.norm loop costs a call per trial; row_norms gives the same bits.
+    assert "np.linalg.norm" not in dotted_calls((SRC / module).read_text(), function)

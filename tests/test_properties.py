@@ -1,5 +1,5 @@
 """Property tests of the modem, predistortion, manifold, two-stream solver,
-selection-kernel, isotropy and per-trial seeding invariants."""
+row-norm, selection-kernel, isotropy and per-trial seeding invariants."""
 
 import warnings
 
@@ -20,6 +20,7 @@ from metatx.precoder import (
     euclidean_gradient_phi2,
     retract,
     riemannian_project,
+    row_norms,
     sum_sinr,
 )
 from metatx.reflection import SurfaceConfig
@@ -151,6 +152,30 @@ def test_gradient_matches_central_differences(case):
     ]:
         error = np.max(np.abs(grad - central_difference_gradient(f, phi)))
         assert error <= 1e-5 * np.max(np.abs(grad))
+
+
+@st.composite
+def strided_rows(draw):
+    """Complex (..., K) arrays, K up to 4096, some of them strided views, each
+    row scaled by 1e-150 to 1e150 and its entries spread over six decades."""
+    batch = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    k = draw(st.one_of(st.sampled_from([1, 2, 7, 64, 160, 1023, 4096]), st.integers(1, 300)))
+    step = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + (k * step,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x *= 10.0 ** (rng.uniform(-6, 0, shape) + rng.integers(-150, 151, batch + (1,)))
+    return x[..., ::step]
+
+
+@FAST
+@given(strided_rows())
+def test_row_norms_equal_numpy_norm_of_each_row(x):
+    # The sweeps' sums and files depend on these bits, not just the values.
+    norms, powers = row_norms(x), np.float_power(row_norms(x), 2)
+    for i in np.ndindex(x.shape[:-1]):
+        assert norms[i] == np.linalg.norm(x[i])
+        assert powers[i] == np.linalg.norm(x[i]) ** 2
 
 
 @FAST

@@ -120,7 +120,7 @@ class TestIstft:
             target.magnitude, target.hop, target.window_length, FS,
             n_samples=target.n_samples,
         )
-        x = istft_synthesize(mag_only, "griffin_lim", seed=0)
+        x = istft_synthesize(mag_only, seed=0)
         recovered = stft(x, FS)
         corr = signature_fidelity(
             Spectrogram(target.magnitude, target.hop, 256, FS),
@@ -128,38 +128,22 @@ class TestIstft:
         )
         assert corr >= 0.95
 
-    def test_random_phase_policy_runs(self):
-        spec = Spectrogram(
-            np.abs(np.random.default_rng(4).standard_normal((20, 129))),
-            128, 256, FS, n_samples=2560,
-        )
-        x1 = istft_synthesize(spec, "random", seed=5)
-        x2 = istft_synthesize(spec, "random", seed=5)
-        assert_allclose(x1, x2)
-        with pytest.raises(ValueError):
-            istft_synthesize(spec, "exact")
-
-    def test_unknown_policy_rejected_on_complex_grid(self):
-        # complex grids ignore the policy, so a typo must not pass silently there
-        spec = stft(np.random.default_rng(7).standard_normal(1024), FS)
-        with pytest.raises(ValueError, match="phase_policy"):
-            istft_synthesize(spec, "bogus")
-
     @pytest.mark.parametrize("iterations", [-3, True, False, 2.0, "5", None])
     def test_bad_refine_iterations_rejected(self, iterations):
         spec = Spectrogram(np.ones((10, 129)), 128, 256, FS, n_samples=1280)
         with pytest.raises(ValueError, match="refine_iterations"):
             istft_synthesize(spec, refine_iterations=iterations)
 
-    def test_zero_refine_iterations_is_the_random_start(self):
+    def test_zero_refine_iterations_is_the_seeded_random_start(self):
         spec = Spectrogram(
             np.abs(np.random.default_rng(8).standard_normal((20, 129))),
             128, 256, FS, n_samples=2560,
         )
-        assert np.array_equal(
-            istft_synthesize(spec, "griffin_lim", seed=3, refine_iterations=0),
-            istft_synthesize(spec, "random", seed=3),
-        )
+        phases = np.exp(2j * np.pi * np.random.default_rng(3).random(spec.values.shape))
+        start = Spectrogram(spec.values * phases, 128, 256, FS, n_samples=2560)
+        direct = istft_synthesize(start)
+        assert np.array_equal(istft_synthesize(spec, seed=3, refine_iterations=0), direct)
+        assert not np.array_equal(istft_synthesize(spec, seed=4, refine_iterations=0), direct)
 
 
 class TestDopplerSignature:
