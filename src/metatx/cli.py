@@ -31,7 +31,7 @@ from . import simulator as sim
 from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray
 from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, hemisphere_grid
-from .sensing import RotorSpec
+from .sensing import WINDOW_LENGTH, RotorSpec
 from .simulator import ScenarioConfig
 
 OUT_DIR_ENV = "METATX_OUT"
@@ -211,6 +211,11 @@ def _path_component(entry: dict, where: str) -> PathComponent:
 
 def _sense_inputs(sense: dict) -> tuple[list[RotorSpec], list[Direction]]:
     """The sense rotors and probe directions; a bad entry names its index."""
+    samples = sense["duration_s"] * sense["signal_rate_hz"]  # rounded as the run rounds it
+    if not (math.isfinite(samples) and round(samples) >= WINDOW_LENGTH):
+        raise ConfigError(f"sense.duration_s: duration_s * signal_rate_hz must round to a finite "
+                          f"count of at least {WINDOW_LENGTH} samples, one analysis window, "
+                          f"got {samples!r}")
     nyquist = sense["signal_rate_hz"] / 2
     for i, r in enumerate(sense["rotors"]):
         if r["max_doppler_hz"] >= nyquist:
@@ -228,6 +233,14 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     """Validate a config dict into a ScenarioConfig plus the effective dict."""
     cfg = effective_config(user)
     _sense_inputs(cfg["sense"])  # rotors and probes are checked before any output
+    snr_db = cfg["two_stream"]["snr_db"]
+    try:  # the experiment divides by both powers
+        powers = (10 ** (snr_db / 10), 10 ** (-snr_db / 10))
+    except OverflowError:
+        powers = (math.inf,)
+    if not all(0 < p < math.inf for p in powers):
+        raise ConfigError(f"two_stream.snr_db: the linear SNR 10^(snr_db/10) and the noise power "
+                          f"10^(-snr_db/10) must be finite numbers > 0, got {snr_db!r}")
     geometry = _checked("geometry", lambda: ArrayGeometry(**cfg["geometry"]))
     grid = _checked("grid", lambda: hemisphere_grid(cfg["grid"]["n_theta"], cfg["grid"]["n_phi"]))
     modem = cfg["modem"]

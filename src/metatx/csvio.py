@@ -11,13 +11,18 @@ conversion by exact arithmetic, as in Adams, "Ryu revisited: printf floating
 point conversion" (OOPSLA 2019). The %g layout (fixed notation for
 -4 <= X < 17, else d.ddde+XX, trailing zeros stripped) is then assembled as
 fixed-width byte records whose unused bytes are 0 and deleted at the end.
-Zeros, non-finite values, magnitudes outside (1e-280, 1e280) and uncertified
-roundings (exact ties among them) are formatted by ``%``.
+Zeros, non-finite values, magnitudes outside (1e-280, 1e280), uncertified
+roundings (exact ties among them) and blocks of fewer than ``PERCENT_BELOW``
+values, where numpy's fixed cost outweighs ``%``, are formatted by ``%``.
 """
 
 import numpy as np
 
 BLOCK_VALUES = 4096  # values formatted per block; bounds the text held
+# Blocks of fewer values go to % whole: numpy's digits cost about 120 us a
+# block whatever its size, % about 0.7 us a value (2-core x86, crossing
+# near 170 values).
+PERCENT_BELOW = 160
 
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
 _EXP_MIN = -300  # the tables cover decimal exponents in [-300, 300]
@@ -74,6 +79,20 @@ def _percent_format(values: np.ndarray) -> bytes:
 def _records(values: np.ndarray, n_cols: int) -> bytes:
     """The ``%.17g`` text of a row-major block of ``n_cols``-value rows."""
     n = values.size
+    out = np.empty((_RECORD, n), np.uint8)
+    slow = np.arange(n) if n < PERCENT_BELOW else _certified_records(values, out)
+    out[29] = 44  # ","
+    out[29, n_cols - 1 :: n_cols] = 10  # "\n"
+    if slow.size:
+        text = _percent_format(values[slow])
+        out[:-1, slow] = np.frombuffer(text, np.uint8).reshape(-1, _RECORD - 1).T
+    return out.T.tobytes().translate(None, b"\0")
+
+
+def _certified_records(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the records of the values whose digits numpy certifies into
+    ``out``'s columns; returns the indices of the rest."""
+    n = values.size
     a = np.abs(values)
     fast = (a > 1e-280) & (a < 1e280)
     a[~fast] = 1.0
@@ -107,7 +126,6 @@ def _records(values: np.ndarray, n_cols: int) -> bytes:
     last = ((digits != 0).view(np.uint8) * _SLOTS[:17]).max(axis=0)
 
     # The %g layout of each exponent: lead, exponent, dot and kept digits.
-    out = np.empty((_RECORD, n), np.uint8)
     layout = np.take(_LAYOUT, exp10 - _EXP_MIN, axis=1)
     out[1:6] = layout[:5]
     out[24:29] = layout[5:10]
@@ -120,14 +138,7 @@ def _records(values: np.ndarray, n_cols: int) -> bytes:
     body[17] = 0
     body[1:] += (_SLOTS[1:] > dot_after + 1).view(np.uint8) * chars
     body += (_SLOTS == dot_after + 1).view(np.uint8) * (46 * (kept > dot_after + 1).view(np.uint8))
-    out[29] = 44  # ","
-    out[29, n_cols - 1 :: n_cols] = 10  # "\n"
-
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = _percent_format(values[slow])
-        out[:-1, slow] = np.frombuffer(text, np.uint8).reshape(-1, _RECORD - 1).T
-    return out.T.tobytes().translate(None, b"\0")
+    return np.flatnonzero(~fast)
 
 
 def write_csv(path, rows, header: str | None = None) -> None:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -94,13 +93,14 @@ def mix(v_rf: np.ndarray, v_if: np.ndarray, model: DiodeModel) -> np.ndarray:
 class MagnitudeCurve:
     """Strictly monotone bias-voltage to reflection-magnitude map.
 
-    Tabulated knots with monotone-cubic interpolation between them. Queries
-    outside the knot span are a domain error, never clamped.
+    Tabulated knots with monotone-cubic (PCHIP) interpolation between them.
+    Queries outside the knot span are a domain error, never clamped.
     """
 
     bias_v: np.ndarray
     magnitude: np.ndarray
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
+    _slope_coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bias = np.asarray(self.bias_v, dtype=float)
@@ -116,7 +116,13 @@ class MagnitudeCurve:
             raise ValueError("magnitude knots must be strictly monotone")
         if np.any(mag < 0) or np.any(mag > 1):
             raise ValueError("magnitudes must lie in [0, 1]")
-        object.__setattr__(self, "_interp", PchipInterpolator(bias, mag))
+        coef = _pchip_coefficients(bias, mag)
+        slope_coef = coef[:3] * np.array([[3.0], [2.0], [1.0]])
+        # scipy's power sum starts from 0.0, so a -0.0 leading term reads +0.0
+        coef[3] += 0.0
+        slope_coef[2] += 0.0
+        object.__setattr__(self, "_coef", coef)
+        object.__setattr__(self, "_slope_coef", slope_coef)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -129,6 +135,29 @@ class MagnitudeCurve:
 
     def __call__(self, v_bias):
         return reflect_magnitude(v_bias, self)
+
+    def _interval(self, v) -> np.ndarray:
+        """Index i of the knot interval x_i <= v < x_{i+1} of each v; the
+        last interval also holds its right end, and the end intervals hold
+        what lies beyond them."""
+        i = np.searchsorted(self.bias_v, v, side="right") - 1
+        return np.clip(i, 0, self.bias_v.size - 2)
+
+    def _interp(self, v, slope: bool = False, i=None):
+        """The interpolant at ``v``, unclipped, and with ``slope`` also its
+        derivative, on the intervals ``i`` (searched if not given). With
+        s = v - x_i the cubic is summed as ((c3 + c2 s) + c1 s^2) + c0 s^3,
+        the order of scipy's PPoly, and its derivative likewise."""
+        v = np.asarray(v, dtype=float)
+        i = self._interval(v) if i is None else i
+        s = v - self.bias_v[i]
+        s2 = s * s
+        c0, c1, c2, c3 = np.take(self._coef, i, axis=1)
+        value = ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+        if not slope:
+            return value
+        d0, d1, d2 = np.take(self._slope_coef, i, axis=1)
+        return value, (d2 + d1 * s) + d0 * s2
 
     @classmethod
     def from_diode(
@@ -151,6 +180,46 @@ class MagnitudeCurve:
             * np.exp(model.alpha_per_volt * v)
         )
         return cls(v, r / (r + z0_ohm))
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, n-1) per-interval coefficients (c0, c1, c2, c3) of the monotone
+    piecewise cubic through (x, y), c0 s^3 + c1 s^2 + c2 s + c3 at s = v - x_i.
+
+    The knot slopes d are Fritsch and Butland's weighted harmonic means of
+    the neighbouring secants (SIAM J. Sci. Stat. Comput. 5, 1984), 0 where
+    the secants differ in sign or one is 0; the end slopes follow Moler's
+    one-sided three-point rule (Numerical Computing with MATLAB, 3.6). Two
+    knots give the line. The formulas and their order are scipy's
+    ``PchipInterpolator``, so the coefficients equal its ``c``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if x.size == 2:
+        d[:] = m[0]
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(all="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Moler's end slope, kept in the direction of the end secant m0 and
+    at most 3 m0 where the secants change sign."""
+    h0, h1, m0, m1 = float(h0), float(h1), float(m0), float(m1)
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
 
 def reflect_magnitude(v_bias, curve: MagnitudeCurve):
     """Interpolated reflection magnitude at a bias voltage inside the domain."""
@@ -177,7 +246,9 @@ def calibrate_predistortion(curve: MagnitudeCurve):
     The returned inverse takes each query's bracket from one ``searchsorted``
     on that table, starts from the secant guess inside it and takes
     ``NEWTON_STEPS`` steps with the interpolant's derivative, each clipped
-    to the bracket (none where the slope is not positive). A query is
+    to the bracket (none where the slope is not positive). A step takes the
+    value and the slope from one evaluation on the bracket's knot interval,
+    searched anew only in brackets that hold a knot. A query is
     accepted when the curve changes sign across v +- xtol/2, with xtol =
     1e-14 + 4 eps max|v| (brentq's tolerance); the rest are bisected from
     their table bracket until it is at most xtol wide and return its
@@ -191,8 +262,8 @@ def calibrate_predistortion(curve: MagnitudeCurve):
     xtol = 1e-14 + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
     sign = 1.0 if d[0] > 0 else -1.0
     v_tab = np.linspace(lo, hi, TABLE_POINTS)
-    g_tab = sign * curve._interp(v_tab)
-    slope = curve._interp.derivative()
+    i_tab = curve._interval(v_tab)
+    g_tab = sign * curve._interp(v_tab, i=i_tab)
 
     def inverse(m):
         m_arr = np.atleast_1d(np.asarray(m, dtype=float))
@@ -206,9 +277,14 @@ def calibrate_predistortion(curve: MagnitudeCurve):
         g_a, g_b = g_tab[j - 1], g_tab[j]
         t = np.divide(target - g_a, g_b - g_a, out=np.full_like(target, 0.5), where=g_b > g_a)
         v = np.clip(a + t * (b - a), a, b)
+        # v stays in [a, b], so its knot interval is the bracket's own
+        # unless a knot lies inside the bracket
+        i = i_tab[j - 1]
+        straddling = np.flatnonzero(i != i_tab[j])
         for _ in range(NEWTON_STEPS):
-            r = sign * curve._interp(v) - target
-            s = sign * slope(v)
+            i[straddling] = curve._interval(v[straddling])
+            g, s = curve._interp(v, slope=True, i=i)
+            r, s = sign * g - target, sign * s
             v = np.clip(v - np.divide(r, s, out=np.zeros_like(r), where=s > 0), a, b)
         ends = np.clip(np.stack([v - xtol / 2, v + xtol / 2]), lo, hi)
         g_ends = sign * curve._interp(ends) - target

@@ -15,6 +15,7 @@ import numpy as np
 
 # inertia of fast Griffin-Lim's extrapolation step (Perraudin et al. 2013)
 GRIFFIN_LIM_MOMENTUM = 0.99
+WINDOW_LENGTH = 256  # samples of the default analysis window
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -77,7 +78,7 @@ def stft(
     columns the non-negative frequency bins.
     """
     x = np.asarray(waveform, dtype=float)
-    window = hann_window(256) if window is None else np.asarray(window, dtype=float)
+    window = hann_window(WINDOW_LENGTH) if window is None else np.asarray(window, dtype=float)
     n = window.size
     hop = n // 2 if hop is None else int(hop)
     if not 1 <= hop <= n:
@@ -202,7 +203,7 @@ def doppler_signature(
     rotors: list[RotorSpec],
     duration_s: float,
     sample_rate_hz: float,
-    window_length: int = 256,
+    window_length: int = WINDOW_LENGTH,
     normalize: bool = True,
 ) -> Spectrogram:
     """Micro-Doppler magnitude template for a multi-rotor target.

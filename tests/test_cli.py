@@ -446,6 +446,30 @@ class TestMain:
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand, override, field", [
+        ("two-stream", {"two_stream": {"snr_db": -1e308}}, "two_stream.snr_db"),  # 10^(1e307)
+        ("two-stream", {"two_stream": {"snr_db": 1e308}}, "two_stream.snr_db"),  # noise power 0
+        ("two-stream", {"two_stream": {"snr_db": 3100.0}}, "two_stream.snr_db"),  # 10^310
+        ("sense", {"sense": {"duration_s": 0.01}}, "sense.duration_s"),  # 20 samples
+        ("sense", {"sense": {"duration_s": 0.1275}}, "sense.duration_s"),  # 255 samples
+        ("sense", {"sense": {"duration_s": 1e306}}, "sense.duration_s"),  # an infinite count
+    ], ids=["snr-huge-negative", "snr-huge", "snr-overflowing", "sense-20-samples",
+            "sense-255-samples", "sense-infinite-samples"])
+    def test_meaningless_value_refused_at_parse(self, tmp_path, capsys, subcommand, override, field):
+        config = write_config(tmp_path, {**SMALL_CONFIG, **override})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("override", [
+        {"two_stream": {"snr_db": 3000.0}},
+        {"two_stream": {"snr_db": -300.0}},
+        {"sense": {"duration_s": 0.128}},  # 256 samples, one window
+    ], ids=["snr-3000", "snr-minus-300", "sense-256-samples"])
+    def test_boundary_values_accepted(self, override):
+        scenario_from_dict(override)
+
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
     @pytest.mark.parametrize("exponent, message", [
         (-1.0, "error: pattern_exponent must be >= 0, got -1.0"),

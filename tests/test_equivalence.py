@@ -20,28 +20,34 @@ and probes built on it, the full-matrices SVD, the
 materialized reflection array, and the CLI's ``simulate`` chain through a
 (K, T) magnitude tile), and within 2e-14 V for the predistortion inverse
 against both the per-query ``brentq`` and the whole-domain array bisection
-that the bracketed Newton inverse replaced. ``duc`` and ``ddc`` on the cached
+that the bracketed Newton inverse replaced. The numpy PCHIP of
+``MagnitudeCurve`` must give scipy's ``PchipInterpolator`` coefficients,
+values and derivative bit for bit. ``duc`` and ``ddc`` on the cached
 pulse taps must match the per-call tap loop exactly. The per-frame
 overlap-add loop must match exactly at hop n/2 (two addends per sample) and
 within 1e-15 at finer hops; the exp(1j angle) fast Griffin-Lim update that
 X/|X| replaced, and the ``sense`` artifacts built on it, within 1e-12. Fast
 Griffin-Lim must give every spoofing probe a fidelity no lower than the plain
 Griffin-Lim loop it replaced. ``write_csv`` must write the bytes of
-``np.savetxt`` and of ``%`` on adversarial values (powers of ten and their
+``np.savetxt`` on both sides of the block size below which ``%`` formats a
+block whole, and of ``%`` on adversarial values (powers of ten and their
 neighbours, the fixed/scientific switch points, exact ties, subnormals,
 specials, large integers and random bit patterns), must leave the ties to
 ``%``, and on a default ``sense`` run must leave it only the exact zeros.
-``channel.raw_bits`` must give the bits of ``integers(0, 2, n)`` exactly.
+``channel.raw_bits`` must give the bits of ``integers(0, 2, n)`` exactly, and
+``ber_sweep``'s noise power must be the in-order sum's, bit for bit.
 """
 
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from metatx import channel, csvio
@@ -186,6 +192,45 @@ def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bit
         hi.append(wh)
         counts.append(total)
     return np.array(values), np.array(lo), np.array(hi), np.array(counts)
+
+
+def reference_base_power(scenario, trials):
+    """The random-phase baseline's mean received power, summed in trial order."""
+    acc = 0.0
+    for trial in range(trials):
+        rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
+        h_eff, h_out = reference_draw_channels(rng, scenario.rx.n_antennas, scenario.n_elements)
+        phi = np.exp(2j * np.pi * rng.random(scenario.n_elements))
+        acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
+    return acc / trials * abs(scenario.carrier_envelope) ** 2
+
+
+class SqrtRecorder:
+    """numpy, but ``sqrt`` records each argument it is given."""
+
+    def __init__(self):
+        self.args = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sqrt(self, x):
+        self.args.append(x)
+        return np.sqrt(x)
+
+
+@pytest.mark.parametrize("n_rx", [1, 2])
+def test_ber_sweep_noise_power_sums_trials_in_order(monkeypatch, n_rx):
+    # ber_sweep's only np.sqrt is the noise amplitude sqrt(sigma2 / 2). A
+    # pairwise sum of the base powers moves sigma2 by an ulp or so, which
+    # seldom flips a demapped bit, so only the noise power itself shows it.
+    scenario = default_scenario(seed=6, rx=TerminalArray.ula(n_rx))
+    snr_db, trials = [2.0, 9.0], 150
+    recorder = SqrtRecorder()
+    monkeypatch.setattr(sim, "np", recorder)
+    sim.ber_sweep(scenario, snr_db, 4, trials=trials, min_bits=trials * 2)
+    p_ref = reference_base_power(scenario, trials)
+    assert recorder.args == [p_ref / 10 ** (s / 10) / 2 for s in snr_db]
 
 
 def reference_ber_sweep_per_trial(scenario, snr_db_list, order, precoding, trials, min_bits):
@@ -1127,6 +1172,68 @@ def test_newton_inverse_matches_bisection_and_brentq(curve):
         inverse(m_lo - 1e-6)
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_pchip_matches_scipy(curve, queries):
+    """Coefficients equal to scipy's, and values and slopes bit for bit."""
+    with np.errstate(over="ignore"):  # scipy's harmonic mean overflows at subnormal secants
+        ref = PchipInterpolator(curve.bias_v, curve.magnitude)
+    assert np.array_equal(curve._coef, ref.c)
+    value, slope = curve._interp(queries, slope=True)
+    assert bits(value) == bits(ref(queries)) == bits(curve._interp(queries))
+    assert bits(slope) == bits(ref.derivative()(queries))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.booleans(), st.data())
+def test_pchip_matches_scipy_on_drawn_curves(n_knots, rising, data):
+    # spacings over five decades; queries at every knot (the last one
+    # included), on a table and at drawn points
+    exponents = data.draw(st.lists(st.floats(-5, 0), min_size=n_knots - 1, max_size=n_knots - 1))
+    x = data.draw(st.floats(-2, 2)) + np.concatenate([[0.0], np.cumsum(10.0 ** np.array(exponents))])
+    y = np.sort(data.draw(st.lists(st.floats(0, 1), min_size=n_knots, max_size=n_knots, unique=True)))
+    curve = mx.MagnitudeCurve(x, y if rising else y[::-1])
+    drawn = data.draw(st.lists(st.floats(x[0], x[-1]), min_size=1, max_size=50))
+    assert_pchip_matches_scipy(curve, np.concatenate([x, np.linspace(x[0], x[-1], 257), drawn]))
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [0.2, 0.8]),
+    ([0.0, 1.0], [0.9, 0.1]),
+    ([0.0, 1.0, 2.0], [0.1, 0.11, 0.9]),  # end slope reset to 0
+    ([0.0, 1e-7, 1.0], [0.9, 0.3, 0.2]),
+    ([0.0, 1.0, 2.0], [-0.0, 0.5, 1.0]),  # a -0.0 knot, queried at -0.0 below
+], ids=["two-rising", "two-falling", "three-flat-end", "three-steep", "negative-zero"])
+def test_pchip_matches_scipy_on_small_curves(x, y):
+    curve = mx.MagnitudeCurve(np.array(x), np.array(y))
+    assert_pchip_matches_scipy(curve, np.concatenate([[-0.0], x, np.linspace(x[0], x[-1], 101)]))
+    assert isinstance(mx.reflect_magnitude(x[-1], curve), float)
+
+
+def test_pchip_end_rule_branches():
+    # Moler's rule resets an end slope that opposes its secant to 0, and
+    # clamps one over 3 m0 to 3 m0 where the secants change sign.
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    reset = mx._pchip_coefficients(x, np.array([0.1, 0.11, 0.9, 1.0]))
+    clamped = mx._pchip_coefficients(x, np.array([0.0, 1.0, -9.0, -9.5]))
+    assert reset[2, 0] == 0.0 and clamped[2, 0] == 3.0
+    for c, y in [(reset, [0.1, 0.11, 0.9, 1.0]), (clamped, [0.0, 1.0, -9.0, -9.5])]:
+        assert np.array_equal(c, PchipInterpolator(x, y).c)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.data())
+def test_pchip_coefficients_match_scipy_on_any_knots(n_knots, data):
+    # non-monotone data with flat and sign-changing secants reaches every
+    # branch of the slope rule, the 3 m0 clamp included
+    x = np.cumsum(data.draw(st.lists(st.sampled_from([1e-3, 0.5, 1.0, 7.0]),
+                                     min_size=n_knots, max_size=n_knots)))
+    y = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n_knots, max_size=n_knots)), float)
+    assert np.array_equal(mx._pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+
+
 def reference_taps(pulse, sps):
     """``PulseShape.taps`` as the per-call scalar loop, rebuilt on every call."""
     if pulse.kind == "rect":
@@ -1312,6 +1419,10 @@ def test_fast_griffin_lim_fidelity_at_least_plain(monkeypatch, payload):
     assert all(f >= p for f, p in zip(fast, plain) if f is not None), (fast, plain)
 
 
+# Small blocks go to ``%`` whole; 0 sends every block through numpy's digits.
+BOTH_PATHS = (csvio.PERCENT_BELOW, 0)
+
+
 def savetxt_bytes(path, rows, header=None):
     np.savetxt(path, rows, delimiter=",", fmt="%.17g", header=header or "", comments="")
     return path.read_bytes()
@@ -1332,8 +1443,11 @@ def savetxt_bytes(path, rows, header=None):
 )
 @pytest.mark.parametrize("header", [None, "re0,im0"], ids=["no-header", "header"])
 def test_write_csv_matches_savetxt_bytes(tmp_path, rows, header):
-    write_csv(tmp_path / "new.csv", rows, header)
-    assert (tmp_path / "new.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", rows, header)
+    ref = savetxt_bytes(tmp_path / "ref.csv", rows, header)
+    for percent_below in BOTH_PATHS:
+        with mock.patch.object(csvio, "PERCENT_BELOW", percent_below):
+            write_csv(tmp_path / "new.csv", rows, header)
+        assert (tmp_path / "new.csv").read_bytes() == ref
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1349,8 +1463,23 @@ def test_write_csv_matches_savetxt_bytes_on_drawn_floats(tmp_path_factory, n_row
     if data.draw(st.booleans()):
         rows = rows[:, 0]
     tmp = tmp_path_factory.mktemp("csv")
-    write_csv(tmp / "new.csv", rows)
+    with mock.patch.object(csvio, "PERCENT_BELOW", data.draw(st.sampled_from(BOTH_PATHS))):
+        write_csv(tmp / "new.csv", rows)
     assert (tmp / "new.csv").read_bytes() == savetxt_bytes(tmp / "ref.csv", rows)
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (csvio.PERCENT_BELOW - 1,), (csvio.PERCENT_BELOW,), (csvio.PERCENT_BELOW + 1,),
+    (csvio.PERCENT_BELOW // 2, 2), (csvio.PERCENT_BELOW // 2 + 1, 2),
+    (csvio.BLOCK_VALUES + csvio.PERCENT_BELOW - 1,),  # a last block below the crossover
+], ids=str)
+def test_write_csv_matches_savetxt_on_both_sides_of_the_crossover(tmp_path, formatted, shape):
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    write_csv(tmp_path / "new.csv", rows)
+    assert (tmp_path / "new.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", rows)
+    tail = math.prod(shape) % csvio.BLOCK_VALUES  # every value of these rows is certified
+    assert len(formatted) == (tail if tail < csvio.PERCENT_BELOW else 0)
 
 
 def percent_bytes(values):

@@ -7,7 +7,8 @@ seed their trials through ``channel.trial_generators``, not one
 ``default_rng`` per trial, and take their norms through
 ``precoder.row_norms``, not one ``np.linalg.norm`` per row, and the
 two-stream solver's Newton finish takes no eigendecomposition and has no
-size limit.
+size limit, and the runtime needs numpy alone: no module imports scipy, and
+importing the CLI loads none of it.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -20,6 +21,9 @@ import ast
 import importlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,6 +125,21 @@ def test_csv_encoder_imports_numpy_alone():
     # power-of-ten table is built from Python ints, not with fractions
     # (about 13 ms to import) or decimal.
     assert imported_modules((SRC / "csvio.py").read_text()) == {"numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # scipy is a test dependency only; importing scipy.interpolate alone
+    # used to cost more start-up time than most CLI runs spend computing.
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_cli_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, metatx.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 FILE_WRITERS = {"cli.py", "csvio.py"}  # the library computes; these lay out its files

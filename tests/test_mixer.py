@@ -151,12 +151,9 @@ class _CountingInterp:
     def __init__(self, interp):
         self.interp, self.calls = interp, 0
 
-    def __call__(self, v):
+    def __call__(self, v, **kwargs):
         self.calls += 1
-        return self.interp(v)
-
-    def derivative(self):
-        return self.interp.derivative()
+        return self.interp(v, **kwargs)
 
 
 def _steep_curve():
