@@ -234,13 +234,15 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     cfg = effective_config(user)
     _sense_inputs(cfg["sense"])  # rotors and probes are checked before any output
     snr_db = cfg["two_stream"]["snr_db"]
-    try:  # the experiment divides by both powers
-        powers = (10 ** (snr_db / 10), 10 ** (-snr_db / 10))
+    try:  # the experiment divides by both powers, and its gradient squares the noise power
+        snr, noise = 10 ** (snr_db / 10), 10 ** (-snr_db / 10)
+        finite = 0 < snr < math.inf and 0 < noise and noise * noise < math.inf
     except OverflowError:
-        powers = (math.inf,)
-    if not all(0 < p < math.inf for p in powers):
+        finite = False
+    if not finite:
         raise ConfigError(f"two_stream.snr_db: the linear SNR 10^(snr_db/10) and the noise power "
-                          f"10^(-snr_db/10) must be finite numbers > 0, got {snr_db!r}")
+                          f"10^(-snr_db/10) must be finite numbers > 0, and the noise power's "
+                          f"square finite, got {snr_db!r}")
     geometry = _checked("geometry", lambda: ArrayGeometry(**cfg["geometry"]))
     grid = _checked("grid", lambda: hemisphere_grid(cfg["grid"]["n_theta"], cfg["grid"]["n_phi"]))
     modem = cfg["modem"]

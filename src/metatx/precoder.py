@@ -457,7 +457,7 @@ def exhaustive_phase_oracle(
     total = levels**n_elements
     if total > budget:
         raise ValueError(f"{levels}^{n_elements} = {total} exceeds budget {budget}")
-    angles = 2 * np.pi * np.arange(levels) / levels
+    phasors = np.exp(1j * (2 * np.pi * np.arange(levels) / levels))
     best_val = -np.inf
     best_idx = None
     for lo in range(0, total, batch):
@@ -467,9 +467,9 @@ def exhaustive_phase_oracle(
         for pos in range(n_elements - 1, -1, -1):
             digits[:, pos] = rem % levels
             rem //= levels
-        scores = np.asarray(objective(np.exp(1j * angles[digits])))
+        scores = np.asarray(objective(phasors[digits]))
         arg = int(np.argmax(scores))
         if scores[arg] > best_val:
             best_val = float(scores[arg])
             best_idx = digits[arg].copy()
-    return np.exp(1j * angles[best_idx]), best_val
+    return phasors[best_idx], best_val

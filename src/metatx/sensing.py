@@ -4,7 +4,9 @@ A target micro-Doppler spectrogram is turned into a drive waveform by an
 inverse short-time Fourier transform; the forward transform and a
 correlation score verify what a radar observer would recover. Analysis uses
 a periodic Hann window at 50% hop by default, which satisfies the constant
-overlap-add condition needed for exact resynthesis.
+overlap-add condition needed for exact resynthesis. Rotor returns are real,
+templates are scaled to peak 1 by ``Spectrogram.peak_normalized``, and the
+correlation score compares grids of equal shape only.
 """
 
 from __future__ import annotations
@@ -63,6 +65,18 @@ class Spectrogram:
     @property
     def n_frames(self) -> int:
         return self.values.shape[0]
+
+    def peak_normalized(self) -> Spectrogram:
+        """The magnitude grid scaled to peak 1, same framing; an all-zero grid stays 0."""
+        grid = self.magnitude
+        peak = grid.max()
+        return Spectrogram(
+            values=grid / peak if peak > 0 else grid,
+            hop=self.hop,
+            window_length=self.window_length,
+            sample_rate_hz=self.sample_rate_hz,
+            n_samples=self.n_samples,
+        )
 
 
 def stft(
@@ -170,23 +184,23 @@ def rotor_blade_signal(
     duration_s: float,
     sample_rate_hz: float,
 ) -> np.ndarray:
-    """Complex return of one rotor: one FM component per blade.
+    """Real return of one rotor: one FM component per blade.
 
     Each blade's instantaneous Doppler swings sinusoidally between
     +-max_doppler_hz at the rotor rate, offset by the blade's position on
-    the hub.
+    the hub; the return sums the blades' cosines.
     """
     if blade_count < 1:
         raise ValueError("blade_count must be >= 1")
     if max_doppler_hz >= sample_rate_hz / 2:
         raise ValueError("max Doppler must stay below Nyquist")
     t = np.arange(int(round(duration_s * sample_rate_hz))) / sample_rate_hz
-    signal = np.zeros(t.size, dtype=complex)
+    signal = np.zeros(t.size)
     for blade in range(blade_count):
         offset = 2 * np.pi * blade / blade_count
         inst_f = max_doppler_hz * np.sin(2 * np.pi * rotor_rate_hz * t + offset)
         phase = 2 * np.pi * np.cumsum(inst_f) / sample_rate_hz
-        signal += np.exp(1j * phase)
+        signal += np.cos(phase)
     return signal
 
 
@@ -200,17 +214,12 @@ class RotorSpec:
 
 
 def doppler_signature(
-    rotors: list[RotorSpec],
-    duration_s: float,
-    sample_rate_hz: float,
-    window_length: int = WINDOW_LENGTH,
-    normalize: bool = True,
+    rotors: list[RotorSpec], duration_s: float, sample_rate_hz: float
 ) -> Spectrogram:
     """Micro-Doppler magnitude template for a multi-rotor target.
 
-    The per-rotor complex components are summed in the signal domain before
-    taking the spectrogram magnitude; with ``normalize`` the grid is scaled
-    to peak 1 and clipped into [0, 1].
+    The rotors' real returns are summed in the signal domain; the template
+    is the magnitude of that sum's spectrogram, scaled to peak 1.
     """
     if not rotors:
         raise ValueError("need at least one rotor")
@@ -220,54 +229,19 @@ def doppler_signature(
         )
         for r in rotors
     )
-    window = hann_window(window_length)
-    spec = stft(signal.real, sample_rate_hz, window)
-    grid = spec.magnitude
-    if normalize:
-        peak = grid.max()
-        if peak > 0:
-            grid = np.clip(grid / peak, 0.0, 1.0)
-    return Spectrogram(
-        values=grid,
-        hop=spec.hop,
-        window_length=window_length,
-        sample_rate_hz=sample_rate_hz,
-        n_samples=spec.n_samples,
-    )
+    return stft(signal, sample_rate_hz).peak_normalized()
 
 
-def signature_fidelity(
-    target: Spectrogram, recovered: Spectrogram, resample: bool = False
-) -> float:
+def signature_fidelity(target: Spectrogram, recovered: Spectrogram) -> float:
     """Normalized zero-lag 2-d cross-correlation of magnitude grids in [-1, 1].
 
-    Grids must share a shape unless ``resample`` is set, in which case the
-    recovered grid is linearly resampled onto the target's shape. A
-    zero-energy operand scores 0 by convention.
+    Grids must share a shape. A zero-energy operand scores 0 by convention.
     """
     a = target.magnitude
     b = recovered.magnitude
     if a.shape != b.shape:
-        if not resample:
-            raise ValueError(
-                f"grid shapes differ {a.shape} vs {b.shape}; pass resample=True"
-            )
-        b = _resample_grid(b, a.shape)
+        raise ValueError(f"grid shapes differ {a.shape} vs {b.shape}")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return 0.0
     return float(np.sum(a * b) / (na * nb))
-
-
-def _resample_grid(grid: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Separable linear resampling of a 2-d grid onto a new shape."""
-    rows = np.linspace(0, grid.shape[0] - 1, shape[0])
-    cols = np.linspace(0, grid.shape[1] - 1, shape[1])
-    tmp = np.stack(
-        [np.interp(rows, np.arange(grid.shape[0]), grid[:, c]) for c in range(grid.shape[1])],
-        axis=1,
-    )
-    return np.stack(
-        [np.interp(cols, np.arange(grid.shape[1]), tmp[r]) for r in range(shape[0])],
-        axis=0,
-    )

@@ -34,7 +34,7 @@ from .channel import (
 )
 from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
 from .reflection import SurfaceConfig
-from .sensing import RotorSpec, Spectrogram, doppler_signature, istft_synthesize, signature_fidelity, stft
+from .sensing import RotorSpec, doppler_signature, istft_synthesize, signature_fidelity, stft
 
 
 FADING_MODES = ("rayleigh", "bypass")
@@ -662,12 +662,13 @@ def doppler_spoof_experiment(
 ) -> dict:
     """Full spoofing chain: template -> waveform -> surface -> probes -> stft.
 
-    The target magnitude spectrogram is inverted to a drive waveform (25
-    passes of fast Griffin-Lim phase refinement), mapped into the
-    reflection-magnitude range, transmitted with uniform magnitudes and
-    seeded random phases across elements, and observed from each probe
-    direction. Reports per-probe recovered spectrograms, their fidelity
-    against the target, and the pairwise probe correlation.
+    The target, the peak-normalized spectrogram of the rotors' summed real
+    returns, is inverted to a drive waveform (25 passes of fast Griffin-Lim
+    phase refinement), mapped into the reflection-magnitude range,
+    transmitted with uniform magnitudes and seeded random phases across
+    elements, and observed from each probe direction. Reports per-probe
+    recovered spectrograms (peak-normalized, on the target's grid), their
+    fidelity against the target, and the pairwise probe correlation.
     """
     seed = scenario.seed
     link = build_link(scenario)
@@ -683,35 +684,18 @@ def doppler_spoof_experiment(
     strength = np.abs(coupling)
     excluded = [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
 
-    recovered, fidelities = [], []
+    recovered = [None] * len(coupling)
     for p, c in enumerate(coupling):
-        if p in excluded:
-            recovered.append(None)
-            fidelities.append(None)
-            continue
-        y = add_noise(c * alpha, scenario.sigma2, np.random.default_rng([seed, 0x0B5, p]))
-        x_hat = combine(y, c, scale)
-        spec = stft(x_hat, signal_rate_hz, window=None, hop=None)
-        spec = Spectrogram(
-            values=spec.magnitude / spec.magnitude.max(),
-            hop=spec.hop,
-            window_length=spec.window_length,
-            sample_rate_hz=spec.sample_rate_hz,
-            n_samples=spec.n_samples,
-        )
-        recovered.append(spec)
-        fidelities.append(signature_fidelity(target, spec, resample=True))
-
+        if p not in excluded:
+            y = add_noise(c * alpha, scenario.sigma2, np.random.default_rng([seed, 0x0B5, p]))
+            recovered[p] = stft(combine(y, c, scale), signal_rate_hz).peak_normalized()
     kept = [s for s in recovered if s is not None]
-    cross = 1.0
-    for a in range(len(kept)):
-        for b in range(a + 1, len(kept)):
-            cross = min(cross, signature_fidelity(kept[a], kept[b], resample=True))
+    pairs = [signature_fidelity(a, b) for a, b in itertools.combinations(kept, 2)]
     return {
         "target": target,
         "drive_waveform": drive_wave,
         "recovered": recovered,
-        "fidelities": fidelities,
-        "probe_cross_correlation": cross if len(kept) > 1 else None,
+        "fidelities": [None if s is None else signature_fidelity(target, s) for s in recovered],
+        "probe_cross_correlation": min([1.0, *pairs]) if pairs else None,
         "excluded_probes": excluded,
     }

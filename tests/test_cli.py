@@ -450,17 +450,26 @@ class TestMain:
         ("two-stream", {"two_stream": {"snr_db": -1e308}}, "two_stream.snr_db"),  # 10^(1e307)
         ("two-stream", {"two_stream": {"snr_db": 1e308}}, "two_stream.snr_db"),  # noise power 0
         ("two-stream", {"two_stream": {"snr_db": 3100.0}}, "two_stream.snr_db"),  # 10^310
+        ("two-stream", {"two_stream": {"snr_db": -1545.0}}, "two_stream.snr_db"),  # noise power^2 10^309
         ("sense", {"sense": {"duration_s": 0.01}}, "sense.duration_s"),  # 20 samples
         ("sense", {"sense": {"duration_s": 0.1275}}, "sense.duration_s"),  # 255 samples
         ("sense", {"sense": {"duration_s": 1e306}}, "sense.duration_s"),  # an infinite count
-    ], ids=["snr-huge-negative", "snr-huge", "snr-overflowing", "sense-20-samples",
-            "sense-255-samples", "sense-infinite-samples"])
+    ], ids=["snr-huge-negative", "snr-huge", "snr-overflowing", "snr-noise-square-overflowing",
+            "sense-20-samples", "sense-255-samples", "sense-infinite-samples"])
     def test_meaningless_value_refused_at_parse(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})
         out_dir = tmp_path / "out"
         assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
         assert f"error: {field}: " in capsys.readouterr().err
         assert not out_dir.exists()
+
+    # the solver's gradient squares the noise power 10^154 in Python floats;
+    # past about -1541.3 dB the square overflows, which parsing refuses above
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_stream_runs_just_inside_the_squared_noise_bound(self, tmp_path):
+        config = write_config(tmp_path, {**SMALL_CONFIG, "two_stream": {"n_symbols": 100, "snr_db": -1540.0}})
+        assert main(["two-stream", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "two_stream.json").exists()
 
     @pytest.mark.parametrize("override", [
         {"two_stream": {"snr_db": 3000.0}},

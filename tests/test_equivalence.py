@@ -35,7 +35,12 @@ neighbours, the fixed/scientific switch points, exact ties, subnormals,
 specials, large integers and random bit patterns), must leave the ties to
 ``%``, and on a default ``sense`` run must leave it only the exact zeros.
 ``channel.raw_bits`` must give the bits of ``integers(0, 2, n)`` exactly, and
-``ber_sweep``'s noise power must be the in-order sum's, bit for bit.
+``ber_sweep``'s noise power must be the in-order sum's, bit for bit. The real
+rotor return must be the complex return's real part, ``doppler_signature``
+the normalise-and-clip grid it built by hand, and ``peak_normalized`` the
+hand-built ``magnitude / magnitude.max()`` of each probe, all bit for bit; the
+oracle's phasor table must give the per-entry ``exp(1j angle)`` optimum and
+value exactly.
 """
 
 import itertools
@@ -80,7 +85,15 @@ from metatx.geometry import (
     unit_vector,
 )
 from metatx.reflection import SurfaceConfig
-from metatx.sensing import RotorSpec, Spectrogram, doppler_signature, hann_window, istft_synthesize, stft
+from metatx.sensing import (
+    RotorSpec,
+    Spectrogram,
+    doppler_signature,
+    hann_window,
+    istft_synthesize,
+    rotor_blade_signal,
+    stft,
+)
 from metatx.simulator import default_scenario, wilson_interval
 
 
@@ -1554,3 +1567,114 @@ def test_write_csv_refuses_more_than_two_axes_before_writing(tmp_path):
     with pytest.raises(ValueError, match="1D or 2D"):
         write_csv(tmp_path / "cube.csv", np.zeros((2, 2, 2)))
     assert not (tmp_path / "cube.csv").exists()
+
+
+def reference_rotor_blade_signal(rotor_rate_hz, blade_count, max_doppler_hz, duration_s, sample_rate_hz):
+    """``rotor_blade_signal`` before its return became real: a complex exp(1j phase) per blade."""
+    t = np.arange(int(round(duration_s * sample_rate_hz))) / sample_rate_hz
+    signal = np.zeros(t.size, dtype=complex)
+    for blade in range(blade_count):
+        offset = 2 * np.pi * blade / blade_count
+        inst_f = max_doppler_hz * np.sin(2 * np.pi * rotor_rate_hz * t + offset)
+        phase = 2 * np.pi * np.cumsum(inst_f) / sample_rate_hz
+        signal += np.exp(1j * phase)
+    return signal
+
+
+def reference_doppler_signature(rotors, duration_s, sample_rate_hz, window_length=256, normalize=True):
+    """``doppler_signature`` before ``peak_normalized``: the complex sum's real part, normalised and clipped."""
+    signal = sum(
+        reference_rotor_blade_signal(r.rate_hz, r.blades, r.max_doppler_hz, duration_s, sample_rate_hz)
+        for r in rotors
+    )
+    spec = stft(signal.real, sample_rate_hz, hann_window(window_length))
+    grid = spec.magnitude
+    if normalize:
+        peak = grid.max()
+        if peak > 0:
+            grid = np.clip(grid / peak, 0.0, 1.0)
+    return Spectrogram(grid, spec.hop, window_length, sample_rate_hz, spec.n_samples)
+
+
+@pytest.mark.parametrize("duration_s", [2.0, 20.0])
+@pytest.mark.parametrize("blades", [1, 2, 3])
+@pytest.mark.parametrize("rate_hz, max_doppler_hz", [(4.0, 300.0), (6.5, 500.0)])
+def test_real_rotor_return_matches_complex_real_part(duration_s, blades, rate_hz, max_doppler_hz):
+    new = rotor_blade_signal(rate_hz, blades, max_doppler_hz, duration_s, 2000.0)
+    ref = reference_rotor_blade_signal(rate_hz, blades, max_doppler_hz, duration_s, 2000.0)
+    assert new.dtype == np.float64
+    assert np.array_equal(new, ref.real)
+
+
+@pytest.mark.parametrize("rotors, duration_s, sample_rate_hz", [
+    ([RotorSpec(4.0, 2, 300.0), RotorSpec(6.5, 3, 500.0)], 2.0, 2000.0),
+    ([RotorSpec(4.0, 2, 300.0), RotorSpec(6.5, 3, 500.0)], 20.0, 2000.0),
+    ([RotorSpec(4.0, 2, 300.0), RotorSpec(6.5, 3, 500.0)], 5.0, 3000.0),
+    ([RotorSpec(1.0, 1, 300.0)], 4.0, 2000.0),
+    ([RotorSpec(0.0, 1, 300.0)], 2.0, 2000.0),
+], ids=["default", "20s", "5s-3kHz", "one-rotor", "zero-rate"])
+def test_doppler_signature_matches_normalise_and_clip(rotors, duration_s, sample_rate_hz):
+    new = doppler_signature(rotors, duration_s, sample_rate_hz)
+    ref = reference_doppler_signature(rotors, duration_s, sample_rate_hz)
+    assert np.array_equal(new.values, ref.values)
+    assert (new.hop, new.window_length, new.sample_rate_hz, new.n_samples) == (
+        ref.hop, ref.window_length, ref.sample_rate_hz, ref.n_samples)
+
+
+def test_peak_normalized_matches_hand_built_grid_and_keeps_zero_grid():
+    # doppler_spoof_experiment built each probe's grid as magnitude / magnitude.max()
+    spec = stft(np.random.default_rng(4).standard_normal(3000), 2000.0)
+    assert np.array_equal(spec.peak_normalized().values, spec.magnitude / spec.magnitude.max())
+    zero = Spectrogram(np.zeros((10, 129)), 128, 256, 2000.0, n_samples=1280).peak_normalized()
+    assert np.array_equal(zero.values, np.zeros((10, 129)))
+    assert (zero.hop, zero.window_length, zero.n_samples) == (128, 256, 1280)
+
+
+def reference_exhaustive_phase_oracle(objective, n_elements, levels, budget=10**7, batch=1 << 16):
+    """``exhaustive_phase_oracle`` computing exp(1j angle) on every grid entry."""
+    total = levels**n_elements
+    if total > budget:
+        raise ValueError(f"{levels}^{n_elements} = {total} exceeds budget {budget}")
+    angles = 2 * np.pi * np.arange(levels) / levels
+    best_val = -np.inf
+    best_idx = None
+    for lo in range(0, total, batch):
+        idx = np.arange(lo, min(lo + batch, total))
+        digits = np.empty((idx.size, n_elements), dtype=int)
+        rem = idx.copy()
+        for pos in range(n_elements - 1, -1, -1):
+            digits[:, pos] = rem % levels
+            rem //= levels
+        scores = np.asarray(objective(np.exp(1j * angles[digits])))
+        arg = int(np.argmax(scores))
+        if scores[arg] > best_val:
+            best_val = float(scores[arg])
+            best_idx = digits[arg].copy()
+    return np.exp(1j * angles[best_idx]), best_val
+
+
+@pytest.mark.parametrize("seed", [3000, 3007, 3019])  # criterion 03's seeds
+def test_phasor_table_oracle_matches_per_entry_exp_on_criterion_03(seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    h_eff = rayleigh_matrix(rng, 4)
+    h_out = rayleigh_matrix(rng, 2, 4)
+
+    def power(batch):
+        return np.sum(np.abs((batch * h_eff) @ h_out.T) ** 2, axis=1)
+
+    new = pc.exhaustive_phase_oracle(power, 4, 32)
+    ref = reference_exhaustive_phase_oracle(power, 4, 32)
+    assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]
+
+
+@pytest.mark.parametrize("n_elements, levels, batch", [(1, 4, 1 << 16), (3, 7, 50), (5, 6, 1000)])
+def test_phasor_table_oracle_matches_per_entry_exp_on_drawn_objectives(n_elements, levels, batch):
+    # batches that split the grid unevenly, and an objective that reads each phasor's bits
+    weights = np.random.default_rng([n_elements, levels]).standard_normal((n_elements, 2))
+
+    def objective(b):
+        return b.real @ weights[:, 0] + b.imag @ weights[:, 1]
+
+    new = pc.exhaustive_phase_oracle(objective, n_elements, levels, batch=batch)
+    ref = reference_exhaustive_phase_oracle(objective, n_elements, levels, batch=batch)
+    assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]

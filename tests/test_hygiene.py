@@ -7,8 +7,9 @@ seed their trials through ``channel.trial_generators``, not one
 ``default_rng`` per trial, and take their norms through
 ``precoder.row_norms``, not one ``np.linalg.norm`` per row, and the
 two-stream solver's Newton finish takes no eigendecomposition and has no
-size limit, and the runtime needs numpy alone: no module imports scipy, and
-importing the CLI loads none of it.
+size limit, the runtime needs numpy alone: no module imports scipy, and
+importing the CLI loads none of it, and the sense chain scales its
+spectrograms to peak 1 only through ``Spectrogram.peak_normalized``.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -329,3 +330,17 @@ def test_newton_finish_takes_no_eigendecomposition_and_no_size_limit():
 def test_sweep_norms_go_through_row_norms(module, function):
     # A per-row np.linalg.norm loop costs a call per trial; row_norms gives the same bits.
     assert "np.linalg.norm" not in dotted_calls((SRC / module).read_text(), function)
+
+
+@pytest.mark.parametrize("module, function, own_peaks", [
+    ("sensing.py", "doppler_signature", []),
+    ("simulator.py", "doppler_spoof_experiment", ["strength.max"]),  # the probe-exclusion threshold
+])
+def test_spectrograms_normalise_only_through_peak_normalized(module, function, own_peaks):
+    # One peak normalisation serves the template and every probe: no grid
+    # divided by its own max, no clip, no hand-built Spectrogram.
+    source = (SRC / module).read_text()
+    calls = dotted_calls(source, function)
+    assert "peak_normalized" in called_attributes(source, function)
+    assert not {"Spectrogram", "np.clip", "np.max", "np.amax"} & set(calls)
+    assert [c for c in calls if c.endswith(".max")] == own_peaks
