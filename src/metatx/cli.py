@@ -35,6 +35,7 @@ from .sensing import WINDOW_LENGTH, RotorSpec
 from .simulator import ScenarioConfig
 
 OUT_DIR_ENV = "METATX_OUT"
+MAX_SENSE_SAMPLES = 2**31  # 12 days at 2 kHz; its sense arrays would pass 100 GB
 
 
 class ConfigError(ValueError):
@@ -212,10 +213,10 @@ def _path_component(entry: dict, where: str) -> PathComponent:
 def _sense_inputs(sense: dict) -> tuple[list[RotorSpec], list[Direction]]:
     """The sense rotors and probe directions; a bad entry names its index."""
     samples = sense["duration_s"] * sense["signal_rate_hz"]  # rounded as the run rounds it
-    if not (math.isfinite(samples) and round(samples) >= WINDOW_LENGTH):
-        raise ConfigError(f"sense.duration_s: duration_s * signal_rate_hz must round to a finite "
-                          f"count of at least {WINDOW_LENGTH} samples, one analysis window, "
-                          f"got {samples!r}")
+    if not (math.isfinite(samples) and WINDOW_LENGTH <= round(samples) <= MAX_SENSE_SAMPLES):
+        raise ConfigError(f"sense.duration_s: duration_s * signal_rate_hz must round to a count "
+                          f"of at least {WINDOW_LENGTH} samples, one analysis window, and at "
+                          f"most {MAX_SENSE_SAMPLES}, got {samples!r}")
     nyquist = sense["signal_rate_hz"] / 2
     for i, r in enumerate(sense["rotors"]):
         if r["max_doppler_hz"] >= nyquist:

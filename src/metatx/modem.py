@@ -55,34 +55,45 @@ def constellation(order: int) -> QamConstellation:
     return QamConstellation(order)
 
 
-def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
-    """Map a bit array (values 0/1) to unit-energy QAM symbols."""
+def qam_indices(bits: np.ndarray, order: int) -> np.ndarray:
+    """Symbol indices of a bit array (values 0/1), ``k`` bits per index, MSB first."""
     bits = np.asarray(bits, dtype=int)
-    const = constellation(order)
-    k = const.bits_per_symbol
+    k = constellation(order).bits_per_symbol
     if bits.size % k != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {k}")
-    return const.points[bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))]
+    return bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
 
 
-def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest-point hard decisions back to bits, sliced per axis.
+def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
+    """Map a bit array (values 0/1) to unit-energy QAM symbols."""
+    return constellation(order).points[qam_indices(bits, order)]
+
+
+def qam_decide(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Nearest-point hard decisions as symbol indices (flattened), sliced per axis.
 
     With ``side`` levels per axis and ``norm`` the unit-energy scale, an axis
     value ``x`` decides level ``clip(rint((x * norm + side - 1) / 2))``, whose
     Gray code is the axis's bit group; memory is linear in the symbol count
     whatever the order. An exact midpoint goes to the even level (levels count
     from 0 at the most negative amplitude; ``rint`` rounds half to even):
-    ``0+0j`` gives bits ``00`` at 4-QAM and ``1111`` at 16-QAM.
+    ``0+0j`` gives index 0 at 4-QAM and 15 at 16-QAM. With Gray coding, the
+    bit errors of a decision are the popcount of its index XOR the sent one.
     """
-    symbols = np.asarray(symbols, dtype=complex)
+    symbols = np.asarray(symbols, dtype=complex).ravel()
     k = constellation(order).bits_per_symbol
     side = 1 << (k // 2)
     norm = math.sqrt(2 * (side * side - 1) / 3)
-    axes = np.stack((symbols.real, symbols.imag)) * norm
+    axes = symbols.view(float).reshape(-1, 2) * norm  # (re, im) pairs
     level = np.clip(np.rint((axes + (side - 1)) / 2), 0, side - 1).astype(int)
     gray = level ^ (level >> 1)
-    idx = (gray[0] << (k // 2)) | gray[1]
+    return (gray[:, 0] << (k // 2)) | gray[:, 1]
+
+
+def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Nearest-point hard decisions back to bits: ``qam_decide``'s indices, MSB first."""
+    k = constellation(order).bits_per_symbol
+    idx = qam_decide(symbols, order)
     return ((idx[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
 
 

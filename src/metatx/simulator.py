@@ -283,7 +283,8 @@ def ber_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     snr_db_list = np.asarray(snr_db_list, dtype=float)
-    bits_per_symbol = md.constellation(order).bits_per_symbol
+    const = md.constellation(order)
+    bits_per_symbol, points = const.bits_per_symbol, const.points
     n_rx = scenario.rx.n_antennas
     k = scenario.n_elements
     sym_per_trial = max(1, math.ceil(min_bits / bits_per_symbol / trials))
@@ -311,9 +312,11 @@ def ber_sweep(
 
     # Each trial draws from its own seed [seed, point, trial], bits first (as
     # the raw words ``integers(0, 2, n_bits)`` reads) and then the noise's
-    # real and imaginary parts; bits, map, channel, noise, maximum ratio
-    # combining and demap then run once per block of trials. The stacked
-    # products round as the per-trial ones did.
+    # real and imaginary parts; map, channel, noise, maximum ratio combining,
+    # decide and a popcount on symbol indices then run once per block of
+    # trials. Gray coding makes a decision's bit errors the popcount of its
+    # index XOR the sent one. The stacked products round as the per-trial
+    # ones did.
     n_bits = sym_per_trial * bits_per_symbol
     n_words = -(-n_bits // 2)  # raw 64-bit words behind integers(0, 2, n_bits)
     per_block = max(1, BER_BLOCK_SYMBOLS // sym_per_trial)
@@ -331,14 +334,13 @@ def ber_sweep(
                 words[i] = rng.bit_generator.random_raw(n_words)
                 if sigma2 > 0:
                     rng.standard_normal(out=noise[i])
-            tx_bits = raw_bits(words, n_bits)
-            x = md.qam_map(tx_bits, order).reshape(n_trials, 1, sym_per_trial)
+            tx_idx = md.qam_indices(raw_bits(words, n_bits), order)
+            x = points[tx_idx].reshape(n_trials, 1, sym_per_trial)
             y = gains[block, :, None] * x
             if sigma2 > 0:
                 y = y + np.sqrt(sigma2 / 2) * complex_from_parts(noise[:, 0], noise[:, 1])
             z = (gains[block, None, :].conj() @ y)[:, 0] / gain_power[block, None]
-            rx_bits = md.qam_demap(z.ravel(), order)
-            errors += int(np.sum(rx_bits != tx_bits.ravel()))
+            errors += int(np.bitwise_count(md.qam_decide(z, order) ^ tx_idx).sum())
         total = trials * n_bits
         values.append(errors / total)
         wl, wh = wilson_interval(errors, total)

@@ -454,8 +454,12 @@ class TestMain:
         ("sense", {"sense": {"duration_s": 0.01}}, "sense.duration_s"),  # 20 samples
         ("sense", {"sense": {"duration_s": 0.1275}}, "sense.duration_s"),  # 255 samples
         ("sense", {"sense": {"duration_s": 1e306}}, "sense.duration_s"),  # an infinite count
+        ("sense", {"sense": {"duration_s": 1e300}}, "sense.duration_s"),  # 2e303 samples
+        # 2**31 + 1 samples: one past the bound (never run, it would not fit in memory)
+        ("sense", {"sense": {"duration_s": (2**31 + 1) / 2000}}, "sense.duration_s"),
     ], ids=["snr-huge-negative", "snr-huge", "snr-overflowing", "snr-noise-square-overflowing",
-            "sense-20-samples", "sense-255-samples", "sense-infinite-samples"])
+            "sense-20-samples", "sense-255-samples", "sense-infinite-samples",
+            "sense-huge-samples", "sense-one-past-the-bound"])
     def test_meaningless_value_refused_at_parse(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})
         out_dir = tmp_path / "out"
@@ -475,7 +479,8 @@ class TestMain:
         {"two_stream": {"snr_db": 3000.0}},
         {"two_stream": {"snr_db": -300.0}},
         {"sense": {"duration_s": 0.128}},  # 256 samples, one window
-    ], ids=["snr-3000", "snr-minus-300", "sense-256-samples"])
+        {"sense": {"duration_s": 2**31 / 2000}},  # the largest count: parsed here, never run
+    ], ids=["snr-3000", "snr-minus-300", "sense-256-samples", "sense-largest-count"])
     def test_boundary_values_accepted(self, override):
         scenario_from_dict(override)
 

@@ -7,8 +7,9 @@ channel at every SNR point, the one that mapped, combined and demapped one
 trial at a time, the sweep artifacts, the per-trial ``closed_form_phases``
 calls that the stacked one replaced, the per-point QAM constellation loop,
 the per-bit packing loop of ``qam_map``, ``qam_map`` and ``qam_demap`` on a
-constellation rebuilt on every call, and the dense nearest-point QAM demap
-away from decision boundaries), within the solver gate for the
+constellation rebuilt on every call, the dense nearest-point QAM demap
+away from decision boundaries, and the demap that sliced stacked axes and
+expanded its own bits, on midpoints, infinities and 1e300), within the solver gate for the
 two-stream solver that switched on ``which``, relabelled the channels for
 the second stream, validated every projection and retraction and evaluated
 the full sum SINR per trial, and for the two-stream experiment that kept its
@@ -1074,6 +1075,36 @@ def reference_demap(symbols, order, chunk=2000):
     for i in range(k):
         bits[i::k] = (idx >> (k - 1 - i)) & 1
     return bits
+
+
+def reference_stacked_demap(symbols, order):
+    """``qam_demap`` as it sliced ``np.stack((re, im))`` and expanded bits itself."""
+    k = order.bit_length() - 1
+    side = 1 << (k // 2)
+    norm = math.sqrt(2 * (side * side - 1) / 3)
+    axes = np.stack((symbols.real, symbols.imag)) * norm
+    level = np.clip(np.rint((axes + (side - 1)) / 2), 0, side - 1).astype(int)
+    gray = level ^ (level >> 1)
+    idx = (gray[0] << (k // 2)) | gray[1]
+    return ((idx[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_index_decisions_match_stacked_axis_demap(order):
+    rng = np.random.default_rng([order, 0x1D])
+    side = int(math.sqrt(order))
+    norm = math.sqrt(2 * (side * side - 1) / 3)
+    midpoints = (2 * np.arange(side + 1) - side) / norm  # and one step past each edge
+    specials = np.array([0.0, 1e300, -1e300, np.inf, -np.inf, *midpoints])
+    noisy = rng.choice(md.QamConstellation(order).points, 4000) + 0.3 * (
+        rng.normal(size=4000) + 1j * rng.normal(size=4000))
+    pairs = np.empty((specials.size, specials.size), dtype=complex)  # every (re, im) pair
+    pairs.real, pairs.imag = specials[:, None], specials
+    symbols = np.concatenate([pairs.ravel(), noisy])
+    bits = reference_stacked_demap(symbols, order)
+    assert np.array_equal(md.qam_demap(symbols, order), bits)
+    assert np.array_equal(md.qam_decide(symbols, order), md.qam_indices(bits, order))
+    assert np.array_equal(md.qam_decide(symbols[::3], order), md.qam_decide(symbols, order)[::3])
 
 
 def reference_inverse(curve, m):

@@ -268,6 +268,14 @@ def test_sweeps_build_no_generator_per_trial(function):
     assert not {"default_rng", "integers"} & set(called)
 
 
+def test_ber_sweep_counts_bit_errors_on_symbol_indices():
+    # With Gray coding the bit errors are the popcount of sent XOR decided
+    # index; expanding both into int64 bit arrays costs more than the count.
+    called = set(called_attributes((SRC / "simulator.py").read_text(), "ber_sweep"))
+    assert {"qam_indices", "qam_decide", "bitwise_count"} <= called
+    assert not {"qam_map", "qam_demap"} & called
+
+
 def dotted_calls(source: str, function: str | None = None) -> list[str]:
     """Dotted names called (``np.linalg.norm``), in ``function``'s body or the whole module."""
     tree = ast.parse(source)

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from metatx.channel import MAX_KERNEL_GAIN, rayleigh_matrix, selection_vector, trial_generators
 from metatx.geometry import Direction, hemisphere_grid
 from metatx.mixer import MagnitudeCurve, calibrate_predistortion
-from metatx.modem import QamConstellation, qam_demap, qam_map
+from metatx.modem import QAM_ORDERS, QamConstellation, qam_decide, qam_demap, qam_indices, qam_map
 from metatx.precoder import (
     TwoStreamChannels,
     alternating_optimize,
@@ -39,7 +39,7 @@ angles = st.floats(0.0, 2 * np.pi, allow_nan=False)
 
 @st.composite
 def bit_streams(draw):
-    order = draw(st.sampled_from((4, 16, 64, 256, 1024)))
+    order = draw(st.sampled_from(QAM_ORDERS))
     k = QamConstellation(order).bits_per_symbol
     n_symbols = draw(st.integers(1, 40))
     bits = draw(st.lists(st.integers(0, 1), min_size=n_symbols * k, max_size=n_symbols * k))
@@ -50,7 +50,36 @@ def bit_streams(draw):
 @given(bit_streams())
 def test_qam_round_trip(stream):
     order, bits = stream
-    assert np.array_equal(qam_demap(qam_map(bits, order), order), bits)
+    symbols = qam_map(bits, order)
+    assert np.array_equal(qam_demap(symbols, order), bits)
+    assert np.array_equal(qam_decide(symbols, order), qam_indices(bits, order))
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_qam_round_trip_through_symbol_indices(order):
+    k = QamConstellation(order).bits_per_symbol
+    bits = ((np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()  # every symbol
+    assert np.array_equal(qam_decide(qam_map(bits, order), order), qam_indices(bits, order))
+
+
+@st.composite
+def symbol_pairs(draw):
+    order = draw(st.sampled_from(QAM_ORDERS))
+    n = draw(st.integers(1, 40))
+    axis = st.floats(-2.0, 2.0, allow_nan=False)
+    a, b = (np.array(draw(st.lists(st.builds(complex, axis, axis), min_size=n, max_size=n)))
+            for _ in range(2))
+    return order, a, b
+
+
+@FAST
+@given(symbol_pairs())
+@example((16, np.array([0j, 1e300 - 1e300j]), np.array([-np.inf + 0j, 2 / np.sqrt(10) + 0j])))
+def test_index_popcount_counts_the_differing_bits(pair):
+    # Gray coding: a decision's bit errors are the popcount of index XOR index
+    order, a, b = pair
+    differing = np.bitwise_count(qam_decide(a, order) ^ qam_decide(b, order)).sum()
+    assert differing == np.sum(qam_demap(a, order) != qam_demap(b, order))
 
 
 @st.composite
