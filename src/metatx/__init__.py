@@ -20,7 +20,6 @@ from .geometry import (
     hemisphere_grid,
     phase_difference_matrix,
     steering_factors,
-    steering_vector,
     transform_matrix,
     unit_vector,
 )

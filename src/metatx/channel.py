@@ -65,8 +65,9 @@ class TerminalArray:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveChannels:
-    """Element-domain channels seen by the surface: H_i, H_o and h_eff = H_i w_t."""
+    """The factored W and the element-domain channels it folds: H_i, H_o, h_eff = H_i w_t."""
 
+    transform: FieldTransform
     h_in: np.ndarray    # (K, N_t)
     h_out: np.ndarray   # (N_r, K)
     h_eff: np.ndarray   # (K,)
@@ -184,7 +185,7 @@ def effective_channels(
         raise ValueError("w_t length must match the tx antenna count")
     h_in = transform.apply(h_tx_surface)
     h_out = transform.apply(h_surface_rx.conj().T).conj().T
-    return EffectiveChannels(h_in=h_in, h_out=h_out, h_eff=h_in @ w_t)
+    return EffectiveChannels(transform=transform, h_in=h_in, h_out=h_out, h_eff=h_in @ w_t)
 
 
 def add_noise(y: np.ndarray, sigma2: float, seed) -> np.ndarray:
@@ -199,14 +200,7 @@ def add_noise(y: np.ndarray, sigma2: float, seed) -> np.ndarray:
     if sigma2 == 0:
         return y.copy()
     re, im = np.random.default_rng(seed).standard_normal((2, *y.shape))  # real part drawn first
-    return y + np.sqrt(sigma2 / 2) * complex_from_parts(re, im)
-
-
-def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + j im. With i.i.d. standard-normal parts, the real ones drawn first,
-    this is the unscaled CN(0, 2) draw behind every noise and fading sample;
-    callers scale it, so each keeps its exact arithmetic and its RNG stream."""
-    return re + 1j * im
+    return y + np.sqrt(sigma2 / 2) * (re + 1j * im)
 
 
 def rayleigh_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -216,7 +210,7 @@ def rayleigh_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 def rayleigh_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """``rayleigh_matrix`` from standard-normal parts drawn elsewhere."""
-    return complex_from_parts(re, im) / np.sqrt(2)
+    return (re + 1j * im) / np.sqrt(2)
 
 
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.

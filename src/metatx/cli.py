@@ -244,6 +244,10 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
         raise ConfigError(f"two_stream.snr_db: the linear SNR 10^(snr_db/10) and the noise power "
                           f"10^(-snr_db/10) must be finite numbers > 0, and the noise power's "
                           f"square finite, got {snr_db!r}")
+    for i, point in enumerate(cfg["sweep"]["snr_db"]):  # 10^(snr_db/10) within [1e-300, 1e300]
+        if math.isfinite(point) and abs(point) > 3000:
+            raise ConfigError(f"sweep.snr_db[{i}]: must lie in [-3000, 3000] dB, or be Infinity "
+                              f"for a noise-free point, got {point!r}")
     geometry = _checked("geometry", lambda: ArrayGeometry(**cfg["geometry"]))
     grid = _checked("grid", lambda: hemisphere_grid(cfg["grid"]["n_theta"], cfg["grid"]["n_phi"]))
     modem = cfg["modem"]

@@ -1,4 +1,4 @@
-"""Array geometry: directions, element positions, steering and the field transform.
+"""Array geometry: directions, steering and the field transform.
 
 Angles follow the physics convention: ``theta`` is the zenith angle measured
 from the surface normal (z axis), ``phi`` the azimuth in the surface plane.
@@ -126,26 +126,6 @@ def unit_vector(direction: Direction) -> np.ndarray:
     """Cartesian unit vector [sin(t)cos(p), sin(t)sin(p), cos(t)] of a direction."""
     t, p = direction.theta, direction.phi
     return np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
-
-
-def element_positions(geom: ArrayGeometry) -> np.ndarray:
-    """Electrical position vectors of all elements, shape (K, 3), radians.
-
-    Row-major: element k (0-based) sits at row i = k // K_c + 1 and column
-    j = k % K_c + 1, both 1-based in the position formula.
-    """
-    scale = 2 * np.pi * geom.spacing_m / geom.wavelength_m
-    i = np.repeat(np.arange(1, geom.rows + 1), geom.cols)
-    j = np.tile(np.arange(1, geom.cols + 1), geom.rows)
-    pos = np.zeros((geom.n_elements, 3))
-    pos[:, 0] = scale * i
-    pos[:, 1] = scale * j
-    return pos
-
-
-def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
-    """Per-element phase progression exp(-j u(dir)^T p_k), shape (K,)."""
-    return np.exp(-1j * element_positions(geom) @ unit_vector(direction))
 
 
 def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:

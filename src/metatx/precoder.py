@@ -157,20 +157,12 @@ def _gradient(rows_conj, inner, noise, other, sigma2):
     return rows_conj @ [2 / noise * d_phi, leak_scale * leak_phi]
 
 
-def _gradient_at(phi, phi_other, rows, rows_other, sigma2):
-    """:func:`_gradient` of ``phi``'s stream, its inner products computed afresh."""
-    held = _held((phi_other @ rows_other).tolist(), sigma2)
-    return _gradient(rows.conj(), (phi @ rows).tolist(), *held, sigma2)
-
-
 def euclidean_gradient_phi1(phi1, phi2, ch: TwoStreamChannels) -> np.ndarray:
-    """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi1."""
-    return _gradient_at(phi1, phi2, *_rows(ch), ch.sigma2)
-
-
-def euclidean_gradient_phi2(phi1, phi2, ch: TwoStreamChannels) -> np.ndarray:
-    """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi2."""
-    return _gradient_at(phi2, phi1, *_rows(ch)[::-1], ch.sigma2)
+    """Euclidean (Wirtinger) gradient of the sum SINR with respect to phi1; at
+    (phi2, phi1) on ``TwoStreamChannels(b1=c2, b2=c1, c1=b2, c2=b1)``, to phi2."""
+    rows1, rows2 = _rows(ch)
+    held = _held((phi2 @ rows2).tolist(), ch.sigma2)
+    return _gradient(rows1.conj(), (phi1 @ rows1).tolist(), *held, ch.sigma2)
 
 
 def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -327,7 +319,7 @@ MAX_RADIUS = 0.5  # each start's first and largest trust radius, in rad over all
 
 def alternating_optimize(
     ch: TwoStreamChannels,
-    init: str | tuple[np.ndarray, np.ndarray] = "random",
+    init: str = "random",
     seed: int | None = 0,
     tol: float = 1e-6,
     max_iter: int = 500,
@@ -340,8 +332,8 @@ def alternating_optimize(
     direct channel ignoring cross terms, "nulling" co-phases the component of
     each desired channel orthogonal to the own-stream interference channel,
     and "multi" tries the closed-form and nulling starts plus ``restarts``
-    (>= 0) random starts; the best run is kept. The deterministic starts and
-    an explicit (phi1, phi2) tuple run once, whatever ``restarts`` says.
+    (>= 0) random starts; the best run is kept. The deterministic starts
+    run once, whatever ``restarts`` says.
     The objective trace of the returned run is monotone non-decreasing by
     construction. If the budget of ``max_iter`` (>= 1) iterations runs out
     before the relative improvement drops below ``tol`` (>= 0), the
@@ -388,11 +380,7 @@ def alternating_optimize(
             return aligned(ch.b1, ch.c1), aligned(ch.c2, ch.b2)
         return np.exp(2j * np.pi * rng.random(n)), np.exp(2j * np.pi * rng.random(n))
 
-    if isinstance(init, tuple):
-        starts = [tuple(np.asarray(p, dtype=complex) for p in init)]
-        if any(np.any(np.abs(np.abs(p) - 1) > 1e-9) for p in starts[0]):
-            raise ValueError("init phases must be unit modulus")
-    elif init in ("closed_form", "nulling"):
+    if init in ("closed_form", "nulling"):
         starts = [start(init)]
     elif init in ("random", "multi"):
         least = 1 if init == "random" else 0
@@ -401,7 +389,7 @@ def alternating_optimize(
         starts = [start("closed_form"), start("nulling")] if init == "multi" else []
         starts += [start("random") for _ in range(restarts)]
     else:
-        raise ValueError("init must be 'random', 'closed_form', 'nulling', 'multi' or a tuple")
+        raise ValueError("init must be 'random', 'closed_form', 'nulling' or 'multi'")
 
     rows1, rows2 = _rows(ch)
     sigma2 = ch.sigma2

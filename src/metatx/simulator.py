@@ -19,12 +19,12 @@ import numpy as np
 from . import modem as md
 from . import precoder as pc
 from .channel import (
+    EffectiveChannels,
     PathComponent,
     TerminalArray,
     add_noise,
     channel_surface_to_rx,
     channel_tx_to_surface,
-    complex_from_parts,
     effective_channels,
     raw_bits,
     rayleigh_from_parts,
@@ -114,17 +114,7 @@ def default_scenario(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-@dataclass(eq=False)
-class LinkState:
-    """Deterministic part of one scenario: the factored W and the folded channels."""
-
-    transform: FieldTransform
-    h_in: np.ndarray
-    h_out: np.ndarray
-    h_eff: np.ndarray
-
-
-def build_link(scenario: ScenarioConfig) -> LinkState:
+def build_link(scenario: ScenarioConfig) -> EffectiveChannels:
     """Assemble the transform, H_i, H_o and h_eff from the scenario's path lists."""
     pattern = _element_pattern(scenario.grid, scenario.pattern_exponent)
     transform = FieldTransform.on_grid(scenario.geometry, scenario.grid, pattern)
@@ -134,8 +124,7 @@ def build_link(scenario: ScenarioConfig) -> LinkState:
     h_rx = channel_surface_to_rx(
         scenario.paths_surface_to_rx, scenario.rx, scenario.grid, scenario.carrier_hz
     )
-    eff = effective_channels(transform, h_tx, h_rx, scenario.tx_beam)
-    return LinkState(transform=transform, h_in=eff.h_in, h_out=eff.h_out, h_eff=eff.h_eff)
+    return effective_channels(transform, h_tx, h_rx, scenario.tx_beam)
 
 
 def _reflect(rows: np.ndarray, surface: SurfaceConfig) -> np.ndarray:
@@ -151,7 +140,7 @@ def _reflect(rows: np.ndarray, surface: SurfaceConfig) -> np.ndarray:
 def simulate_rx(
     scenario: ScenarioConfig,
     surface: SurfaceConfig,
-    link: LinkState | None = None,
+    link: EffectiveChannels | None = None,
 ) -> np.ndarray:
     """Received signal y(t) = H_o diag(gamma(t)) h_eff s_c + n(t).
 
@@ -165,7 +154,7 @@ def simulate_rx(
     return add_noise(y, scenario.sigma2, scenario.seed)
 
 
-def _probe_rows(scenario: ScenarioConfig, link: LinkState, probes) -> np.ndarray:
+def _probe_rows(scenario: ScenarioConfig, link: EffectiveChannels, probes) -> np.ndarray:
     """Outgoing channel rows v(dir)^T W^H for single-antenna probes, (P, K)."""
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])  # (P, M), real
     return link.transform.apply(sel.T).conj().T
@@ -175,7 +164,7 @@ def isotropy_check(
     scenario: ScenarioConfig,
     surface: SurfaceConfig,
     probe_directions: list[Direction],
-    link: LinkState | None = None,
+    link: EffectiveChannels | None = None,
 ) -> dict:
     """Maximum pairwise deviation of normalized symbol streams across probes.
 
@@ -338,7 +327,7 @@ def ber_sweep(
             x = points[tx_idx].reshape(n_trials, 1, sym_per_trial)
             y = gains[block, :, None] * x
             if sigma2 > 0:
-                y = y + np.sqrt(sigma2 / 2) * complex_from_parts(noise[:, 0], noise[:, 1])
+                y = y + np.sqrt(sigma2 / 2) * (noise[:, 0] + 1j * noise[:, 1])
             z = (gains[block, None, :].conj() @ y)[:, 0] / gain_power[block, None]
             errors += int(np.bitwise_count(md.qam_decide(z, order) ^ tx_idx).sum())
         total = trials * n_bits
@@ -445,12 +434,10 @@ def _unit_scaled(x):
 
 
 def _unit_envelope(envelope: complex) -> complex:
-    """``envelope``, or where its square underflows, its rescale to about 1.
+    """``envelope`` scaled by the power of two that puts its modulus in [1, 2).
     Where the noise is set relative to the received signal, signal and noise
     scale alike, so no sample decision changes."""
-    if abs(envelope) >= _SQRT_TINY:
-        return envelope
-    return complex(_unit_scaled(envelope)[0])
+    return complex(2 * _unit_scaled(envelope)[0])
 
 
 def combine(y: np.ndarray, gain, scale: float) -> np.ndarray:
@@ -507,8 +494,6 @@ def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
     bits = rng.integers(0, 2, n_symbols * md.constellation(order).bits_per_symbol)
     wave = md.duc(md.qam_map(bits, order), scenario.modem, scenario.pulse)
     alpha, scale = _magnitude_drive(wave.samples)
-    if np.any(alpha < 0) or np.any(alpha > 1):
-        raise ValueError("surface magnitudes must stay in [0, 1]")
     link = build_link(scenario)
     phases = pc.closed_form_phases(link.h_out, link.h_eff).phases[0]
     # Every element carries the same series alpha(t), so the received signal

@@ -17,8 +17,8 @@ from metatx.geometry import (
     Direction,
     FieldTransform,
     hemisphere_grid,
-    steering_vector,
 )
+from reference import steering_vector
 
 FC = 5.8e9
 

@@ -451,6 +451,9 @@ class TestMain:
         ("two-stream", {"two_stream": {"snr_db": 1e308}}, "two_stream.snr_db"),  # noise power 0
         ("two-stream", {"two_stream": {"snr_db": 3100.0}}, "two_stream.snr_db"),  # 10^310
         ("two-stream", {"two_stream": {"snr_db": -1545.0}}, "two_stream.snr_db"),  # noise power^2 10^309
+        ("ber-sweep", {"sweep": {"snr_db": [0.0, -3100.0]}}, "sweep.snr_db[1]"),  # p_ref / 10^-310 overflows
+        ("ber-sweep", {"sweep": {"snr_db": [-1e308]}}, "sweep.snr_db[0]"),  # 10^(-1e307) is 0
+        ("ber-sweep", {"sweep": {"snr_db": [1e308]}}, "sweep.snr_db[0]"),  # 10^(1e307) overflows
         ("sense", {"sense": {"duration_s": 0.01}}, "sense.duration_s"),  # 20 samples
         ("sense", {"sense": {"duration_s": 0.1275}}, "sense.duration_s"),  # 255 samples
         ("sense", {"sense": {"duration_s": 1e306}}, "sense.duration_s"),  # an infinite count
@@ -458,6 +461,7 @@ class TestMain:
         # 2**31 + 1 samples: one past the bound (never run, it would not fit in memory)
         ("sense", {"sense": {"duration_s": (2**31 + 1) / 2000}}, "sense.duration_s"),
     ], ids=["snr-huge-negative", "snr-huge", "snr-overflowing", "snr-noise-square-overflowing",
+            "sweep-snr-minus-3100", "sweep-snr-huge-negative", "sweep-snr-huge",
             "sense-20-samples", "sense-255-samples", "sense-infinite-samples",
             "sense-huge-samples", "sense-one-past-the-bound"])
     def test_meaningless_value_refused_at_parse(self, tmp_path, capsys, subcommand, override, field):
@@ -478,9 +482,11 @@ class TestMain:
     @pytest.mark.parametrize("override", [
         {"two_stream": {"snr_db": 3000.0}},
         {"two_stream": {"snr_db": -300.0}},
+        {"sweep": {"snr_db": [-3000.0, 3000.0, float("inf")]}},
         {"sense": {"duration_s": 0.128}},  # 256 samples, one window
         {"sense": {"duration_s": 2**31 / 2000}},  # the largest count: parsed here, never run
-    ], ids=["snr-3000", "snr-minus-300", "sense-256-samples", "sense-largest-count"])
+    ], ids=["snr-3000", "snr-minus-300", "sweep-snr-bounds", "sense-256-samples",
+            "sense-largest-count"])
     def test_boundary_values_accepted(self, override):
         scenario_from_dict(override)
 

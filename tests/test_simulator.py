@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import metatx.precoder as pc
@@ -28,6 +30,20 @@ from metatx.simulator import (
 @pytest.fixture
 def scenario():
     return default_scenario()
+
+
+# An envelope and a power of two to scale it by: its parts stay normal floats
+# either way, so the scaled envelope is exact.
+envelope_parts = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+ENVELOPE_SCALINGS = (
+    st.builds(complex, envelope_parts, envelope_parts).filter(bool),
+    st.integers(-500, 500),
+)
+
+
+def scaled(envelope: complex, k: int) -> complex:
+    """envelope * 2^k, exact while both parts stay normal floats."""
+    return complex(math.ldexp(envelope.real, k), math.ldexp(envelope.imag, k))
 
 
 def gray_qam_ber(order, snr_lin):
@@ -231,6 +247,26 @@ class TestBerSweep:
         assert np.array_equal(a.values, b.values)
         assert a.values[0] > a.values[1]
 
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(*ENVELOPE_SCALINGS)
+    @example(envelope=1e3 + 1e3j, k=500)
+    @example(envelope=-1e-3j, k=-500)
+    @pytest.mark.parametrize("fading", ["rayleigh", "bypass"])
+    def test_envelope_scaled_by_a_power_of_two_gives_the_same_ber(self, fading, envelope, k):
+        a, b = (
+            ber_sweep(default_scenario(fading=fading, seed=3, carrier_envelope=env),
+                      [-10.0, 6.0, math.inf], 16, precoding="closed_form", trials=5, min_bits=2000)
+            for env in (envelope, scaled(envelope, k))
+        )
+        assert np.array_equal(a.values, b.values)
+
+    def test_huge_envelope_at_a_very_low_snr_reads_as_noise(self):
+        # 1e150 squared and over 10^-10 would overflow the noise power to inf.
+        sc = default_scenario(seed=4, carrier_envelope=1e150 + 0j)
+        with np.errstate(all="raise"):
+            result = ber_sweep(sc, [-100.0], 16, precoding="closed_form", trials=5, min_bits=2000)
+        assert 0.45 <= result.values[0] <= 0.55
+
     def test_invalid_precoding(self, scenario):
         with pytest.raises(ValueError):
             ber_sweep(scenario, [10.0], 16, precoding="zf")
@@ -388,6 +424,18 @@ class TestTwoStream:
         with np.errstate(all="raise"):
             a = two_stream_experiment(tiny, snr_db=20.0, n_symbols=60)
         b = two_stream_experiment(normal, snr_db=20.0, n_symbols=60)
+        assert (a["rx_before"], a["rx_after"]) == (b["rx_before"], b["rx_after"])
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(*ENVELOPE_SCALINGS)
+    @example(envelope=1e3 + 1e3j, k=500)
+    @example(envelope=-1e-3j, k=-500)
+    def test_envelope_scaled_by_a_power_of_two_gives_the_same_metrics(self, envelope, k):
+        a, b = (
+            two_stream_experiment(default_scenario(seed=4, carrier_envelope=env),
+                                  snr_db=10.0, n_symbols=60)
+            for env in (envelope, scaled(envelope, k))
+        )
         assert (a["rx_before"], a["rx_after"]) == (b["rx_before"], b["rx_after"])
 
     def test_criterion_06_starts_converge_at_or_above_the_ascent(self, monkeypatch):
