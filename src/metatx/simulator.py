@@ -440,6 +440,22 @@ def _unit_envelope(envelope: complex) -> complex:
     return complex(2 * _unit_scaled(envelope)[0])
 
 
+def unit_carrier(scenario: ScenarioConfig) -> tuple[complex, float]:
+    """The carrier envelope scaled by 2^-e to a modulus in [1/2, 1), and
+    sigma2 scaled by 2^-2e: signal and noise scale alike and exactly (the
+    square root of a power of four is exact), so no sample decision changes.
+    Raises ValueError where the scaled noise power is not a finite float.
+    """
+    envelope, e = _unit_scaled(scenario.carrier_envelope)
+    try:
+        return complex(envelope), math.ldexp(scenario.sigma2, -2 * e)
+    except OverflowError:
+        raise ValueError(
+            f"sigma2 / |carrier_envelope|^2 must be a finite noise power, got sigma2 "
+            f"{scenario.sigma2!r} with carrier_envelope {scenario.carrier_envelope!r}"
+        ) from None
+
+
 def combine(y: np.ndarray, gain, scale: float) -> np.ndarray:
     """Recover the IF drive waveform from the received signal.
 
@@ -474,6 +490,7 @@ def demodulate(scenario: ScenarioConfig, x_hat, bits, order: int, n_symbols: int
     if symbols.size < 2:
         raise ValueError(f"demodulate needs at least 2 symbols, got {symbols.size}")
     ref = md.qam_map(bits, order)[: symbols.size]
+    symbols = _unit_scaled(symbols)[0]  # the fit is scale-free; no vdot overflows
     fit = np.vdot(symbols, ref) / np.vdot(symbols, symbols)
     aligned = symbols * fit
     rx_bits = md.qam_demap(aligned, order)
@@ -496,10 +513,11 @@ def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
     alpha, scale = _magnitude_drive(wave.samples)
     link = build_link(scenario)
     phases = pc.closed_form_phases(link.h_out, link.h_eff).phases[0]
+    envelope, sigma2 = unit_carrier(scenario)
     # Every element carries the same series alpha(t), so the received signal
     # is the phased link gain times that series: no (K, T) magnitude array.
-    gain = (link.h_out * link.h_eff[np.newaxis, :]) @ phases * scenario.carrier_envelope
-    y = add_noise(np.outer(gain, alpha), scenario.sigma2, scenario.seed)
+    gain = (link.h_out * link.h_eff[np.newaxis, :]) @ phases * envelope
+    y = add_noise(np.outer(gain, alpha), sigma2, scenario.seed)
     ref, aligned, metrics = demodulate(scenario, combine(y, gain, scale), bits, order, n_symbols)
     return {
         "tx_symbols": ref,
@@ -667,14 +685,15 @@ def doppler_spoof_experiment(
 
     rows = _probe_rows(scenario, link, probe_directions)
     coupling = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)
-    coupling = coupling * scenario.carrier_envelope
+    envelope, sigma2 = unit_carrier(scenario)
+    coupling = coupling * envelope
     strength = np.abs(coupling)
     excluded = [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
 
     recovered = [None] * len(coupling)
     for p, c in enumerate(coupling):
         if p not in excluded:
-            y = add_noise(c * alpha, scenario.sigma2, np.random.default_rng([seed, 0x0B5, p]))
+            y = add_noise(c * alpha, sigma2, np.random.default_rng([seed, 0x0B5, p]))
             recovered[p] = stft(combine(y, c, scale), signal_rate_hz).peak_normalized()
     kept = [s for s in recovered if s is not None]
     pairs = [signature_fidelity(a, b) for a, b in itertools.combinations(kept, 2)]

@@ -1,9 +1,11 @@
 """Dense and per-element references that only the tests use: element
-positions and steering vectors, element by element, and the two-stream
-solver's angle gradient and Hessian assembled in full."""
+positions and steering vectors, element by element, the two-stream
+solver's angle gradient and Hessian assembled in full, and its trust-region
+iteration with every trial solving its model from scratch."""
 
 import numpy as np
 
+from metatx import precoder as pc
 from metatx.channel import TerminalArray
 from metatx.geometry import ArrayGeometry, Direction
 
@@ -63,3 +65,59 @@ def reference_joint_derivatives(phis, rows_pair, sigma2):
             -np.outer(g_s, grads[o][1]) / noise_o**2 - np.outer(g_l, grads[o][0]) / noise**2
         )
     return grad, hess
+
+
+def reference_truncated_cg(grad, hess, radius, value):
+    """Steihaug-Toint truncated CG run from scratch, one ``hess`` call per
+    iteration: the step, its model gain and whether it ended inside, as
+    ``precoder._truncated_cg`` returns them for any radius."""
+    step, resid, direction = np.zeros_like(grad), grad, grad
+    rr = float(grad @ grad)
+    stop = min(rr * rr, 1e-6 * rr * value**2)
+    for _ in range(grad.size):
+        if rr * value**2 <= stop:
+            break
+        h_dir = hess(direction)
+        curvature = float(direction @ h_dir)
+        nxt = step + rr / -curvature * direction if curvature < 0 else None
+        if nxt is None or nxt @ nxt >= radius**2:
+            a, b, c = direction @ direction, step @ direction, step @ step - radius**2
+            tau = (np.sqrt(b * b - a * c) - b) / a
+            step = step + tau * direction
+            return step, float(step @ (grad + resid + tau * h_dir)) / 2, False
+        resid, step = resid + rr / -curvature * h_dir, nxt
+        rr, rr_prev = float(resid @ resid), rr
+        direction = resid + rr / rr_prev * direction
+    return step, float(step @ (grad + resid)) / 2, True
+
+
+def reference_trust_step(phis, rows_pair, sigma2, current, radius, products):
+    """``precoder._trust_step`` with each trial's CG run from scratch.
+
+    Appends each trial's Hessian-vector products to ``products``, the first
+    trial's first, and returns what ``_trust_step`` returns but its count.
+    """
+    grad, hess = pc._joint_model(phis, rows_pair, sigma2)
+
+    def counted(v):
+        products[-1] += 1
+        return hess(v)
+
+    rejected = 0
+    while radius > 1e-12:
+        products.append(0)
+        step, model_gain, interior = reference_truncated_cg(grad, counted, radius, current)
+        if not model_gain > 0:
+            break
+        candidate = tuple(p * turn for p, turn in zip(phis, np.split(np.exp(1j * step), 2)))
+        (d1, l1), (d2, l2) = ((p @ rows).tolist() for p, rows in zip(candidate, rows_pair))
+        new = abs(d1) ** 2 / (abs(l2) ** 2 + sigma2) + abs(d2) ** 2 / (abs(l1) ** 2 + sigma2)
+        ratio = (new - current) / model_gain
+        if ratio < 0.25:
+            radius = 0.25 * float(np.sqrt(step @ step))
+        elif ratio > 0.75 and not interior:
+            radius = min(2 * radius, pc.MAX_RADIUS)
+        if ratio > 0.1:
+            return candidate, new, radius, rejected, True
+        rejected += 1
+    return phis, current, radius, rejected, False

@@ -557,6 +557,53 @@ class TestMain:
         assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_steep_pattern_with_noise_fits_the_phase_without_overflow(self, tmp_path):
+        # The link gain is about 1e-139 per element, so combining puts the
+        # noise-dominated symbols near 5e260: their squared norm would overflow.
+        config = write_config(tmp_path, {"seed": 4, "pattern_exponent": 20000, "sigma2": 1e-30})
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out_dir), "--quiet"]) == 0
+        metrics = json.loads((out_dir / "simulate_metrics.json").read_text())
+        assert 0.4 < metrics["ber"] < 0.6 and np.isfinite(metrics["evm_db"])
+        for path in out_dir.glob("*.csv"):
+            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("subcommand", ["simulate", "sense"])
+    def test_huge_carrier_envelope_runs_clean(self, tmp_path, subcommand):
+        # |envelope| is 1.4e308: the link gain scales by a power of two to
+        # about 1, and sigma2 by its square, before any product is taken.
+        config = write_config(tmp_path, {"carrier_envelope": {"re": 1e308, "im": 1e308},
+                                         "sense": {"duration_s": 1.0}})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir), "--quiet"]) == 0
+        if subcommand == "simulate":
+            assert json.loads((out_dir / "simulate_metrics.json").read_text())["ber"] == 0.0
+        else:
+            metrics = json.loads((out_dir / "sense_metrics.json").read_text())
+            assert metrics["excluded_probes"] == [] and min(metrics["fidelities"]) > 0.9
+        for path in out_dir.glob("*.csv"):
+            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "sense"])
+    @pytest.mark.parametrize("override", [
+        {"carrier_envelope": {"re": 1e-300, "im": 0.0}, "sigma2": 1e300},
+        {"carrier_envelope": {"re": 1e-320, "im": 0.0}, "sigma2": 1e-3},  # subnormal envelope
+    ], ids=["tiny-envelope-huge-noise", "subnormal-envelope"])
+    def test_noise_power_beyond_the_float_range_names_sigma2(
+        self, tmp_path, capsys, subcommand, override
+    ):
+        # sigma2 / |envelope|^2 is not a float: the run is refused, not left
+        # to write non-finite samples.
+        config = write_config(tmp_path, {**override, "sense": {"duration_s": 1.0}})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
+        assert "error: sigma2: " in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        with pytest.raises(ConfigError, match="^sigma2: "):
+            run(subcommand, config, tmp_path / "again")
+
     def test_pattern_exponent_bound_is_inclusive(self):
         scenario, _ = scenario_from_dict({"pattern_exponent": 0.0})
         assert scenario.pattern_exponent == 0.0

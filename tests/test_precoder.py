@@ -16,7 +16,7 @@ from metatx.precoder import (
     riemannian_project,
     sum_sinr,
 )
-from reference import reference_joint_derivatives
+from reference import reference_joint_derivatives, reference_trust_step, reference_truncated_cg
 
 
 def random_two_stream(seed, n=4, cross=0.5, sigma2=0.1):
@@ -277,6 +277,89 @@ class TestJointDerivatives:
         assert abs(u @ hess(v) - v @ hess(u)) <= 1e-12 * value * np.abs(u).sum() * np.abs(v).sum()
 
 
+def counted(hess, calls):
+    """``hess`` appending one entry to ``calls`` per product."""
+    return lambda v: calls.append(1) or hess(v)
+
+
+def same_bits(new, ref):
+    """Equal tuples whose arrays and floats match bit for bit."""
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        if isinstance(a, tuple):
+            same_bits(a, b)
+        else:
+            assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestTrustRegion:
+    """Trials of one Newton iteration share one Steihaug CG path."""
+
+    @staticmethod
+    def model_at(half, sigma2, cross, seed, iterations):
+        """Channels, a phase pair and the value, gradient and H.v there: a
+        random pair, or one ``iterations`` solver iterations from a start."""
+        ch, _, phis, grad, hess = drawn_model(half, sigma2, cross, seed)
+        if iterations:
+            phis = tuple(alternating_optimize(ch, init="nulling", tol=0, max_iter=iterations).phases)
+            grad, hess = pc._joint_model(phis, pc._rows(ch), sigma2)
+        return ch, phis, sum_sinr(*phis, ch), grad, hess
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*MODEL_DRAWS, st.sampled_from([0, 2, 8]), st.sampled_from([pc.MAX_RADIUS, 1e3]))
+    def test_cached_path_matches_cg_from_scratch(self, half, sigma2, cross, seed, iterations,
+                                                 radius):
+        _, _, value, grad, hess = self.model_at(half, sigma2, cross, seed, iterations)
+        # the radii a run of rejected trials takes, each a quarter of the last step
+        radii = []
+        while radius > 1e-12 and len(radii) < 8:
+            radii.append(radius)
+            step = reference_truncated_cg(grad, hess, radius, value)[0]
+            radius = 0.25 * float(np.sqrt(step @ step))
+        # shrinking, then growing past the cached path
+        for order in (radii, radii[::-1]):
+            path, calls, longest = [], [], 0
+            for radius in order:
+                ref_calls = []
+                ref = reference_truncated_cg(grad, counted(hess, ref_calls), radius, value)
+                same_bits(pc._truncated_cg(grad, counted(hess, calls), radius, value, path), ref)
+                longest = max(longest, len(ref_calls))
+                assert len(calls) == len(path) == longest
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(*MODEL_DRAWS, st.sampled_from([0, 2, 8]),
+           st.sampled_from([pc.MAX_RADIUS, 0.05, 1e-3, 1e-11]))
+    def test_trust_step_matches_trials_from_scratch(self, half, sigma2, cross, seed, iterations,
+                                                    radius):
+        ch, phis, value, _, _ = self.model_at(half, sigma2, cross, seed, iterations)
+        args = phis, pc._rows(ch), sigma2, value, radius
+        products = []
+        ref = reference_trust_step(*args, products)
+        *new, count = pc._trust_step(*args)
+        same_bits(tuple(new), ref)
+        assert count == (products[0] if products else 0)
+
+    def test_rejected_trials_take_no_hessian_products(self, monkeypatch):
+        # On this channel the Newton phase rejects trials: from scratch they
+        # cost 38 Hessian-vector products on top of the first trials' 156.
+        ch = random_two_stream(6, n=8)
+        sol = alternating_optimize(ch, init="nulling")
+        first, retries = [], []
+
+        def from_scratch(*args):
+            products = []
+            out = reference_trust_step(*args, products)
+            first.append(sum(products[:1]))
+            retries.append(sum(products[1:]))
+            return *out, 0
+
+        monkeypatch.setattr(pc, "_trust_step", from_scratch)
+        ref = alternating_optimize(ch, init="nulling")
+        assert np.array_equal(sol.trace, ref.trace)
+        assert sum(retries) > 0
+        assert sol.stats["hessian_products"] == sum(first)
+
+
 class TestManifoldOps:
     def test_projection_tangency(self):
         rng = np.random.default_rng(14)
@@ -430,7 +513,8 @@ class TestAlternatingOptimize:
 
     def test_stats_count_the_solver_phases(self):
         sol = alternating_optimize(random_two_stream(23), init="multi", restarts=2)
-        assert set(sol.stats) == {"ascent_iterations", "newton_steps", "backtracks"}
+        assert set(sol.stats) == {"ascent_iterations", "newton_steps", "backtracks",
+                                  "hessian_products"}
 
     def test_constructs_no_channel_objects(self, monkeypatch):
         ch = random_two_stream(19)
