@@ -514,6 +514,11 @@ def run(
         if value is not None:
             _set_flag(user, path, value)
     scenario, cfg = scenario_from_dict(user)
+    made = []  # the directories this run creates, deepest first
+    head = os.path.abspath(out_dir)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out_dir, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     canonical = json.dumps(cfg, sort_keys=True).encode()
@@ -523,6 +528,8 @@ def run(
         _HANDLERS[subcommand](scenario, cfg, out)
     except Exception:
         out.cleanup()
+        for directory in made:
+            os.rmdir(directory)
         raise
     manifest = RunManifest(
         subcommand=subcommand,

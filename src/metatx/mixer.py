@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+DIODE_KNOTS = 33  # bias knots of MagnitudeCurve.from_diode
+Z0_OHM = 50.0  # reference impedance of the resistive-divider magnitude
+
 
 @dataclass(frozen=True)
 class DiodeModel:
@@ -165,21 +168,20 @@ class MagnitudeCurve:
         model: DiodeModel,
         v_lo: float,
         v_hi: float,
-        n_knots: int = 33,
-        z0_ohm: float = 50.0,
     ) -> "MagnitudeCurve":
         """Curve derived from the diode's exponential junction resistance.
 
         Uses the resistive-divider magnitude R_d(v) / (R_d(v) + Z0), which is
-        strictly decreasing in bias voltage and stays inside (0, 1).
+        strictly decreasing in bias voltage and stays inside (0, 1), at
+        ``DIODE_KNOTS`` evenly spaced biases with Z0 = ``Z0_OHM``.
         """
-        v = np.linspace(v_lo, v_hi, n_knots)
+        v = np.linspace(v_lo, v_hi, DIODE_KNOTS)
         r = 1.0 / (
             model.alpha_per_volt
             * model.saturation_current_a
             * np.exp(model.alpha_per_volt * v)
         )
-        return cls(v, r / (r + z0_ohm))
+        return cls(v, r / (r + Z0_OHM))
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:

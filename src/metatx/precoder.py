@@ -186,7 +186,11 @@ def retract(phi: np.ndarray) -> np.ndarray:
     return phi / mags
 
 
-def _ascend(phi, rows, noise, other, sigma2, current, max_inner=50, armijo=1e-4):
+ASCENT_STEPS = 50  # accepted line-search steps per _ascend call, at most
+ARMIJO = 1e-4  # sufficient-increase fraction of an accepted step
+
+
+def _ascend(phi, rows, noise, other, sigma2, current):
     """Gradient-ascend one stream's subproblem (see :func:`_gradient`) until it stalls.
 
     ``current`` is the objective at ``phi`` as the caller recorded it. Returns
@@ -203,7 +207,7 @@ def _ascend(phi, rows, noise, other, sigma2, current, max_inner=50, armijo=1e-4)
     inner = (phi @ rows).tolist()
     step = 1.0
     rejected = 0
-    for _ in range(max_inner):
+    for _ in range(ASCENT_STEPS):
         grad = _gradient(rows_conj, inner, noise, other, sigma2)
         direction = grad - (grad * phi.conj()).real * phi
         norm2 = float(np.vdot(direction, direction).real)
@@ -216,7 +220,7 @@ def _ascend(phi, rows, noise, other, sigma2, current, max_inner=50, armijo=1e-4)
             candidate /= np.abs(candidate)
             d_phi, leak_phi = trial = (candidate @ rows).tolist()
             new = abs(d_phi) ** 2 / noise + other / (abs(leak_phi) ** 2 + sigma2)
-            if new >= current + armijo * step * norm2:
+            if new >= current + ARMIJO * step * norm2:
                 phi, current, inner, moved = candidate, new, trial, True
                 break
             rejected += 1
@@ -453,27 +457,26 @@ def alternating_optimize(
     return best
 
 
-def exhaustive_phase_oracle(
-    objective,
-    n_elements: int,
-    levels: int,
-    budget: int = 10**7,
-    batch: int = 1 << 16,
-) -> tuple[np.ndarray, float]:
+ORACLE_BUDGET = 10**7  # grid points exhaustive_phase_oracle accepts
+ORACLE_BATCH = 1 << 16  # grid points per objective call
+
+
+def exhaustive_phase_oracle(objective, n_elements: int, levels: int) -> tuple[np.ndarray, float]:
     """Global optimum of ``objective`` over a discrete phase grid.
 
     ``objective`` must accept a (batch, n_elements) array of unit-modulus
-    vectors and return a (batch,) array of real scores. Ground truth for
-    small instances only: refuses grids above ``budget`` points.
+    vectors, at most ``ORACLE_BATCH`` of them, and return a (batch,) array of
+    real scores. Ground truth for small instances only: refuses grids above
+    ``ORACLE_BUDGET`` points.
     """
     total = levels**n_elements
-    if total > budget:
-        raise ValueError(f"{levels}^{n_elements} = {total} exceeds budget {budget}")
+    if total > ORACLE_BUDGET:
+        raise ValueError(f"{levels}^{n_elements} = {total} exceeds budget {ORACLE_BUDGET}")
     phasors = np.exp(1j * (2 * np.pi * np.arange(levels) / levels))
     best_val = -np.inf
     best_idx = None
-    for lo in range(0, total, batch):
-        idx = np.arange(lo, min(lo + batch, total))
+    for lo in range(0, total, ORACLE_BATCH):
+        idx = np.arange(lo, min(lo + ORACLE_BATCH, total))
         digits = np.empty((idx.size, n_elements), dtype=int)
         rem = idx.copy()
         for pos in range(n_elements - 1, -1, -1):

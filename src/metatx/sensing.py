@@ -2,8 +2,9 @@
 
 A target micro-Doppler spectrogram is turned into a drive waveform by an
 inverse short-time Fourier transform; the forward transform and a
-correlation score verify what a radar observer would recover. Analysis uses
-a periodic Hann window at 50% hop by default, which satisfies the constant
+correlation score verify what a radar observer would recover. Every
+spectrogram has one framing: a periodic Hann window of ``WINDOW_LENGTH``
+samples at hop ``HOP``, half the window, which satisfies the constant
 overlap-add condition needed for exact resynthesis. Rotor returns are real,
 templates are scaled to peak 1 by ``Spectrogram.peak_normalized``, and the
 correlation score compares grids of equal shape only.
@@ -17,7 +18,9 @@ import numpy as np
 
 # inertia of fast Griffin-Lim's extrapolation step (Perraudin et al. 2013)
 GRIFFIN_LIM_MOMENTUM = 0.99
-WINDOW_LENGTH = 256  # samples of the default analysis window
+GRIFFIN_LIM_PASSES = 25  # phase-refinement passes of a magnitude-only inversion
+WINDOW_LENGTH = 256  # samples of the analysis window
+HOP = WINDOW_LENGTH // 2  # samples between frames
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -25,18 +28,9 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 * (1 - np.cos(2 * np.pi * np.arange(length) / length))
 
 
-def cola_deviation(window: np.ndarray, hop: int) -> float:
-    """Max deviation of the overlap-added window from a constant."""
-    n = window.size
-    acc = np.zeros(n)
-    for shift in range(0, n, hop):
-        acc += np.roll(window, shift)
-    return float(np.max(np.abs(acc - acc.mean())))
-
-
 @dataclass(eq=False)
 class Spectrogram:
-    """Time-frequency grid (time bins x frequency bins) with its framing.
+    """Time-frequency grid (time bins x frequency bins) in the one framing.
 
     ``values`` may be complex (analysis output) or non-negative real
     (magnitude targets). ``n_samples`` remembers the analysed signal length
@@ -44,19 +38,23 @@ class Spectrogram:
     """
 
     values: np.ndarray
-    hop: int
-    window_length: int
     sample_rate_hz: float
-    n_samples: int | None = None
+    n_samples: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d grid")
-        if not 1 <= self.hop <= self.window_length:
-            raise ValueError(f"hop must be in [1, window_length], got {self.hop}")
         if not np.iscomplexobj(self.values) and np.any(self.values < 0):
             raise ValueError("magnitude grids must be non-negative")
+
+    @property
+    def hop(self) -> int:
+        return HOP
+
+    @property
+    def window_length(self) -> int:
+        return WINDOW_LENGTH
 
     @property
     def magnitude(self) -> np.ndarray:
@@ -70,21 +68,10 @@ class Spectrogram:
         """The magnitude grid scaled to peak 1, same framing; an all-zero grid stays 0."""
         grid = self.magnitude
         peak = grid.max()
-        return Spectrogram(
-            values=grid / peak if peak > 0 else grid,
-            hop=self.hop,
-            window_length=self.window_length,
-            sample_rate_hz=self.sample_rate_hz,
-            n_samples=self.n_samples,
-        )
+        return Spectrogram(grid / peak if peak > 0 else grid, self.sample_rate_hz, self.n_samples)
 
 
-def stft(
-    waveform: np.ndarray,
-    sample_rate_hz: float,
-    window: np.ndarray | None = None,
-    hop: int | None = None,
-) -> Spectrogram:
+def stft(waveform: np.ndarray, sample_rate_hz: float) -> Spectrogram:
     """Short-time Fourier transform of a real waveform.
 
     Frames are centered (half-window zero padding on both ends) so every
@@ -92,50 +79,31 @@ def stft(
     columns the non-negative frequency bins.
     """
     x = np.asarray(waveform, dtype=float)
-    window = hann_window(WINDOW_LENGTH) if window is None else np.asarray(window, dtype=float)
-    n = window.size
-    hop = n // 2 if hop is None else int(hop)
-    if not 1 <= hop <= n:
-        raise ValueError(f"hop must be in [1, window length], got {hop}")
+    n, hop = WINDOW_LENGTH, HOP
     if x.size < n:
         raise ValueError("waveform shorter than the analysis window")
     pad = n // 2
     xp = np.concatenate([np.zeros(pad), x, np.zeros(pad + n)])
     n_frames = 1 + (xp.size - n) // hop
     frames = np.lib.stride_tricks.sliding_window_view(xp, n)[::hop][:n_frames]
-    values = np.fft.rfft(frames * window, axis=1)
-    return Spectrogram(
-        values=values,
-        hop=hop,
-        window_length=n,
-        sample_rate_hz=sample_rate_hz,
-        n_samples=x.size,
-    )
+    values = np.fft.rfft(frames * hann_window(n), axis=1)
+    return Spectrogram(values, sample_rate_hz, x.size)
 
 
-def istft_synthesize(
-    spec: Spectrogram, seed: int | None = 0, refine_iterations: int = 25
-) -> np.ndarray:
-    """Synthesize a waveform of ``spec.n_samples`` samples (hop x (frames - 1)
-    where that is None) from a spectrogram.
+def istft_synthesize(spec: Spectrogram, seed: int | None = 0) -> np.ndarray:
+    """Synthesize a waveform of ``spec.n_samples`` samples from a spectrogram.
 
     Complex grids invert directly by weighted overlap-add, which reproduces
     stft's input exactly. Magnitude-only grids need phases: they start from
-    a seeded random draw, refined by ``refine_iterations`` (0 keeps the
-    draw) passes of fast Griffin-Lim (Perraudin, Balazs and
-    Søndergaard, "A fast Griffin-Lim algorithm", WASPAA 2013). Each pass
-    projects onto the target magnitudes, t = |S| X/|X| with X the stft of the
-    current waveform, then extrapolates t + 0.99 (t - t_prev); the waveform
-    returned is that of the last projection t, not of the extrapolation.
+    a seeded random draw, refined by ``GRIFFIN_LIM_PASSES`` passes of fast
+    Griffin-Lim (Perraudin, Balazs and Søndergaard, "A fast Griffin-Lim
+    algorithm", WASPAA 2013). Each pass projects onto the target magnitudes,
+    t = |S| X/|X| with X the stft of the current waveform, then extrapolates
+    t + 0.99 (t - t_prev); the waveform returned is that of the last
+    projection t, not of the extrapolation.
     """
-    if (isinstance(refine_iterations, bool) or not isinstance(refine_iterations, int)
-            or refine_iterations < 0):
-        raise ValueError(f"refine_iterations must be an int >= 0, got {refine_iterations!r}")
-    window = hann_window(spec.window_length)
-    if cola_deviation(window, spec.hop) > 1e-10:
-        raise ValueError("window/hop pair does not satisfy overlap-add")
-    length = spec.n_samples if spec.n_samples is not None else spec.hop * (spec.n_frames - 1)
-    n, hop, pad = window.size, spec.hop, window.size // 2
+    window = hann_window(WINDOW_LENGTH)
+    length, n, hop, pad = spec.n_samples, WINDOW_LENGTH, HOP, WINDOW_LENGTH // 2
     total = pad + length + pad + n
     # frames past total are dropped; stft of `length` samples has no fewer than `kept`
     kept = min(spec.n_frames, (total - n) // hop + 1)
@@ -154,8 +122,8 @@ def istft_synthesize(
     phases = np.exp(2j * np.pi * rng.random(spec.values.shape))
     values = spec.values * phases
     projected = values[:kept]
-    for _ in range(refine_iterations):
-        z = stft(synthesize(values), spec.sample_rate_hz, window, hop).values[:kept]
+    for _ in range(GRIFFIN_LIM_PASSES):
+        z = stft(synthesize(values), spec.sample_rate_hz).values[:kept]
         mag = np.abs(z)
         t = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
         values = t + GRIFFIN_LIM_MOMENTUM * (t - projected)
@@ -166,8 +134,8 @@ def istft_synthesize(
 def _overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
     """Sum (F, n) frames, frame i starting at sample i * hop, into ``total`` samples.
 
-    Every hop that passes the COLA check divides n, so frames i = r (mod n/hop)
-    abut without overlap and each phase r is one contiguous slice add.
+    The hop divides n, so frames i = r (mod n/hop) abut without overlap and
+    each phase r is one contiguous slice add.
     """
     step = frames.shape[1] // hop
     x = np.zeros(total)

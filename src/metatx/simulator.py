@@ -164,7 +164,6 @@ def isotropy_check(
     scenario: ScenarioConfig,
     surface: SurfaceConfig,
     probe_directions: list[Direction],
-    link: EffectiveChannels | None = None,
 ) -> dict:
     """Maximum pairwise deviation of normalized symbol streams across probes.
 
@@ -175,7 +174,7 @@ def isotropy_check(
     """
     if surface.magnitudes.ndim != 2:
         raise ValueError("isotropy check needs a magnitude time series")
-    link = build_link(scenario) if link is None else link
+    link = build_link(scenario)
     rows = _probe_rows(scenario, link, probe_directions)
     streams = _reflect(rows * link.h_eff[np.newaxis, :], surface)  # (P, T)
     norms = np.linalg.norm(streams, axis=1)
@@ -277,7 +276,8 @@ def ber_sweep(
     n_rx = scenario.rx.n_antennas
     k = scenario.n_elements
     sym_per_trial = max(1, math.ceil(min_bits / bits_per_symbol / trials))
-    envelope = _unit_envelope(scenario.carrier_envelope)  # keeps ||gain||^2 and p_ref normal
+    # scaled into [1/2, 1), which keeps ||gain||^2 and p_ref normal
+    envelope = complex(_unit_scaled(scenario.carrier_envelope)[0])
 
     # One channel draw per trial gives both the baseline normalization (mean
     # random-phase received power) and the link gain every SNR point reuses.
@@ -433,13 +433,6 @@ def _unit_scaled(x):
     return _ldexp(x, -e), e
 
 
-def _unit_envelope(envelope: complex) -> complex:
-    """``envelope`` scaled by the power of two that puts its modulus in [1, 2).
-    Where the noise is set relative to the received signal, signal and noise
-    scale alike, so no sample decision changes."""
-    return complex(2 * _unit_scaled(envelope)[0])
-
-
 def unit_carrier(scenario: ScenarioConfig) -> tuple[complex, float]:
     """The carrier envelope scaled by 2^-e to a modulus in [1/2, 1), and
     sigma2 scaled by 2^-2e: signal and noise scale alike and exactly (the
@@ -533,8 +526,6 @@ def two_stream_experiment(
     snr_db: float = 25.0,
     orders: tuple[int, int] = (16, 64),
     n_symbols: int = 600,
-    cross_gain: float = 1.0,
-    shared_h_eff: bool = True,
     optimizer: dict | None = None,
 ) -> dict:
     """Two sub-surfaces, two receivers: interference before and after precoding.
@@ -548,19 +539,17 @@ def two_stream_experiment(
     optimization.
 
     The effective channel uses plane-wave illumination (uniform magnitude,
-    random phase across elements), shared by both sub-surfaces by default;
-    ``shared_h_eff=False`` draws an independent illumination per half. The
+    random phase across elements), one draw shared by both sub-surfaces. The
     per-receiver outgoing rows are Rayleigh with equal average power
-    (receivers at comparable link budgets), and ``cross_gain`` scales the
-    cross-coupling rows, 0 giving fully decoupled streams. Among the solver
-    restarts, the experiment keeps the highest-sum solution that improves
-    both receivers over the random-phase baseline, falling back to the
-    highest sum outright. ``optimizer`` may set the solver's ``tol`` and
-    ``max_iter`` and the number of random starts, ``restarts`` (default 2);
-    any other key is rejected. The report gives the winning run's solver
-    statistics as ``stats`` (see :func:`precoder.alternating_optimize`) and
-    its index among the starts as ``winner``: nulling, closed form, then the
-    random ones.
+    (receivers at comparable link budgets), the cross-coupling rows as
+    strong as the direct ones. The solver runs from four starts: nulling,
+    closed form, then two random ones. Among them the experiment keeps the
+    highest-sum solution that improves both receivers over the random-phase
+    baseline, falling back to the highest sum outright. ``optimizer`` may set
+    the solver's ``tol`` and ``max_iter``; any other key is rejected. The
+    report gives the winning run's solver statistics as ``stats`` (see
+    :func:`precoder.alternating_optimize`) and its index among the starts as
+    ``winner``.
     """
     k = scenario.n_elements
     if k % 2:
@@ -571,14 +560,13 @@ def two_stream_experiment(
     seed = scenario.seed
     rng = np.random.default_rng([seed, 0x2575])
 
-    h_eff_1 = np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
-    h_eff_2 = h_eff_1 if shared_h_eff else np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
+    h_eff = np.exp(2j * np.pi * rng.random(half)) / math.sqrt(half)
     rows = ([], [])  # rows[i][j] couples sub-surface j into receiver i: (b1, b2), (c1, c2)
     for i in (0, 1):
-        for j, h_eff in enumerate((h_eff_1, h_eff_2)):
+        for _ in (0, 1):
             row = rayleigh_matrix(rng, half)
             row *= math.sqrt(half) / np.linalg.norm(row)
-            rows[i].append((row if i == j else cross_gain * row) * h_eff)
+            rows[i].append(row * h_eff)
     (b1, b2), (c1, c2) = rows
     ch = pc.TwoStreamChannels(b1=b1, b2=b2, c1=c1, c2=c2, sigma2=10 ** (-snr_db / 10))
     phi_before = [np.exp(2j * np.pi * rng.random(half)) for _ in (0, 1)]
@@ -592,14 +580,12 @@ def two_stream_experiment(
             float(abs(g[i, i]) ** 2 / (abs(g[i, 1 - i]) ** 2 + ch.sigma2)) for i in (0, 1)
         )
 
-    opts = {"restarts": 2, **(optimizer or {})}
-    n_random = opts.pop("restarts")
-    if opts.keys() - {"tol", "max_iter"} or type(n_random) is not int or n_random < 0:
-        raise ValueError(f"optimizer takes tol, max_iter and an int restarts >= 0; got {optimizer}")
-    kinds = ["nulling", "closed_form"] + ["random"] * n_random
+    opts = optimizer or {}
+    if opts.keys() - {"tol", "max_iter"}:
+        raise ValueError(f"optimizer takes tol and max_iter only; got {optimizer}")
     candidates = [
         pc.alternating_optimize(ch, init=kind, restarts=1, seed=[seed, i], **opts)
-        for i, kind in enumerate(kinds)
+        for i, kind in enumerate(["nulling", "closed_form", "random", "random"])
     ]
     base_sinr = sinrs(couplings(phi_before))
     dominating = [
@@ -623,7 +609,8 @@ def two_stream_experiment(
 
     # Noise per receiver: optimized desired AC power over the target SNR.
     g_after = couplings(phi_after)
-    carrier = _unit_envelope(scenario.carrier_envelope)  # keeps the noise power normal
+    # scaled into [1/2, 1), which keeps the noise power normal
+    carrier = complex(_unit_scaled(scenario.carrier_envelope)[0])
     noise_power = [
         abs(g_after[i, i]) ** 2 * abs(carrier) ** 2 * float(np.var(drives[i]))
         / 10 ** (snr_db / 10)

@@ -1,7 +1,8 @@
 """Dense and per-element references that only the tests use: element
 positions and steering vectors, element by element, the two-stream
-solver's angle gradient and Hessian assembled in full, and its trust-region
-iteration with every trial solving its model from scratch."""
+solver's angle gradient and Hessian assembled in full, its trust-region
+iteration with every trial solving its model from scratch, and the
+overlap-add deviation of a window and hop."""
 
 import numpy as np
 
@@ -121,3 +122,12 @@ def reference_trust_step(phis, rows_pair, sigma2, current, radius, products):
             return candidate, new, radius, rejected, True
         rejected += 1
     return phis, current, radius, rejected, False
+
+
+def cola_deviation(window: np.ndarray, hop: int) -> float:
+    """Max deviation of the overlap-added window from a constant."""
+    n = window.size
+    acc = np.zeros(n)
+    for shift in range(0, n, hop):
+        acc += np.roll(window, shift)
+    return float(np.max(np.abs(acc - acc.mean())))

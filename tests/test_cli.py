@@ -198,7 +198,7 @@ class TestRun:
         monkeypatch.setattr(json, "dump", boom)
         with pytest.raises(RuntimeError):
             run("sense", config, out_dir, quiet=True)
-        assert os.listdir(out_dir) == []
+        assert not out_dir.exists()
 
     def test_unknown_subcommand(self, tmp_path):
         config = write_config(tmp_path, SMALL_CONFIG)
@@ -600,9 +600,20 @@ class TestMain:
         out_dir = tmp_path / "out"
         assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
         assert "error: sigma2: " in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
         with pytest.raises(ConfigError, match="^sigma2: "):
             run(subcommand, config, tmp_path / "again")
+
+    def test_refused_run_removes_only_the_directories_it_made(self, tmp_path):
+        # a handler's refusal leaves the disk as a parse-time refusal does
+        config = write_config(tmp_path, {"carrier_envelope": {"re": 1e-300, "im": 0.0},
+                                         "sigma2": 1e300})
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out_dir in (kept, kept / "new" / "nested"):
+            with pytest.raises(ConfigError, match="^sigma2: "):
+                run("simulate", config, out_dir)
+        assert list(kept.iterdir()) == []
 
     def test_pattern_exponent_bound_is_inclusive(self):
         scenario, _ = scenario_from_dict({"pattern_exponent": 0.0})

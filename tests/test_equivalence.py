@@ -56,7 +56,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from metatx import channel, csvio
+from metatx import channel, csvio, sensing
 from metatx import mixer as mx
 from metatx import modem as md
 from metatx import precoder as pc
@@ -86,6 +86,7 @@ from metatx.geometry import (
 )
 from metatx.reflection import SurfaceConfig
 from metatx.sensing import (
+    HOP,
     RotorSpec,
     Spectrogram,
     doppler_signature,
@@ -243,7 +244,8 @@ def test_ber_sweep_noise_power_sums_trials_in_order(monkeypatch, n_rx):
     recorder = SqrtRecorder()
     monkeypatch.setattr(sim, "np", recorder)
     sim.ber_sweep(scenario, snr_db, 4, trials=trials, min_bits=trials * 2)
-    p_ref = reference_base_power(scenario, trials)
+    # ber_sweep scales the envelope 1 to 1/2 first, and the noise power with it
+    p_ref = reference_base_power(scenario, trials) / 4
     assert recorder.args == [p_ref / 10 ** (s / 10) / 2 for s in snr_db]
 
 
@@ -1024,10 +1026,9 @@ def reference_two_stream_experiment(scenario, snr_db=25.0, orders=(16, 64), n_sy
     "seed, kwargs",
     [
         (1, {}),
-        (2, {"cross_gain": 0.5}),
-        (3, {"shared_h_eff": False, "optimizer": {"tol": 0.0, "max_iter": 20}}),
+        (3, {"optimizer": {"tol": 0.0, "max_iter": 20}}),
     ],
-    ids=["default", "cross-gain-half", "independent-h-eff"],
+    ids=["default", "optimizer"],
 )
 def test_two_stream_experiment_matches_dict_reference(seed, kwargs):
     sc = default_scenario(seed=seed)
@@ -1348,8 +1349,6 @@ def reference_istft(spec, phase_policy="griffin_lim", seed=0, refine_iterations=
     window = hann_window(spec.window_length)
     if length is None:
         length = spec.n_samples
-    if length is None:
-        length = spec.hop * (spec.n_frames - 1)
     if np.iscomplexobj(spec.values):
         return reference_overlap_add(spec.values, window, spec.hop, length)
     rng = np.random.default_rng(seed)
@@ -1358,7 +1357,7 @@ def reference_istft(spec, phase_policy="griffin_lim", seed=0, refine_iterations=
         projected = values
         for _ in range(refine_iterations):
             x = reference_overlap_add(values, window, spec.hop, length)
-            reanalysed = stft(x, spec.sample_rate_hz, window, spec.hop)
+            reanalysed = stft(x, spec.sample_rate_hz)
             frames = min(reanalysed.values.shape[0], values.shape[0])
             angle = np.angle(reanalysed.values[:frames])
             t = spec.values[:frames] * np.exp(1j * angle)
@@ -1383,24 +1382,16 @@ def drawn_grid(rng, n_frames, n, complex_values):
 # n_samples = None fits every frame; a short n_samples leaves frames past the
 # overlap-add buffer, which both paths drop
 @pytest.mark.parametrize("n_frames", [10, 11, 57, 315, 400])
-@pytest.mark.parametrize("n, n_samples", [(256, None), (256, 1000), (16, 37)])
+@pytest.mark.parametrize("n_samples", [None, 1000])
 @pytest.mark.parametrize("complex_values", [True, False], ids=["complex", "magnitude"])
-def test_hop_phase_overlap_add_matches_frame_loop_at_half_hop(n_frames, n, n_samples, complex_values):
-    rng = np.random.default_rng([n_frames, n])
-    spec = Spectrogram(drawn_grid(rng, n_frames, n, complex_values), n // 2, n, 2000.0, n_samples)
-    assert np.array_equal(istft_synthesize(spec, refine_iterations=0), reference_istft(spec, "random"))
-
-
-@pytest.mark.parametrize("divisor", [4, 8])
-@pytest.mark.parametrize("n_frames, n_samples", [(40, None), (400, 2000)])
-@pytest.mark.parametrize("complex_values", [True, False], ids=["complex", "magnitude"])
-def test_hop_phase_overlap_add_matches_frame_loop_at_finer_hops(
-    divisor, n_frames, n_samples, complex_values
+def test_hop_phase_overlap_add_matches_frame_loop_at_half_hop(
+    monkeypatch, n_frames, n_samples, complex_values
 ):
-    # more than two addends per sample: the phase order changes the sums' order
-    rng = np.random.default_rng([divisor, n_frames])
-    spec = Spectrogram(drawn_grid(rng, n_frames, 256, complex_values), 256 // divisor, 256, 2000.0, n_samples)
-    assert_close(istft_synthesize(spec, refine_iterations=0), reference_istft(spec, "random"), rel=1e-15)
+    rng = np.random.default_rng([n_frames, 256])
+    n_samples = HOP * (n_frames - 1) if n_samples is None else n_samples
+    spec = Spectrogram(drawn_grid(rng, n_frames, 256, complex_values), 2000.0, n_samples)
+    monkeypatch.setattr(sensing, "GRIFFIN_LIM_PASSES", 0)
+    assert np.array_equal(istft_synthesize(spec), reference_istft(spec, "random"))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1415,8 +1406,8 @@ def test_griffin_lim_matches_exp_angle_reference_on_silent_frames():
     # X/|X| gives the same 1 without a divide-by-zero warning.
     grid = np.zeros((40, 129))
     grid[:10] = np.abs(np.random.default_rng(6).standard_normal((10, 129)))
-    spec = Spectrogram(grid, 128, 256, 2000.0, n_samples=4992)
-    assert_close(istft_synthesize(spec, refine_iterations=5), reference_istft(spec, refine_iterations=5))
+    spec = Spectrogram(grid, 2000.0, 4992)
+    assert_close(istft_synthesize(spec), reference_istft(spec))
 
 
 @pytest.mark.parametrize("payload", [{}, {"seed": 9, "sense": {"duration_s": 3.0}}], ids=["default", "seed9"])
@@ -1612,19 +1603,19 @@ def reference_rotor_blade_signal(rotor_rate_hz, blade_count, max_doppler_hz, dur
     return signal
 
 
-def reference_doppler_signature(rotors, duration_s, sample_rate_hz, window_length=256, normalize=True):
+def reference_doppler_signature(rotors, duration_s, sample_rate_hz, normalize=True):
     """``doppler_signature`` before ``peak_normalized``: the complex sum's real part, normalised and clipped."""
     signal = sum(
         reference_rotor_blade_signal(r.rate_hz, r.blades, r.max_doppler_hz, duration_s, sample_rate_hz)
         for r in rotors
     )
-    spec = stft(signal.real, sample_rate_hz, hann_window(window_length))
+    spec = stft(signal.real, sample_rate_hz)
     grid = spec.magnitude
     if normalize:
         peak = grid.max()
         if peak > 0:
             grid = np.clip(grid / peak, 0.0, 1.0)
-    return Spectrogram(grid, spec.hop, window_length, sample_rate_hz, spec.n_samples)
+    return Spectrogram(grid, sample_rate_hz, spec.n_samples)
 
 
 @pytest.mark.parametrize("duration_s", [2.0, 20.0])
@@ -1656,7 +1647,7 @@ def test_peak_normalized_matches_hand_built_grid_and_keeps_zero_grid():
     # doppler_spoof_experiment built each probe's grid as magnitude / magnitude.max()
     spec = stft(np.random.default_rng(4).standard_normal(3000), 2000.0)
     assert np.array_equal(spec.peak_normalized().values, spec.magnitude / spec.magnitude.max())
-    zero = Spectrogram(np.zeros((10, 129)), 128, 256, 2000.0, n_samples=1280).peak_normalized()
+    zero = Spectrogram(np.zeros((10, 129)), 2000.0, 1280).peak_normalized()
     assert np.array_equal(zero.values, np.zeros((10, 129)))
     assert (zero.hop, zero.window_length, zero.n_samples) == (128, 256, 1280)
 
@@ -1699,13 +1690,16 @@ def test_phasor_table_oracle_matches_per_entry_exp_on_criterion_03(seed):
 
 
 @pytest.mark.parametrize("n_elements, levels, batch", [(1, 4, 1 << 16), (3, 7, 50), (5, 6, 1000)])
-def test_phasor_table_oracle_matches_per_entry_exp_on_drawn_objectives(n_elements, levels, batch):
+def test_phasor_table_oracle_matches_per_entry_exp_on_drawn_objectives(
+    monkeypatch, n_elements, levels, batch
+):
     # batches that split the grid unevenly, and an objective that reads each phasor's bits
     weights = np.random.default_rng([n_elements, levels]).standard_normal((n_elements, 2))
 
     def objective(b):
         return b.real @ weights[:, 0] + b.imag @ weights[:, 1]
 
-    new = pc.exhaustive_phase_oracle(objective, n_elements, levels, batch=batch)
+    monkeypatch.setattr(pc, "ORACLE_BATCH", batch)
+    new = pc.exhaustive_phase_oracle(objective, n_elements, levels)
     ref = reference_exhaustive_phase_oracle(objective, n_elements, levels, batch=batch)
     assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]

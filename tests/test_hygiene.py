@@ -11,7 +11,8 @@ size limit, the runtime needs numpy alone: no module imports scipy, and
 importing the CLI loads none of it, the sense chain scales its
 spectrograms to peak 1 only through ``Spectrogram.peak_normalized``, and
 every public function and method of ``src/`` has a caller outside the tests:
-code that only tests reach lives in ``tests/reference.py``.
+code that only tests reach lives in ``tests/reference.py``, and every
+library parameter with a default is set by some caller outside the tests.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -417,3 +418,70 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     # place is tests/reference.py. __init__.py only re-exports.
     modules = {p.stem: p.read_text() for p in MODULES}
     assert unreferenced_definitions(modules, outside_references()) == []
+
+
+def optional_parameters(tree):
+    """(function, parameter, position) of each parameter with a default, in
+    functions and methods at any depth. A keyword-only parameter has position
+    None; a method's positions count from the argument after self or cls."""
+    methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body
+               if isinstance(m, ast.FunctionDef)
+               and "staticmethod" not in {getattr(d, "id", None) for d in m.decorator_list}}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = id(node) in methods
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                yield node.name, positional[i].arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def unset_parameters(modules: dict, callers: list[str]) -> list[str]:
+    """Defaulted parameters of ``modules`` (name -> source) that no call in
+    ``callers`` passes, by position or by keyword, as ``module.function(parameter)``.
+    Calls match by the called name; one that unpacks ``*args`` or ``**kwargs``
+    passes every parameter."""
+    reach, keywords, unpacked = Counter(), set(), set()
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    unpacked.add(name)
+                reach[name] = max(reach[name], len(call.args))
+                keywords.update((name, k.arg) for k in call.keywords)
+    missing = []
+    for module, source in modules.items():
+        for function, parameter, position in optional_parameters(ast.parse(source)):
+            if not (function in unpacked or (function, parameter) in keywords
+                    or position is not None and reach[function] > position):
+                missing.append(f"{module}.{function}({parameter})")
+    return missing
+
+
+def test_unset_parameter_detector():
+    modules = {"a": (
+        "def f(x, y=1, z=2, *, w=3):\n    return x\n"
+        "def g(x=0):\n    return x\n"
+        "class C:\n    def m(self, u=1, v=2):\n        return u\n"
+        "    @staticmethod\n    def s(p=1):\n        return p\n"
+        "def h(q=1, r=2):\n    return q\n"
+    )}
+    callers = ["f(0, 5)\nf(0, w=4)\nC().m(7)\nC.s(1)\nh(*args)\n", "g(**options)\n"]
+    assert unset_parameters(modules, callers) == ["a.f(z)", "a.m(v)"]
+    assert unset_parameters(modules, callers + ["f(0, 1, 2)\nC().m(v=2)\n"]) == []
+
+
+def test_every_optional_parameter_is_set_outside_the_tests():
+    # A default no caller changes is a constant that tests alone turn: each
+    # is behaviour to keep and check that no run reaches. The CLI is exempt
+    # as the outermost caller; its defaults are the command-line flags.
+    modules = {p.stem: p.read_text() for p in MODULES if p.name != "cli.py"}
+    paths = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    assert unset_parameters(modules, [p.read_text() for p in paths]) == []

@@ -23,12 +23,11 @@ from metatx.precoder import (
     sum_sinr,
 )
 from metatx.reflection import SurfaceConfig
-from metatx.simulator import build_link, default_scenario, isotropy_check
+from metatx.simulator import default_scenario, isotropy_check
 
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
 
 SCENARIO = default_scenario()
-LINK = build_link(SCENARIO)
 K = SCENARIO.n_elements
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -217,7 +216,7 @@ def test_row_norms_equal_numpy_norm_of_each_row(x):
 def test_uniform_magnitudes_are_isotropic(phases, magnitudes, probe_idx):
     surface = SurfaceConfig.uniform(np.array(phases), np.array(magnitudes))
     probes = [SCENARIO.grid[i] for i in probe_idx]
-    out = isotropy_check(SCENARIO, surface, probes, LINK)
+    out = isotropy_check(SCENARIO, surface, probes)
     assert out["max_deviation"] < 1e-10
 
 

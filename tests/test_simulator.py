@@ -489,13 +489,9 @@ class TestTwoStream:
         with pytest.raises(ValueError, match="'seed'"):
             two_stream_experiment(default_scenario(), optimizer={"seed": 1})
 
-    def test_optimizer_negative_restarts_rejected(self):
-        with pytest.raises(ValueError, match="'restarts': -1"):
-            two_stream_experiment(default_scenario(), optimizer={"restarts": -1})
-
-    def test_optimizer_non_integer_restarts_rejected(self):
-        with pytest.raises(ValueError, match="'restarts': 1.5"):
-            two_stream_experiment(default_scenario(), optimizer={"restarts": 1.5})
+    def test_optimizer_restarts_rejected(self):
+        with pytest.raises(ValueError, match="'restarts'"):
+            two_stream_experiment(default_scenario(), optimizer={"restarts": 2})
 
     def test_optimizer_init_rejected(self):
         with pytest.raises(ValueError, match="'init'"):
@@ -533,26 +529,10 @@ class TestTwoStream:
         assert report["rx_after"][2]["ber"] < 1e-2
         assert report["rx_after"][1]["evm_db"] < report["rx_before"][1]["evm_db"]
 
-    def test_zero_cross_gain_decouples(self):
-        sc = default_scenario(seed=3)
-        report = two_stream_experiment(sc, cross_gain=0.0, n_symbols=120)
-        # no interference: after-optimization SINRs equal per-stream SNRs
-        ch = report["channels"]
-        s1, s2 = report["sinr_after"]
-        assert s1 == pytest.approx(np.sum(np.abs(ch.b1)) ** 2 / ch.sigma2, rel=1e-3)
-        assert s2 == pytest.approx(np.sum(np.abs(ch.c2)) ** 2 / ch.sigma2, rel=1e-3)
-
     def test_trace_monotone(self):
         sc = default_scenario(seed=22)
         report = two_stream_experiment(sc, n_symbols=120)
         assert np.all(np.diff(report["trace"]) >= -1e-12)
-
-    def test_independent_h_eff_supported(self):
-        sc = default_scenario(seed=4)
-        shared = two_stream_experiment(sc, n_symbols=100, shared_h_eff=True)
-        indep = two_stream_experiment(sc, n_symbols=100, shared_h_eff=False)
-        assert shared["objective"] != indep["objective"]
-        assert indep["sinr_after"][0] > 0 and indep["sinr_after"][1] > 0
 
 
 class TestSpoofChain:
