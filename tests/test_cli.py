@@ -604,15 +604,16 @@ class TestMain:
         with pytest.raises(ConfigError, match="^sigma2: "):
             run(subcommand, config, tmp_path / "again")
 
-    def test_refused_run_removes_only_the_directories_it_made(self, tmp_path):
+    @pytest.mark.parametrize("subcommand", ["simulate", "sense"])
+    def test_refused_run_removes_only_the_directories_it_made(self, tmp_path, subcommand):
         # a handler's refusal leaves the disk as a parse-time refusal does
         config = write_config(tmp_path, {"carrier_envelope": {"re": 1e-300, "im": 0.0},
-                                         "sigma2": 1e300})
+                                         "sigma2": 1e300, "sense": {"duration_s": 1.0}})
         kept = tmp_path / "kept"
         kept.mkdir()
         for out_dir in (kept, kept / "new" / "nested"):
             with pytest.raises(ConfigError, match="^sigma2: "):
-                run("simulate", config, out_dir)
+                run(subcommand, config, out_dir)
         assert list(kept.iterdir()) == []
 
     def test_pattern_exponent_bound_is_inclusive(self):

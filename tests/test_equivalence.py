@@ -86,7 +86,6 @@ from metatx.geometry import (
 )
 from metatx.reflection import SurfaceConfig
 from metatx.sensing import (
-    HOP,
     RotorSpec,
     Spectrogram,
     doppler_signature,
@@ -1379,19 +1378,41 @@ def drawn_grid(rng, n_frames, n, complex_values):
     return np.abs(rng.standard_normal(shape))
 
 
+def use_framing(monkeypatch, n, hop):
+    """Run sensing at an n-sample window and the given hop, with no Griffin-Lim
+    pass: the overlap-add serves any framing whose hop divides the window."""
+    monkeypatch.setattr(sensing, "WINDOW_LENGTH", n)
+    monkeypatch.setattr(sensing, "HOP", hop)
+    monkeypatch.setattr(sensing, "GRIFFIN_LIM_PASSES", 0)
+
+
 # n_samples = None fits every frame; a short n_samples leaves frames past the
 # overlap-add buffer, which both paths drop
 @pytest.mark.parametrize("n_frames", [10, 11, 57, 315, 400])
-@pytest.mark.parametrize("n_samples", [None, 1000])
+@pytest.mark.parametrize("n, n_samples", [(256, None), (256, 1000), (16, 37)])
 @pytest.mark.parametrize("complex_values", [True, False], ids=["complex", "magnitude"])
 def test_hop_phase_overlap_add_matches_frame_loop_at_half_hop(
-    monkeypatch, n_frames, n_samples, complex_values
+    monkeypatch, n_frames, n, n_samples, complex_values
 ):
-    rng = np.random.default_rng([n_frames, 256])
-    n_samples = HOP * (n_frames - 1) if n_samples is None else n_samples
-    spec = Spectrogram(drawn_grid(rng, n_frames, 256, complex_values), 2000.0, n_samples)
-    monkeypatch.setattr(sensing, "GRIFFIN_LIM_PASSES", 0)
+    use_framing(monkeypatch, n, n // 2)
+    rng = np.random.default_rng([n_frames, n])
+    n_samples = n // 2 * (n_frames - 1) if n_samples is None else n_samples
+    spec = Spectrogram(drawn_grid(rng, n_frames, n, complex_values), 2000.0, n_samples)
     assert np.array_equal(istft_synthesize(spec), reference_istft(spec, "random"))
+
+
+@pytest.mark.parametrize("divisor", [4, 8])
+@pytest.mark.parametrize("n_frames, n_samples", [(40, None), (400, 2000)])
+@pytest.mark.parametrize("complex_values", [True, False], ids=["complex", "magnitude"])
+def test_hop_phase_overlap_add_matches_frame_loop_at_finer_hops(
+    monkeypatch, divisor, n_frames, n_samples, complex_values
+):
+    # more than two addends per sample: the phase order changes the sums' order
+    use_framing(monkeypatch, 256, 256 // divisor)
+    rng = np.random.default_rng([divisor, n_frames])
+    n_samples = 256 // divisor * (n_frames - 1) if n_samples is None else n_samples
+    spec = Spectrogram(drawn_grid(rng, n_frames, 256, complex_values), 2000.0, n_samples)
+    assert_close(istft_synthesize(spec), reference_istft(spec, "random"), rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -21,6 +21,10 @@ FS = 2000.0
 
 
 class TestWindow:
+    def test_hann_cola_half_hop(self):
+        for n in (128, 256, 512):
+            assert cola_deviation(hann_window(n), n // 2) < 1e-10
+
     def test_the_framing_overlap_adds_to_a_constant(self):
         assert cola_deviation(hann_window(WINDOW_LENGTH), HOP) < 1e-10
 
@@ -87,6 +91,15 @@ class TestIstft:
         x = rng.standard_normal(4096)
         spec = stft(x, FS)
         back = istft_synthesize(spec)
+        assert np.max(np.abs(back - x)) < 1e-9
+
+    # lengths at, beside and between multiples of the hop: inversion trims
+    # the overlap-add tail to n_samples alone
+    @pytest.mark.parametrize("length", [256, 257, 300, 383, 384, 385, 511, 1000, 4097])
+    def test_round_trip_exact_at_any_length(self, length):
+        x = np.random.default_rng(length).standard_normal(length)
+        back = istft_synthesize(stft(x, FS))
+        assert back.shape == x.shape
         assert np.max(np.abs(back - x)) < 1e-9
 
     def test_zero_spectrogram(self):

@@ -489,6 +489,14 @@ class TestTwoStream:
         with pytest.raises(ValueError, match="'seed'"):
             two_stream_experiment(default_scenario(), optimizer={"seed": 1})
 
+    def test_optimizer_negative_restarts_rejected(self):
+        with pytest.raises(ValueError, match="'restarts': -1"):
+            two_stream_experiment(default_scenario(), optimizer={"restarts": -1})
+
+    def test_optimizer_non_integer_restarts_rejected(self):
+        with pytest.raises(ValueError, match="'restarts': 1.5"):
+            two_stream_experiment(default_scenario(), optimizer={"restarts": 1.5})
+
     def test_optimizer_restarts_rejected(self):
         with pytest.raises(ValueError, match="'restarts'"):
             two_stream_experiment(default_scenario(), optimizer={"restarts": 2})
