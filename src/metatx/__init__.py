@@ -1,13 +1,14 @@
 """Desk-scale simulator of a reflective-metasurface superheterodyne transmitter.
 
-The surface reflects an unmodulated carrier while its per-element reflection
-magnitudes carry the information waveform and its phases steer the beam.
-Modules: ``geometry`` (directions, steering, the field transform),
-``reflection`` (surface magnitudes and phases), ``channel`` (multipath
-synthesis, folded into element-domain channels), ``modem``
-(QAM/IF chain), ``mixer`` (diode nonlinearity and calibration), ``precoder``
-(phase optimization), ``simulator`` (end-to-end experiments), ``sensing``
-(Doppler-signature synthesis), ``cli`` (command-line front end).
+The surface reflects an unmodulated carrier while one magnitude drive, shared
+by every element, carries the information waveform and a phase per element
+steers the beam. Modules: ``geometry`` (directions, steering, the field
+transform), ``reflection`` (the per-element phases and the shared magnitude
+drive), ``channel`` (multipath synthesis, folded into element-domain
+channels), ``modem`` (QAM/IF chain), ``mixer`` (diode nonlinearity and
+calibration), ``precoder`` (phase optimization), ``simulator`` (end-to-end
+experiments), ``sensing`` (Doppler-signature synthesis), ``cli``
+(command-line front end).
 """
 
 __version__ = "0.1.0"

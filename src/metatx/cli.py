@@ -201,7 +201,10 @@ def _checked(where: str, make):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _path_component(entry: dict, where: str) -> PathComponent:
+def _path_component(entry: dict, where: str, carrier_hz: float) -> PathComponent:
+    if not math.isfinite(2 * math.pi * carrier_hz * entry["delay_s"]):  # exp(-2 pi j f_c tau)
+        raise ConfigError(f"{where}.delay_s: the carrier phase 2 pi carrier_hz delay_s must be "
+                          f"finite, got {entry['delay_s']!r}")
     return _checked(where, lambda: PathComponent(
         gain=complex(entry["gain"]["re"], entry["gain"]["im"]),
         delay_s=entry["delay_s"],
@@ -261,7 +264,8 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
               for end in ("tx", "rx"))
     beam = np.ones(tx.n_antennas, dtype=complex) / np.sqrt(tx.n_antennas)
     paths = {
-        name: [_path_component(p, f"{name}[{i}]") for i, p in enumerate(cfg[name])]
+        name: [_path_component(p, f"{name}[{i}]", cfg["carrier_hz"])
+               for i, p in enumerate(cfg[name])]
         for name in ("paths_tx_to_surface", "paths_surface_to_rx")
     }
     envelope = cfg["carrier_envelope"]

@@ -1,11 +1,14 @@
-"""Programmable state of the surface: per-element magnitudes and phases.
+"""Programmable state of the surface: one phase per element and one shared
+magnitude drive.
 
 A unit cell's reflection coefficient factorizes into a static angular part,
 the element pattern f = cos(theta)^q folded into the transform
 W = U diag(f) of the geometry module, and a dynamic part
-alpha_k(t) exp(j phi_k) set by the control electronics. This module holds
-the dynamic part; the simulator applies it between the element-domain
-channels, y(t) = H_o diag(alpha(t) e^{j phi}) h_eff.
+alpha(t) exp(j phi_k) set by the control electronics. The surface decouples
+magnitude from phase: one IF waveform alpha(t) drives the magnitude of every
+element, and precoding sets only the phases phi_k. This module holds the
+dynamic part; the simulator applies it between the element-domain channels,
+y(t) = (H_o diag(e^{j phi}) h_eff) alpha(t).
 """
 
 from __future__ import annotations
@@ -17,26 +20,24 @@ import numpy as np
 
 @dataclass(eq=False)
 class SurfaceConfig:
-    """Programmable state of the surface: magnitudes over time plus phases.
+    """Programmable state of the surface: phases plus one magnitude series.
 
-    ``magnitudes`` has shape (K,) for a static state or (K, T) for a sampled
-    time series; ``phases`` has shape (K,) and is held constant within a
-    coherence block.
+    ``phases`` has shape (K,) and is held constant within a coherence block;
+    ``magnitude`` has shape (T,), the drive every element shares. A static
+    state is a length-1 series.
     """
 
-    magnitudes: np.ndarray
     phases: np.ndarray
+    magnitude: np.ndarray
 
     def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=float)
         self.phases = np.asarray(self.phases, dtype=float)
-        if self.magnitudes.ndim not in (1, 2):
-            raise ValueError("magnitudes must have shape (K,) or (K, T)")
+        self.magnitude = np.asarray(self.magnitude, dtype=float)
         if self.phases.ndim != 1:
             raise ValueError("phases must have shape (K,)")
-        if self.magnitudes.shape[0] != self.phases.shape[0]:
-            raise ValueError("magnitudes and phases disagree on K")
-        if np.any(self.magnitudes < 0) or np.any(self.magnitudes > 1):
+        if self.magnitude.ndim != 1:
+            raise ValueError("magnitude must have shape (T,)")
+        if np.any(self.magnitude < 0) or np.any(self.magnitude > 1):
             raise ValueError("surface magnitudes must stay in [0, 1]")
 
     @property
@@ -44,21 +45,10 @@ class SurfaceConfig:
         return self.phases.shape[0]
 
     @classmethod
-    def uniform(
-        cls, phases: np.ndarray, magnitude: np.ndarray | float = 1.0
-    ) -> "SurfaceConfig":
-        """All elements share one magnitude time series (or constant)."""
-        phases = np.asarray(phases, dtype=float)
-        mag = np.atleast_1d(np.asarray(magnitude, dtype=float))
-        if mag.size == 1:
-            mags = np.full(phases.shape[0], mag.item())
-        else:
-            mags = np.tile(mag, (phases.shape[0], 1))
-        return cls(mags, phases)
+    def uniform(cls, phases: np.ndarray, magnitude: np.ndarray) -> "SurfaceConfig":
+        """The state whose elements take ``phases`` and share ``magnitude``."""
+        return cls(phases, magnitude)
 
     def reflection_coefficients(self) -> np.ndarray:
-        """Per-element dynamic reflection alpha_k(t)*exp(j*phi_k), (K,) or (K, T)."""
-        ph = np.exp(1j * self.phases)
-        if self.magnitudes.ndim == 1:
-            return self.magnitudes * ph
-        return self.magnitudes * ph[:, None]
+        """Per-element dynamic reflection alpha(t)*exp(j*phi_k), shape (K, T)."""
+        return self.magnitude * np.exp(1j * self.phases)[:, None]

@@ -1,8 +1,9 @@
 """End-to-end link simulation and the standard experiments.
 
-The received signal is y(t) = H_o diag(gamma(t)) H_i x(t) + n(t), where
-gamma(t) collects the per-element reflection coefficients and the incident
-signal is an unmodulated carrier x(t) = w_t * s_c. Experiments built on top:
+The received signal is y(t) = H_o diag(e^{j phi}) H_i x(t) alpha(t) + n(t):
+the surface sets one phase phi_k per element and drives every element's
+magnitude with one shared series alpha(t), and the incident signal is an
+unmodulated carrier x(t) = w_t * s_c. Experiments built on top:
 symbol-isotropy probes, Monte-Carlo BER sweeps, diversity-versus-K scaling,
 two-stream interference cancellation, and the Doppler-spoofing chain.
 """
@@ -127,30 +128,21 @@ def build_link(scenario: ScenarioConfig) -> EffectiveChannels:
     return effective_channels(transform, h_tx, h_rx, scenario.tx_beam)
 
 
-def _reflect(rows: np.ndarray, surface: SurfaceConfig) -> np.ndarray:
-    """rows @ gamma for gamma = alpha_k(t) exp(j phi_k), without forming gamma.
-
-    The phases fold into the (N, K) rows. The real magnitudes multiply the real
-    and imaginary parts apart: complex @ float would cast a (K, T) complex copy.
-    """
-    rows = rows * np.exp(1j * surface.phases)
-    return rows.real @ surface.magnitudes + 1j * (rows.imag @ surface.magnitudes)
-
-
 def simulate_rx(
     scenario: ScenarioConfig,
     surface: SurfaceConfig,
-    link: EffectiveChannels | None = None,
+    link: EffectiveChannels,
 ) -> np.ndarray:
-    """Received signal y(t) = H_o diag(gamma(t)) h_eff s_c + n(t).
+    """Received signal y(t) = H_o diag(e^{j phi}) h_eff s_c alpha(t) + n(t), (N_r, T).
 
-    Shape (N_r,) for a static surface state or (N_r, T) for magnitude time
-    series; the noise is drawn from the scenario seed.
+    Every element carries the surface's one magnitude series, so y is the
+    phased link gain times that series; the noise is drawn from the scenario
+    seed.
     """
-    link = build_link(scenario) if link is None else link
     if surface.n_elements != scenario.n_elements:
         raise ValueError("surface state and geometry disagree on K")
-    y = _reflect(link.h_out * link.h_eff[np.newaxis, :], surface) * scenario.carrier_envelope
+    gain = (link.h_out * link.h_eff[np.newaxis, :]) @ np.exp(1j * surface.phases)
+    y = np.outer(gain * scenario.carrier_envelope, surface.magnitude)
     return add_noise(y, scenario.sigma2, scenario.seed)
 
 
@@ -172,11 +164,10 @@ def isotropy_check(
     phase before comparison. Probes falling in a pattern null are excluded
     and reported in the diagnostics.
     """
-    if surface.magnitudes.ndim != 2:
-        raise ValueError("isotropy check needs a magnitude time series")
     link = build_link(scenario)
     rows = _probe_rows(scenario, link, probe_directions)
-    streams = _reflect(rows * link.h_eff[np.newaxis, :], surface)  # (P, T)
+    gains = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * surface.phases)
+    streams = np.outer(gains, surface.magnitude)  # (P, T)
     norms = np.linalg.norm(streams, axis=1)
     scale = norms.max()
     excluded = [i for i, n in enumerate(norms) if n <= 1e-12 * scale]
@@ -508,7 +499,7 @@ def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
     phases = pc.closed_form_phases(link.h_out, link.h_eff).phases[0]
     envelope, sigma2 = unit_carrier(scenario)
     # Every element carries the same series alpha(t), so the received signal
-    # is the phased link gain times that series: no (K, T) magnitude array.
+    # is the phased link gain times that series.
     gain = (link.h_out * link.h_eff[np.newaxis, :]) @ phases * envelope
     y = add_noise(np.outer(gain, alpha), sigma2, scenario.seed)
     ref, aligned, metrics = demodulate(scenario, combine(y, gain, scale), bits, order, n_symbols)

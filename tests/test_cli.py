@@ -471,6 +471,18 @@ class TestMain:
         assert f"error: {field}: " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    @pytest.mark.parametrize("name", ["paths_tx_to_surface", "paths_surface_to_rx"])
+    def test_path_delay_with_no_finite_carrier_phase_refused_at_parse(
+        self, tmp_path, capsys, subcommand, name
+    ):
+        # 2 pi * 5.8e9 Hz * 1e300 s overflows, so exp(-2 pi j f_c tau) would be NaN
+        config = write_config(tmp_path, {**SMALL_CONFIG, name: [{}, {"delay_s": 1e300}]})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
+        assert f"error: {name}[1].delay_s: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
     # the solver's gradient squares the noise power 10^154 in Python floats;
     # past about -1541.3 dB the square overflows, which parsing refuses above
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -485,8 +497,9 @@ class TestMain:
         {"sweep": {"snr_db": [-3000.0, 3000.0, float("inf")]}},
         {"sense": {"duration_s": 0.128}},  # 256 samples, one window
         {"sense": {"duration_s": 2**31 / 2000}},  # the largest count: parsed here, never run
+        {"paths_surface_to_rx": [{"delay_s": 1e297}]},  # a carrier phase of 3.6e307 rad
     ], ids=["snr-3000", "snr-minus-300", "sweep-snr-bounds", "sense-256-samples",
-            "sense-largest-count"])
+            "sense-largest-count", "path-delay-finite-phase"])
     def test_boundary_values_accepted(self, override):
         scenario_from_dict(override)
 

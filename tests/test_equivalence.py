@@ -101,8 +101,8 @@ from reference import element_positions
 def reference_simulate(scenario, cfg, out_dir):
     """The CLI's simulate chain before it moved into ``simulator.simulate``.
 
-    It tiles the one magnitude series into a (K, T) surface and sends it
-    through ``simulate_rx``, where ``simulate`` scales the phased gain.
+    It sends the one magnitude series through ``simulate_rx``, where
+    ``simulate`` scales the phased gain itself.
     """
     n_symbols = cfg["simulate"]["n_symbols"]
     order = cfg["modem"]["order"]
@@ -448,7 +448,7 @@ def reference_closed_form_rows(h_out, h_eff):
 
 
 def reference_simulate_rx(scenario, surface, link):
-    """``simulate_rx`` through the materialized (K,) or (K, T) complex gamma."""
+    """``simulate_rx`` through the materialized (K, T) complex gamma."""
     gamma = surface.reflection_coefficients()
     y = ((link.h_out * link.h_eff[np.newaxis, :]) @ gamma) * scenario.carrier_envelope
     return add_noise(y, scenario.sigma2, scenario.seed)
@@ -599,8 +599,8 @@ def test_simulate_rx_matches_materialized_gamma(time_series, n_rx):
     link = sim.build_link(sc)
     rng = np.random.default_rng(17)
     k = sc.n_elements
-    mags = rng.random((k, 300)) if time_series else rng.random(k)
-    surface = SurfaceConfig(mags, 2 * np.pi * rng.random(k))
+    mags = rng.random(300 if time_series else 1)  # a static state is a length-1 series
+    surface = SurfaceConfig(2 * np.pi * rng.random(k), mags)
     assert_close(sim.simulate_rx(sc, surface, link), reference_simulate_rx(sc, surface, link))
 
 

@@ -7,7 +7,8 @@ seed their trials through ``channel.trial_generators``, not one
 ``default_rng`` per trial, and take their norms through
 ``precoder.row_norms``, not one ``np.linalg.norm`` per row, and the
 two-stream solver's Newton finish takes no eigendecomposition and has no
-size limit, the runtime needs numpy alone: no module imports scipy, and
+size limit, no function forms the dense (K, T) reflection array, the
+runtime needs numpy alone: no module imports scipy, and
 importing the CLI loads none of it, the sense chain scales its
 spectrograms to peak 1 only through ``Spectrogram.peak_normalized``, and
 every public function and method of ``src/`` has a caller outside the tests:
@@ -260,6 +261,18 @@ def test_called_attributes_detector():
     )
     assert called_attributes(source, "f") == ["default_rng", "integers"]
     assert called_attributes(source, "g") == ["len", "random"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_forms_the_dense_reflection_array(path):
+    # The surface is one phase per element and one shared magnitude series;
+    # the (K, T) reflection array is the tests' dense reference only. The
+    # grid tiles its azimuths over the polar rings, which is no surface array.
+    source = path.read_text()
+    functions = {n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)}
+    called = set().union(*(called_attributes(source, f) for f in functions))
+    banned = {"reflection_coefficients"} | ({"tile"} if path.name != "geometry.py" else set())
+    assert not banned & called
 
 
 @pytest.mark.parametrize("function", ["ber_sweep", "_channel_blocks"])

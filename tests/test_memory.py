@@ -5,9 +5,9 @@ The traced peak (stdlib ``tracemalloc``, which sees numpy's data buffers) is
 compared with the size of the arrays the maths needs, so nothing is timed.
 ``build_link`` keeps W = U diag(f) as its (K_r, M) and (K_c, M) factors and
 forms neither U nor W (a K x M complex array each); ``simulate_rx`` must not
-form the (K, T) complex reflection array; ``simulate`` must not tile its one
-magnitude series into a (K, T) array; ``qam_decide`` and ``qam_demap`` must
-not form the (N, order) distance matrix; ``ber_sweep`` must work through its trials in
+form the (K, T) complex reflection array; ``SurfaceConfig`` and ``simulate``
+must not tile the one magnitude series into a (K, T) array; ``qam_decide``
+and ``qam_demap`` must not form the (N, order) distance matrix; ``ber_sweep`` must work through its trials in
 blocks of ``BER_BLOCK_SYMBOLS`` symbols, not all at once, and
 ``diversity_sweep`` through its realizations in blocks of ``TRIAL_BLOCK``;
 the CSV writer
@@ -95,6 +95,15 @@ def test_simulate_rx_peak_below_one_k_by_t_array(scenario):
         2 * np.pi * rng.random(k), 0.5 + 0.4 * np.sin(np.arange(t) / 7.0)
     )
     assert traced_peak(simulate_rx, scenario, surface, link) < k * t * COMPLEX_BYTES
+
+
+def test_surface_state_holds_no_k_by_t_array(scenario):
+    # One phase per element and one shared magnitude series: tiling the series
+    # per element held a (K, T) float array (36.9 MB here).
+    k, t = scenario.n_elements, 4000
+    rng = np.random.default_rng(0)
+    phases, alpha = 2 * np.pi * rng.random(k), 0.5 + 0.4 * np.sin(np.arange(t) / 7.0)
+    assert traced_peak(SurfaceConfig.uniform, phases, alpha) < 0.01 * k * t * FLOAT_BYTES
 
 
 def test_qam_demap_working_memory_is_linear_and_order_free():

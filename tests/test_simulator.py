@@ -97,14 +97,14 @@ class TestSimulateRx:
         link = build_link(scenario)
         rng = np.random.default_rng(0)
         k = scenario.n_elements
-        alpha = rng.uniform(0, 1, (k, 25))
+        alpha = rng.uniform(0, 1, 25)
         phases = rng.uniform(0, 2 * np.pi, k)
-        surface = SurfaceConfig(alpha, phases)
+        surface = SurfaceConfig(phases, alpha)
         y = simulate_rx(scenario, surface, link)
         # dense per-sample oracle: full matrix products at every t
         expected = np.empty_like(y)
         for t in range(25):
-            gamma = np.diag(alpha[:, t] * np.exp(1j * phases))
+            gamma = np.diag(alpha[t] * np.exp(1j * phases))
             expected[:, t] = (
                 link.h_out @ gamma @ link.h_eff * scenario.carrier_envelope
             )
@@ -115,10 +115,11 @@ class TestSimulateRx:
         grid = hemisphere_grid(8, 16)
         sc = default_scenario(geometry=geom, grid=grid)
         link = build_link(sc)
-        surface = SurfaceConfig(np.ones(1), np.zeros(1))
+        surface = SurfaceConfig(np.zeros(1), np.ones(1))  # a static state: a length-1 series
         y = simulate_rx(sc, surface, link)
         expected = link.h_out[0, 0] * link.h_eff[0] * sc.carrier_envelope
-        assert_allclose(y, [expected], rtol=1e-12)
+        assert y.shape == (1, 1)
+        assert_allclose(y, [[expected]], rtol=1e-12)
 
     def test_noise_only_when_channel_zero(self, scenario):
         sc = default_scenario(sigma2=0.5, paths_surface_to_rx=[])
@@ -133,24 +134,25 @@ class TestSimulateRx:
         link = build_link(scenario)
         k = scenario.n_elements
         rng = np.random.default_rng(1)
-        alpha = rng.uniform(0, 0.5, (k, 10))
+        alpha = rng.uniform(0, 0.5, 10)
         phases = rng.uniform(0, 2 * np.pi, k)
-        y1 = simulate_rx(scenario, SurfaceConfig(alpha, phases), link)
-        y2 = simulate_rx(scenario, SurfaceConfig(2 * alpha, phases), link)
+        y1 = simulate_rx(scenario, SurfaceConfig(phases, alpha), link)
+        y2 = simulate_rx(scenario, SurfaceConfig(phases, 2 * alpha), link)
         assert_allclose(y2, 2 * y1, rtol=1e-12)
         sc2 = default_scenario(carrier_envelope=3.0 + 0j)
-        y3 = simulate_rx(sc2, SurfaceConfig(alpha, phases), link)
+        y3 = simulate_rx(sc2, SurfaceConfig(phases, alpha), link)
         assert_allclose(y3, 3 * y1, rtol=1e-12)
 
     def test_dimension_mismatch(self, scenario):
         with pytest.raises(ValueError):
-            simulate_rx(scenario, SurfaceConfig(np.ones(3), np.zeros(3)))
+            simulate_rx(scenario, SurfaceConfig(np.zeros(3), np.ones(3)), build_link(scenario))
 
     def test_seed_determinism(self):
         sc = default_scenario(sigma2=0.1)
         surface = SurfaceConfig.uniform(np.zeros(sc.n_elements), np.ones(20))
+        link = build_link(sc)
         assert_allclose(
-            simulate_rx(sc, surface), simulate_rx(sc, surface), rtol=0, atol=0
+            simulate_rx(sc, surface, link), simulate_rx(sc, surface, link), rtol=0, atol=0
         )
 
 
@@ -167,25 +169,12 @@ class TestIsotropy:
         out = isotropy_check(scenario, surface, self.probes(scenario.grid))
         assert out["max_deviation"] < 1e-10
 
-    def test_distinct_magnitudes_break_isotropy(self, scenario):
-        rng = np.random.default_rng(3)
-        k = scenario.n_elements
-        alpha = rng.uniform(0.05, 1.0, (k, 120))
-        surface = SurfaceConfig(alpha, rng.uniform(0, 2 * np.pi, k))
-        out = isotropy_check(scenario, surface, self.probes(scenario.grid))
-        assert out["max_deviation"] > 1e-3
-
     def test_single_probe_zero_deviation(self, scenario):
         surface = SurfaceConfig.uniform(
             np.zeros(scenario.n_elements), np.linspace(0.1, 1, 50)
         )
         out = isotropy_check(scenario, surface, [scenario.grid[5]])
         assert out["max_deviation"] == 0.0
-
-    def test_static_surface_rejected(self, scenario):
-        surface = SurfaceConfig(np.ones(scenario.n_elements), np.zeros(scenario.n_elements))
-        with pytest.raises(ValueError):
-            isotropy_check(scenario, surface, [scenario.grid[0]])
 
 
 class TestWilson:
