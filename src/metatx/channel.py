@@ -65,10 +65,11 @@ class TerminalArray:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveChannels:
-    """The factored W and the element-domain channels it folds: H_i, H_o, h_eff = H_i w_t."""
+    """The factored W and the element-domain channels it folds: H_o and
+    h_eff = H_i w_t, the incoming channel H_i = W H_tx-surface under the tx
+    beam w_t (the uniform beam in ``simulator.build_link``)."""
 
     transform: FieldTransform
-    h_in: np.ndarray    # (K, N_t)
     h_out: np.ndarray   # (N_r, K)
     h_eff: np.ndarray   # (K,)
 
@@ -172,8 +173,8 @@ def effective_channels(
 ) -> EffectiveChannels:
     """Fold the angular channels with W into element-domain channels.
 
-    H_i = W H_tx-surface, H_o = H_surface-rx W^H, h_eff = H_i w_t, each
-    through the factored ``transform``: W is never formed.
+    H_o = H_surface-rx W^H and h_eff = H_i w_t with H_i = W H_tx-surface,
+    each through the factored ``transform``: W is never formed.
     """
     k, m = transform.shape
     if h_tx_surface.shape[0] != m:
@@ -183,9 +184,8 @@ def effective_channels(
     w_t = np.asarray(w_t, dtype=complex)
     if w_t.shape[0] != h_tx_surface.shape[1]:
         raise ValueError("w_t length must match the tx antenna count")
-    h_in = transform.apply(h_tx_surface)
     h_out = transform.apply(h_surface_rx.conj().T).conj().T
-    return EffectiveChannels(transform=transform, h_in=h_in, h_out=h_out, h_eff=h_in @ w_t)
+    return EffectiveChannels(transform, h_out, transform.apply(h_tx_surface) @ w_t)
 
 
 def add_noise(y: np.ndarray, sigma2: float, seed) -> np.ndarray:

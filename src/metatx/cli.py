@@ -36,6 +36,9 @@ from .simulator import ScenarioConfig
 
 OUT_DIR_ENV = "METATX_OUT"
 MAX_SENSE_SAMPLES = 2**31  # 12 days at 2 kHz; its sense arrays would pass 100 GB
+# Largest path gain modulus: no passive path amplifies by 1000 dB, and with both
+# sides at the bound a K-element link's squared gain, about (1e100 K)^2, is finite.
+MAX_PATH_GAIN = 1e50
 
 
 class ConfigError(ValueError):
@@ -205,8 +208,12 @@ def _path_component(entry: dict, where: str, carrier_hz: float) -> PathComponent
     if not math.isfinite(2 * math.pi * carrier_hz * entry["delay_s"]):  # exp(-2 pi j f_c tau)
         raise ConfigError(f"{where}.delay_s: the carrier phase 2 pi carrier_hz delay_s must be "
                           f"finite, got {entry['delay_s']!r}")
+    gain = complex(entry["gain"]["re"], entry["gain"]["im"])
+    if math.hypot(gain.real, gain.imag) > MAX_PATH_GAIN:
+        raise ConfigError(f"{where}.gain: the modulus must be at most {MAX_PATH_GAIN:g}, "
+                          f"got {gain!r}")
     return _checked(where, lambda: PathComponent(
-        gain=complex(entry["gain"]["re"], entry["gain"]["im"]),
+        gain=gain,
         delay_s=entry["delay_s"],
         direction_at_surface=Direction(entry["theta_surface_rad"], entry["phi_surface_rad"]),
         direction_at_terminal=Direction(entry["theta_terminal_rad"], entry["phi_terminal_rad"]),
@@ -262,7 +269,6 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
     ))
     tx, rx = (TerminalArray.ula(cfg[end]["antennas"], cfg[end]["spacing_wavelengths"])
               for end in ("tx", "rx"))
-    beam = np.ones(tx.n_antennas, dtype=complex) / np.sqrt(tx.n_antennas)
     paths = {
         name: [_path_component(p, f"{name}[{i}]", cfg["carrier_hz"])
                for i, p in enumerate(cfg[name])]
@@ -277,7 +283,6 @@ def scenario_from_dict(user: dict) -> tuple[ScenarioConfig, dict]:
             tx=tx,
             rx=rx,
             **paths,
-            tx_beam=beam,
             carrier_envelope=complex(envelope["re"], envelope["im"]),
             modem=params,
             pulse=pulse,

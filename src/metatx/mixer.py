@@ -1,16 +1,15 @@
 """Single-diode small-signal mixer model of a unit cell.
 
-The forward-biased diode follows the exponential I-V law
-i = I_s (exp(a v) - 1). Expanding to second order around the bias point
-gives a constant term, a linear conductance 1/R_d and a square-law term
-1/(2 R_d'); the square-law term is what mixes the incident RF voltage with
-the IF drive. Bias-to-reflection-magnitude curves translate control voltage
-to the reflection magnitude that actually modulates the field.
+The diode follows the exponential I-V law i = I_s (exp(a v) - 1).
+Expanding to second order around zero bias gives a linear conductance 1/R_d
+and a square-law term 1/(2 R_d'), with no constant term since i(0) = 0; the
+square-law term is what mixes the incident RF voltage with the IF drive.
+Bias-to-reflection-magnitude curves translate control voltage to the
+reflection magnitude that actually modulates the field.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +22,13 @@ Z0_OHM = 50.0  # reference impedance of the resistive-divider magnitude
 class DiodeModel:
     """Exponential-diode parameters and derived small-signal quantities.
 
-    The Taylor coefficients are taken at ``bias_voltage_v``:
-    I_0 = I_s (exp(a V_b) - 1), R_d = 1/(a I_s exp(a V_b)),
-    R_d' = 1/(a^2 I_s exp(a V_b)) -- the reciprocal of the second derivative
-    of the I-V law at the bias point.
+    The Taylor coefficients are taken at zero bias: R_d = 1/(a I_s) and
+    R_d' = 1/(a^2 I_s) -- the reciprocals of the first and second
+    derivatives of the I-V law at v = 0.
     """
 
     saturation_current_a: float = 1e-6
     alpha_per_volt: float = 38.0
-    bias_voltage_v: float = 0.0
 
     def __post_init__(self):
         if self.saturation_current_a <= 0:
@@ -40,14 +37,8 @@ class DiodeModel:
             raise ValueError("alpha_per_volt must be > 0")
 
     @property
-    def bias_current_a(self) -> float:
-        a, vb = self.alpha_per_volt, self.bias_voltage_v
-        return self.saturation_current_a * (math.exp(a * vb) - 1)
-
-    @property
     def dynamic_resistance_ohm(self) -> float:
-        a, vb = self.alpha_per_volt, self.bias_voltage_v
-        return 1.0 / (a * self.saturation_current_a * math.exp(a * vb))
+        return 1.0 / (self.alpha_per_volt * self.saturation_current_a)
 
     @property
     def second_order_resistance_ohm(self) -> float:
@@ -58,8 +49,7 @@ def diode_current(v, model: DiodeModel, mode: str = "exact"):
     """Diode current at total voltage ``v`` (volts).
 
     ``exact`` evaluates I_s (exp(a v) - 1); ``taylor2`` evaluates the
-    second-order expansion around the model's bias point,
-    I_0 + (v - V_b)/R_d + (v - V_b)^2 / (2 R_d').
+    second-order expansion around zero bias, v/R_d + v^2 / (2 R_d').
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
@@ -69,12 +59,7 @@ def diode_current(v, model: DiodeModel, mode: str = "exact"):
             np.exp(model.alpha_per_volt * v) - 1
         )
     elif mode == "taylor2":
-        dv = v - model.bias_voltage_v
-        out = (
-            model.bias_current_a
-            + dv / model.dynamic_resistance_ohm
-            + dv**2 / (2 * model.second_order_resistance_ohm)
-        )
+        out = v / model.dynamic_resistance_ohm + v**2 / (2 * model.second_order_resistance_ohm)
     else:
         raise ValueError("mode must be 'exact' or 'taylor2'")
     return out if out.ndim else float(out)
@@ -135,9 +120,6 @@ class MagnitudeCurve:
     def range(self) -> tuple[float, float]:
         lo, hi = sorted((float(self.magnitude[0]), float(self.magnitude[-1])))
         return (lo, hi)
-
-    def __call__(self, v_bias):
-        return reflect_magnitude(v_bias, self)
 
     def _interval(self, v) -> np.ndarray:
         """Index i of the knot interval x_i <= v < x_{i+1} of each v; the

@@ -3,7 +3,8 @@
 The received signal is y(t) = H_o diag(e^{j phi}) H_i x(t) alpha(t) + n(t):
 the surface sets one phase phi_k per element and drives every element's
 magnitude with one shared series alpha(t), and the incident signal is an
-unmodulated carrier x(t) = w_t * s_c. Experiments built on top:
+unmodulated carrier x(t) = w_t * s_c from the uniform tx beam
+w_t = 1/sqrt(N_t). Experiments built on top:
 symbol-isotropy probes, Monte-Carlo BER sweeps, diversity-versus-K scaling,
 two-stream interference cancellation, and the Doppler-spoofing chain.
 """
@@ -63,7 +64,6 @@ class ScenarioConfig:
     rx: TerminalArray
     paths_tx_to_surface: list[PathComponent]
     paths_surface_to_rx: list[PathComponent]
-    tx_beam: np.ndarray
     carrier_envelope: complex = 1.0 + 0.0j
     modem: md.IFParams = md.DEFAULT_IF_PARAMS
     pulse: md.PulseShape = md.PulseShape()
@@ -73,11 +73,6 @@ class ScenarioConfig:
     fading: str = "rayleigh"
 
     def __post_init__(self):
-        self.tx_beam = np.asarray(self.tx_beam, dtype=complex)
-        if self.tx_beam.shape != (self.tx.n_antennas,):
-            raise ValueError("tx_beam length must match the tx antenna count")
-        if abs(np.linalg.norm(self.tx_beam) - 1) > 1e-9:
-            raise ValueError("tx_beam must have unit norm")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
         if not self.pattern_exponent >= 0:
@@ -109,14 +104,17 @@ def default_scenario(**overrides) -> ScenarioConfig:
         paths_surface_to_rx=[
             PathComponent(1.0, 0.0, grid[200], Direction(0.2, 1.0))
         ],
-        tx_beam=np.array([1.0 + 0.0j]),
     )
     base.update(overrides)
     return ScenarioConfig(**base)
 
 
 def build_link(scenario: ScenarioConfig) -> EffectiveChannels:
-    """Assemble the transform, H_i, H_o and h_eff from the scenario's path lists."""
+    """Assemble the transform, H_o and h_eff from the scenario's path lists.
+
+    Every tx antenna feeds the carrier in phase: h_eff = H_i w_t with the
+    uniform beam w_t = ones(N_t) / sqrt(N_t).
+    """
     pattern = _element_pattern(scenario.grid, scenario.pattern_exponent)
     transform = FieldTransform.on_grid(scenario.geometry, scenario.grid, pattern)
     h_tx = channel_tx_to_surface(
@@ -125,7 +123,9 @@ def build_link(scenario: ScenarioConfig) -> EffectiveChannels:
     h_rx = channel_surface_to_rx(
         scenario.paths_surface_to_rx, scenario.rx, scenario.grid, scenario.carrier_hz
     )
-    return effective_channels(transform, h_tx, h_rx, scenario.tx_beam)
+    n_tx = scenario.tx.n_antennas
+    beam = np.ones(n_tx, dtype=complex) / np.sqrt(n_tx)
+    return effective_channels(transform, h_tx, h_rx, beam)
 
 
 def simulate_rx(
@@ -146,10 +146,16 @@ def simulate_rx(
     return add_noise(y, scenario.sigma2, scenario.seed)
 
 
-def _probe_rows(scenario: ScenarioConfig, link: EffectiveChannels, probes) -> np.ndarray:
-    """Outgoing channel rows v(dir)^T W^H for single-antenna probes, (P, K)."""
+def _probe_gains(scenario: ScenarioConfig, phases: np.ndarray, probes) -> tuple[np.ndarray, list]:
+    """Link gains v(dir)^T W^H diag(e^{j phi}) h_eff to single-antenna probes,
+    shape (P,), and the indices of the probes in a pattern null: those whose
+    |gain| is at most 1e-12 of the strongest."""
+    link = build_link(scenario)
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])  # (P, M), real
-    return link.transform.apply(sel.T).conj().T
+    rows = link.transform.apply(sel.T).conj().T
+    gains = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)
+    strength = np.abs(gains)
+    return gains, [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
 
 
 def isotropy_check(
@@ -164,13 +170,11 @@ def isotropy_check(
     phase before comparison. Probes falling in a pattern null are excluded
     and reported in the diagnostics.
     """
-    link = build_link(scenario)
-    rows = _probe_rows(scenario, link, probe_directions)
-    gains = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * surface.phases)
+    if not np.any(surface.magnitude):
+        raise ValueError("the magnitude series is zero throughout; no probe sees a stream")
+    gains, excluded = _probe_gains(scenario, surface.phases, probe_directions)
     streams = np.outer(gains, surface.magnitude)  # (P, T)
     norms = np.linalg.norm(streams, axis=1)
-    scale = norms.max()
-    excluded = [i for i, n in enumerate(norms) if n <= 1e-12 * scale]
     kept = [i for i in range(len(probe_directions)) if i not in excluded]
     if not kept:
         raise ValueError("all probes fall in pattern nulls")
@@ -245,7 +249,7 @@ def ber_sweep(
     scenario: ScenarioConfig,
     snr_db_list,
     order: int,
-    precoding: str = "none",
+    precoding: str,
     trials: int = 200,
     min_bits: int = 100_000,
 ) -> SweepResult:
@@ -654,20 +658,15 @@ def doppler_spoof_experiment(
     fidelity against the target, and the pairwise probe correlation.
     """
     seed = scenario.seed
-    link = build_link(scenario)
     phases = 2 * np.pi * np.random.default_rng([seed, 0xD09]).random(scenario.n_elements)
+    gains, excluded = _probe_gains(scenario, phases, probe_directions)
 
     target = doppler_signature(rotors, duration_s, signal_rate_hz)
     drive_wave = istft_synthesize(target, seed=seed)
     alpha, scale = _magnitude_drive(drive_wave)
 
-    rows = _probe_rows(scenario, link, probe_directions)
-    coupling = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)
     envelope, sigma2 = unit_carrier(scenario)
-    coupling = coupling * envelope
-    strength = np.abs(coupling)
-    excluded = [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
-
+    coupling = gains * envelope
     recovered = [None] * len(coupling)
     for p, c in enumerate(coupling):
         if p not in excluded:

@@ -1,13 +1,15 @@
 """Dense and per-element references that only the tests use: element
 positions and steering vectors, element by element, the two-stream
 solver's angle gradient and Hessian assembled in full, its trust-region
-iteration with every trial solving its model from scratch, and the
-overlap-add deviation of a window and hop."""
+iteration with every trial solving its model from scratch, the probe gains
+and pattern-null exclusions as the two probe experiments wrote them inline,
+and the overlap-add deviation of a window and hop."""
 
 import numpy as np
 
 from metatx import precoder as pc
-from metatx.channel import TerminalArray
+from metatx import simulator as sim
+from metatx.channel import TerminalArray, selection_vector
 from metatx.geometry import ArrayGeometry, Direction
 
 
@@ -122,6 +124,24 @@ def reference_trust_step(phis, rows_pair, sigma2, current, radius, products):
             return candidate, new, radius, rejected, True
         rejected += 1
     return phis, current, radius, rejected, False
+
+
+def reference_probe_gains(scenario, phases, probes, magnitude):
+    """Probe gains as ``doppler_spoof_experiment`` and ``isotropy_check`` each
+    formed them: outgoing rows v(dir)^T W^H times h_eff under the phases.
+    Returns the gains with the excluded probes by each one's rule: the sense
+    chain's, |gain e| at most 1e-12 of the strongest after the unit-scaled
+    carrier envelope e, and the isotropy check's, the norm of the stream
+    gain * ``magnitude`` at most 1e-12 of the strongest."""
+    link = sim.build_link(scenario)
+    sel = np.stack([selection_vector(scenario.grid, d) for d in probes])
+    rows = link.transform.apply(sel.T).conj().T
+    gains = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)
+    strength = np.abs(gains * sim.unit_carrier(scenario)[0])
+    sense = [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
+    norms = np.linalg.norm(np.outer(gains, magnitude), axis=1)
+    isotropy = [i for i, n in enumerate(norms) if n <= 1e-12 * norms.max()]
+    return gains, sense, isotropy
 
 
 def cola_deviation(window: np.ndarray, hop: int) -> float:

@@ -154,9 +154,9 @@ class TestEffectiveChannels:
         w = np.eye(k, dtype=complex)
         h_tx = rayleigh_matrix(rng, k, 2)
         h_rx = rayleigh_matrix(rng, 3, k)
-        w_t = np.array([1.0, 0.0], dtype=complex)
+        w_t = np.array([0.6, 0.8j])
         eff = effective_channels(dense(w), h_tx, h_rx, w_t)
-        assert_allclose(eff.h_in, h_tx)
+        assert_allclose(eff.h_eff, h_tx @ w_t)
         assert_allclose(eff.h_out, h_rx)
 
     def test_basis_beam_selects_first_column(self):
@@ -165,7 +165,7 @@ class TestEffectiveChannels:
         h_tx = rayleigh_matrix(rng, 5, 2)
         h_rx = rayleigh_matrix(rng, 2, 5)
         eff = effective_channels(dense(w), h_tx, h_rx, np.array([1.0, 0.0]))
-        assert_allclose(eff.h_eff, eff.h_in[:, 0])
+        assert_allclose(eff.h_eff, (w @ h_tx)[:, 0])
 
     def test_single_path_closed_product(self, grid):
         # one path per side, on-grid: H_o Phi H_i collapses to the rank-1
@@ -179,15 +179,14 @@ class TestEffectiveChannels:
         alpha, tau = -0.5 + 0.9j, 3.3e-8
         p_in = PathComponent(beta, zeta, on_grid(grid, mi), Direction(0.5, 0.5))
         p_out = PathComponent(alpha, tau, on_grid(grid, mo), Direction(0.6, 2.5))
-        h_i = effective_channels(
-            w,
-            channel_tx_to_surface([p_in], tx, grid, FC),
-            channel_surface_to_rx([p_out], rx, grid, FC),
-            np.array([1.0, 0.0]),
-        )
+        h_tx = channel_tx_to_surface([p_in], tx, grid, FC)
+        h_rx = channel_surface_to_rx([p_out], rx, grid, FC)
+        # one basis beam per tx antenna gives H_i = W H_tx column by column
+        links = [effective_channels(w, h_tx, h_rx, beam) for beam in np.eye(2)]
+        h_in = np.column_stack([link.h_eff for link in links])
         rng = np.random.default_rng(5)
         phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-        product = h_i.h_out @ np.diag(phi) @ h_i.h_in
+        product = links[0].h_out @ np.diag(phi) @ h_in
         a_in = steering_vector(geom, on_grid(grid, mi))
         a_out = steering_vector(geom, on_grid(grid, mo))
         middle = a_out.conj() @ (phi * a_in)
@@ -216,7 +215,6 @@ class TestEffectiveChannels:
         a = effective_channels(dense(w), h1, h_rx, w_t)
         b = effective_channels(dense(w), h2, h_rx, w_t)
         c = effective_channels(dense(w), h1 + h2, h_rx, w_t)
-        assert_allclose(c.h_in, a.h_in + b.h_in, rtol=1e-12)
         assert_allclose(c.h_eff, a.h_eff + b.h_eff, rtol=1e-12)
 
     def test_dimension_mismatch(self):

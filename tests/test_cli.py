@@ -483,6 +483,18 @@ class TestMain:
         assert f"error: {name}[1].delay_s: " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    @pytest.mark.parametrize("name", ["paths_tx_to_surface", "paths_surface_to_rx"])
+    def test_path_gain_above_the_bound_refused_at_parse(self, tmp_path, capsys, subcommand, name):
+        # each part lies below the bound, the modulus 1.06e50 above it
+        big = {"gain": {"re": 7e49, "im": 8e49}}
+        config = write_config(tmp_path, {**SMALL_CONFIG, name: [{}, big]})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {name}[1].gain: the modulus must be at most 1e+50, got " in err
+        assert not out_dir.exists()
+
     # the solver's gradient squares the noise power 10^154 in Python floats;
     # past about -1541.3 dB the square overflows, which parsing refuses above
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -498,8 +510,9 @@ class TestMain:
         {"sense": {"duration_s": 0.128}},  # 256 samples, one window
         {"sense": {"duration_s": 2**31 / 2000}},  # the largest count: parsed here, never run
         {"paths_surface_to_rx": [{"delay_s": 1e297}]},  # a carrier phase of 3.6e307 rad
+        {"paths_tx_to_surface": [{"gain": {"re": 0.0, "im": -1e50}}]},
     ], ids=["snr-3000", "snr-minus-300", "sweep-snr-bounds", "sense-256-samples",
-            "sense-largest-count", "path-delay-finite-phase"])
+            "sense-largest-count", "path-delay-finite-phase", "path-gain-at-the-bound"])
     def test_boundary_values_accepted(self, override):
         scenario_from_dict(override)
 

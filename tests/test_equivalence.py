@@ -95,7 +95,7 @@ from metatx.sensing import (
     stft,
 )
 from metatx.simulator import default_scenario, wilson_interval
-from reference import element_positions
+from reference import element_positions, reference_probe_gains
 
 
 def reference_simulate(scenario, cfg, out_dir):
@@ -242,7 +242,7 @@ def test_ber_sweep_noise_power_sums_trials_in_order(monkeypatch, n_rx):
     snr_db, trials = [2.0, 9.0], 150
     recorder = SqrtRecorder()
     monkeypatch.setattr(sim, "np", recorder)
-    sim.ber_sweep(scenario, snr_db, 4, trials=trials, min_bits=trials * 2)
+    sim.ber_sweep(scenario, snr_db, 4, "none", trials=trials, min_bits=trials * 2)
     # ber_sweep scales the envelope 1 to 1/2 first, and the noise power with it
     p_ref = reference_base_power(scenario, trials) / 4
     assert recorder.args == [p_ref / 10 ** (s / 10) / 2 for s in snr_db]
@@ -611,18 +611,60 @@ def reference_w(scenario):
 
 
 def test_folded_channels_match_w_hermitian_products():
-    sc = default_scenario(rx=TerminalArray.ula(3), tx=TerminalArray.ula(2),
-                          tx_beam=np.array([0.6, 0.8j]))
+    sc = default_scenario(rx=TerminalArray.ula(3), tx=TerminalArray.ula(2))
     link = sim.build_link(sc)
     w = reference_w(sc)
     rng = np.random.default_rng(3)
     h_tx = rayleigh_matrix(rng, len(sc.grid), 2)
     h_rx = rayleigh_matrix(rng, 3, len(sc.grid))
-    eff = effective_channels(link.transform, h_tx, h_rx, sc.tx_beam)
+    beam = np.array([0.6, 0.8j])
+    eff = effective_channels(link.transform, h_tx, h_rx, beam)
     assert_close(eff.h_out, h_rx @ w.conj().T)
+    assert_close(eff.h_eff, w @ h_tx @ beam)
     probes = [sc.grid[m] for m in range(5, 9)]
     rows = np.stack([selection_vector(sc.grid, d) @ w.conj().T for d in probes])
-    assert_close(sim._probe_rows(sc, link, probes), rows)
+    phases = 2 * np.pi * rng.random(sc.n_elements)
+    assert_close(sim._probe_gains(sc, phases, probes)[0], rows @ (np.exp(1j * phases) * link.h_eff))
+
+
+# A probe on a point of the 16 x 32 default grid, where its selection vector
+# is one-hot, or at a (cos(theta), phi) inside the grid's outermost rows.
+PROBES = st.lists(
+    st.one_of(st.integers(0, 16 * 32 - 1),
+              st.tuples(st.floats(0.04, 0.96), st.floats(0, 2 * np.pi))),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    PROBES,
+    st.sampled_from([0.0, 1.0, 20.0, 300.0]),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_probe_gains_match_the_inline_experiments(probes, exponent, envelope, seed):
+    sc = default_scenario(pattern_exponent=exponent, carrier_envelope=envelope)
+    rng = np.random.default_rng(seed)
+    phases = 2 * np.pi * rng.random(sc.n_elements)
+    directions = [sc.grid[p] if isinstance(p, int) else Direction(math.acos(p[0]), p[1])
+                  for p in probes]
+    gains, excluded = sim._probe_gains(sc, phases, directions)
+    ref, sense, isotropy = reference_probe_gains(sc, phases, directions, rng.random(50))
+    assert np.array_equal(gains, ref)
+    assert excluded == sense == isotropy
+
+
+def test_probe_gains_exclude_a_probe_in_a_pattern_null():
+    # On the grid's lowest row cos(theta)^20 = 32^-20, about 1e-30 of its
+    # value near the zenith: a null, though not an exact zero.
+    sc = default_scenario(pattern_exponent=20.0)
+    phases = 2 * np.pi * np.random.default_rng(8).random(sc.n_elements)
+    directions = [Direction(0.1, 0.3), sc.grid[len(sc.grid) - 5], Direction(0.4, 5.0)]
+    gains, excluded = sim._probe_gains(sc, phases, directions)
+    ref, sense, isotropy = reference_probe_gains(sc, phases, directions, np.linspace(0.1, 1, 20))
+    assert np.array_equal(gains, ref)
+    assert excluded == sense == isotropy == [1]
 
 
 def random_complex(rng, *shape):
@@ -667,14 +709,14 @@ def test_transform_rejects_mismatched_shapes():
 
 @pytest.mark.parametrize("n_tx, n_rx", [(1, 1), (2, 3), (3, 2)])
 def test_build_link_matches_dense_fold(n_tx, n_rx):
-    beam = np.exp(1j * np.arange(n_tx)) / np.sqrt(n_tx)
+    # build_link feeds every tx antenna in phase: the uniform beam
+    beam = np.ones(n_tx) / np.sqrt(n_tx)
     sc = default_scenario(geometry=ArrayGeometry(5, 3, 0.02586, 0.05172),
-                          tx=TerminalArray.ula(n_tx), rx=TerminalArray.ula(n_rx), tx_beam=beam)
+                          tx=TerminalArray.ula(n_tx), rx=TerminalArray.ula(n_rx))
     link = sim.build_link(sc)
     w = reference_w(sc)
     h_tx = channel_tx_to_surface(sc.paths_tx_to_surface, sc.tx, sc.grid, sc.carrier_hz)
     h_rx = channel_surface_to_rx(sc.paths_surface_to_rx, sc.rx, sc.grid, sc.carrier_hz)
-    assert_close(link.h_in, w @ h_tx)
     assert_close(link.h_out, h_rx @ w.conj().T)
     assert_close(link.h_eff, w @ h_tx @ beam)
 
@@ -687,14 +729,13 @@ def test_build_link_matches_dense_fold_at_paper_scale():
     h_tx = channel_tx_to_surface(sc.paths_tx_to_surface, sc.tx, sc.grid, sc.carrier_hz)
     h_rx = channel_surface_to_rx(sc.paths_surface_to_rx, sc.rx, sc.grid, sc.carrier_hz)
     positions = element_positions(geom)
-    h_in, h_out = np.empty_like(link.h_in), np.empty_like(link.h_out)
+    h_eff, h_out = np.empty_like(link.h_eff), np.empty_like(link.h_out)
     for lo in range(0, geom.n_elements, 512):  # dense W in row blocks
         w = reference_steering(positions[lo : lo + 512], sc.grid) * f
-        h_in[lo : lo + 512] = w @ h_tx
+        h_eff[lo : lo + 512] = w @ h_tx[:, 0]  # one tx antenna, whose beam is 1
         h_out[:, lo : lo + 512] = h_rx @ w.conj().T
-    assert_close(link.h_in, h_in)
     assert_close(link.h_out, h_out)
-    assert_close(link.h_eff, h_in @ sc.tx_beam)
+    assert_close(link.h_eff, h_eff)
 
 
 MC_SWEEP_CONFIG = {

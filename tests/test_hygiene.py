@@ -12,8 +12,10 @@ runtime needs numpy alone: no module imports scipy, and
 importing the CLI loads none of it, the sense chain scales its
 spectrograms to peak 1 only through ``Spectrogram.peak_normalized``, and
 every public function and method of ``src/`` has a caller outside the tests:
-code that only tests reach lives in ``tests/reference.py``, and every
-library parameter with a default is set by some caller outside the tests.
+code that only tests reach lives in ``tests/reference.py``, every
+library parameter and dataclass field with a default is set by some caller
+outside the tests, and every dataclass field is read by some code outside
+the tests.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
@@ -359,7 +361,7 @@ def test_sweep_norms_go_through_row_norms(module, function):
 
 @pytest.mark.parametrize("module, function, own_peaks", [
     ("sensing.py", "doppler_signature", []),
-    ("simulator.py", "doppler_spoof_experiment", ["strength.max"]),  # the probe-exclusion threshold
+    ("simulator.py", "doppler_spoof_experiment", []),
 ])
 def test_spectrograms_normalise_only_through_peak_normalized(module, function, own_peaks):
     # One peak normalisation serves the template and every probe: no grid
@@ -433,10 +435,32 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert unreferenced_definitions(modules, outside_references()) == []
 
 
+def dataclass_fields(tree):
+    """(class, field, position, defaulted) of each field of each ``@dataclass``
+    class: its annotated names, in order. Positions count the ``__init__``
+    arguments; a ``field(init=False)`` is none of them and has position None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            position = 0
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    value = item.value
+                    init = not (isinstance(value, ast.Call) and any(
+                        k.arg == "init" and getattr(k.value, "value", True) is False
+                        for k in value.keywords))
+                    yield node.name, item.target.id, position if init else None, value is not None
+                    position += init
+
+
 def optional_parameters(tree):
     """(function, parameter, position) of each parameter with a default, in
-    functions and methods at any depth. A keyword-only parameter has position
-    None; a method's positions count from the argument after self or cls."""
+    functions and methods at any depth, and (class, field, position) of each
+    ``@dataclass`` field with a default that ``__init__`` takes. A
+    keyword-only parameter has position None; a method's positions count from
+    the argument after self or cls."""
     methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body
                if isinstance(m, ast.FunctionDef)
                and "staticmethod" not in {getattr(d, "id", None) for d in m.decorator_list}}
@@ -450,6 +474,9 @@ def optional_parameters(tree):
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     yield node.name, arg.arg, None
+    for cls, name, position, defaulted in dataclass_fields(tree):
+        if defaulted and position is not None:
+            yield cls, name, position
 
 
 def unset_parameters(modules: dict, callers: list[str]) -> list[str]:
@@ -484,10 +511,24 @@ def test_unset_parameter_detector():
         "class C:\n    def m(self, u=1, v=2):\n        return u\n"
         "    @staticmethod\n    def s(p=1):\n        return p\n"
         "def h(q=1, r=2):\n    return q\n"
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 1\n"
+        "    c: int = field(default=2)\n    d: list = field(init=False)\n    e: int = 3\n"
+        "@dataclass\nclass E:\n    u: int = 0\n"
     )}
-    callers = ["f(0, 5)\nf(0, w=4)\nC().m(7)\nC.s(1)\nh(*args)\n", "g(**options)\n"]
-    assert unset_parameters(modules, callers) == ["a.f(z)", "a.m(v)"]
-    assert unset_parameters(modules, callers + ["f(0, 1, 2)\nC().m(v=2)\n"]) == []
+    callers = ["f(0, 5)\nf(0, w=4)\nC().m(7)\nC.s(1)\nh(*args)\nD(0, 5)\n",
+               "g(**options)\nE(**fields)\n"]
+    assert unset_parameters(modules, callers) == ["a.f(z)", "a.m(v)", "a.D(c)", "a.D(e)"]
+    # d is no __init__ argument, so e is the fourth
+    settings = "f(0, 1, 2)\nC().m(v=2)\nD(0, 1, 2, 3)\n"
+    assert unset_parameters(modules, callers + [settings]) == []
+
+
+def outside_sources() -> list[str]:
+    """Sources of the code outside the tests: the package, the benchmark and
+    the acceptance suite."""
+    paths = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    return [p.read_text() for p in paths]
 
 
 def test_every_optional_parameter_is_set_outside_the_tests():
@@ -495,6 +536,30 @@ def test_every_optional_parameter_is_set_outside_the_tests():
     # is behaviour to keep and check that no run reaches. The CLI is exempt
     # as the outermost caller; its defaults are the command-line flags.
     modules = {p.stem: p.read_text() for p in MODULES if p.name != "cli.py"}
-    paths = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
-             ROOT / "tests" / "test_acceptance.py"]
-    assert unset_parameters(modules, [p.read_text() for p in paths]) == []
+    assert unset_parameters(modules, outside_sources()) == []
+
+
+def unread_fields(modules: dict, readers: list[str]) -> list[str]:
+    """Dataclass fields of ``modules`` (name -> source) that no source in
+    ``readers`` reads as an attribute, as ``module.Class.field``."""
+    read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}.{cls}.{name}" for module, source in modules.items()
+            for cls, name, *_ in dataclass_fields(ast.parse(source)) if name not in read]
+
+
+def test_unread_field_detector():
+    modules = {"a": (
+        "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n"
+        "    z: int = field(init=False)\nclass Q:\n    w: int\n"
+    )}
+    readers = ["def f(p):\n    p.z = p.x\n    return P(y=1)\n"]  # set, not read: y and z
+    assert unread_fields(modules, readers) == ["a.P.y", "a.P.z"]
+    assert unread_fields(modules, readers + ["print(p.y, p.z)\n"]) == []
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # A field nothing reads is state a caller can set to no effect. The CLI
+    # is exempt: its run manifest is written whole through asdict.
+    modules = {p.stem: p.read_text() for p in MODULES if p.name != "cli.py"}
+    assert unread_fields(modules, outside_sources()) == []

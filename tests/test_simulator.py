@@ -67,14 +67,6 @@ def gray_qam_ber(order, snr_lin):
 
 
 class TestScenarioValidation:
-    def test_tx_beam_must_be_unit_norm(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            default_scenario(tx_beam=np.array([2.0 + 0j]))
-
-    def test_tx_beam_length_checked(self):
-        with pytest.raises(ValueError, match="antenna count"):
-            default_scenario(tx_beam=np.array([1.0, 0.0]))
-
     def test_fading_mode_checked(self):
         # "paths" is no mode: ber_sweep has no path-channel model to run
         for mode in ("ricean", "paths"):
@@ -176,6 +168,11 @@ class TestIsotropy:
         out = isotropy_check(scenario, surface, [scenario.grid[5]])
         assert out["max_deviation"] == 0.0
 
+    def test_zero_magnitude_series_refused(self, scenario):
+        surface = SurfaceConfig.uniform(np.zeros(scenario.n_elements), np.zeros(30))
+        with pytest.raises(ValueError, match="zero throughout"):
+            isotropy_check(scenario, surface, self.probes(scenario.grid))
+
 
 class TestWilson:
     def test_basic_properties(self):
@@ -201,7 +198,7 @@ class TestBerSweep:
 
     def test_noiseless_zero_ber(self):
         sc = default_scenario(fading="bypass")
-        result = ber_sweep(sc, [np.inf], 16, trials=2, min_bits=2000)
+        result = ber_sweep(sc, [np.inf], 16, "none", trials=2, min_bits=2000)
         assert result.values[0] == 0.0
 
     def test_precoding_never_worse(self):
@@ -213,14 +210,14 @@ class TestBerSweep:
 
     def test_monotone_in_snr_within_ci(self):
         sc = default_scenario(seed=13)
-        result = ber_sweep(sc, [0.0, 6.0, 12.0, 18.0], 16, trials=30, min_bits=60_000)
+        result = ber_sweep(sc, [0.0, 6.0, 12.0, 18.0], 16, "none", trials=30, min_bits=60_000)
         for i in range(len(result.values) - 1):
             assert result.values[i + 1] <= result.ci_high[i]
 
     def test_deterministic_given_seed(self):
         sc = default_scenario(seed=5)
-        a = ber_sweep(sc, [8.0], 16, trials=5, min_bits=5000)
-        b = ber_sweep(sc, [8.0], 16, trials=5, min_bits=5000)
+        a = ber_sweep(sc, [8.0], 16, "none", trials=5, min_bits=5000)
+        b = ber_sweep(sc, [8.0], 16, "none", trials=5, min_bits=5000)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.ci_low, b.ci_low)
 
@@ -263,15 +260,15 @@ class TestBerSweep:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trial_count_checked(self, scenario, trials):
         with pytest.raises(ValueError, match="trials"):
-            ber_sweep(scenario, [10.0], 16, trials=trials)
+            ber_sweep(scenario, [10.0], 16, "none", trials=trials)
 
     def test_low_confidence_points_flagged(self):
         # far too few bits at a low-error SNR point: the estimate is flagged
         sc = default_scenario(fading="bypass", seed=17)
-        result = ber_sweep(sc, [13.0], 16, trials=2, min_bits=2000)
+        result = ber_sweep(sc, [13.0], 16, "none", trials=2, min_bits=2000)
         if 0 < result.values[0] and result.counts[0] * result.values[0] < 10:
             assert 13.0 in result.extras["low_confidence_points"]
-        clean = ber_sweep(sc, [8.0], 16, trials=5, min_bits=100_000)
+        clean = ber_sweep(sc, [8.0], 16, "none", trials=5, min_bits=100_000)
         assert clean.extras["low_confidence_points"] == []
 
 
