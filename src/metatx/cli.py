@@ -4,10 +4,10 @@ Configs are JSON with SI-unit-suffixed keys; every key has a default whose type
 checks its value, unknown keys are rejected, and flag overrides (written into
 the config before the check) beat config values which beat defaults.
 This is the one module that writes files: the library computes, and each
-handler here lays out its results as CSV (``csvio.write_csv``) and JSON
-through ``_Outputs``. Each run writes its metric files plus a manifest
-(config hash, seeds, output index); re-running with the same config and seed
-reproduces the metric files byte for byte.
+handler here lays out its results through ``_Outputs``: arrays as ``.npy``,
+sweep tables as CSV and metrics as JSON. Each run writes its metric files
+plus a manifest (config hash, seeds, output index); re-running with the same
+config and seed reproduces the metric files byte for byte.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from . import modem as md
 from . import precoder as pc
 from . import simulator as sim
 from .channel import SPEED_OF_LIGHT, PathComponent, TerminalArray
-from .csvio import write_csv
 from .geometry import ArrayGeometry, Direction, hemisphere_grid
 from .sensing import WINDOW_LENGTH, RotorSpec
 from .simulator import ScenarioConfig
@@ -345,11 +344,15 @@ class _Outputs:
         self.paths.append(full)
         return full
 
-    def csv(self, name: str, rows, header: str | None = None, sidecar: dict | None = None):
-        """``rows`` as CSV; a ``sidecar`` dict goes beside it as ``<name>.json``."""
-        write_csv(self._add(name), rows, header)
+    def npy(self, name: str, array, sidecar: dict | None = None) -> None:
+        """``array`` as ``.npy``; a ``sidecar`` dict goes beside it as ``<name>.json``."""
+        np.save(self._add(name), array, allow_pickle=False)
         if sidecar is not None:
             _json_dump(self._add(f"{name}.json"), sidecar, sort_keys=False, end="")
+
+    def csv(self, name: str, rows, header: str) -> None:
+        """A table of ``rows`` under a ``header`` line, every value as ``%.17g``."""
+        np.savetxt(self._add(name), rows, delimiter=",", fmt="%.17g", header=header, comments="")
 
     def json(self, name: str, payload, sort_keys: bool = True) -> None:
         _json_dump(self._add(name), payload, sort_keys)
@@ -370,10 +373,9 @@ class _Outputs:
 
 
 def _run_simulate(scenario, cfg, out):
-    _checked("sigma2", lambda: sim.unit_carrier(scenario))
     report = sim.simulate(scenario, cfg["simulate"]["n_symbols"], cfg["modem"]["order"])
     for name in ("tx_symbols", "rx_symbols"):
-        out.csv(f"{name}.csv", report.pop(name).view(float).reshape(-1, 2), "re0,im0")
+        out.npy(f"{name}.npy", report.pop(name))
     out.json("simulate_metrics.json", report)
 
 
@@ -391,7 +393,7 @@ def _run_precode(scenario, cfg, out):
         "power_bound": solution.power_bound,
     }
     out.json("precode.json", payload, sort_keys=False)
-    out.csv("phases_rad.csv", angles[0], "phase_rad")
+    out.npy("phases_rad.npy", angles[0])
 
 
 def _sweep_csv(out, name, result) -> None:
@@ -440,7 +442,7 @@ def _run_two_stream(scenario, cfg, out):
     )
 
 
-def _spectrogram_csv(out, name, spec) -> None:
+def _spectrogram_npy(out, name, spec) -> None:
     """The magnitude grid, with the STFT framing that inverts it in the sidecar."""
     header = {
         "hop": spec.hop,
@@ -448,13 +450,12 @@ def _spectrogram_csv(out, name, spec) -> None:
         "sample_rate_hz": spec.sample_rate_hz,
         "n_samples": spec.n_samples,
     }
-    out.csv(name, spec.magnitude, sidecar=header)
+    out.npy(name, spec.magnitude, sidecar=header)
 
 
 def _run_sense(scenario, cfg, out):
     settings = cfg["sense"]
     rotors, probes = _sense_inputs(settings)
-    _checked("sigma2", lambda: sim.unit_carrier(scenario))
     report = sim.doppler_spoof_experiment(
         scenario,
         rotors,
@@ -462,17 +463,17 @@ def _run_sense(scenario, cfg, out):
         duration_s=settings["duration_s"],
         signal_rate_hz=settings["signal_rate_hz"],
     )
-    _spectrogram_csv(out, "target_spectrogram.csv", report["target"])
+    _spectrogram_npy(out, "target_spectrogram.npy", report["target"])
     wave = md.IFWaveform(report["drive_waveform"], settings["signal_rate_hz"])
-    out.csv("drive_waveform.csv", wave.samples, sidecar={
+    out.npy("drive_waveform.npy", wave.samples, sidecar={
         "sample_rate_hz": wave.sample_rate_hz,
         "origin_s": 0.0,  # the drive starts at t = 0; the key keeps the layout
-        "format": "csv",
+        "format": "npy",
         "n_samples": wave.samples.size,
     })
     for idx, spec in enumerate(report["recovered"]):
         if spec is not None:
-            _spectrogram_csv(out, f"recovered_{idx}.csv", spec)
+            _spectrogram_npy(out, f"recovered_{idx}.npy", spec)
     out.json(
         "sense_metrics.json",
         {
@@ -494,6 +495,12 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 # the config field a --trials flag sets, per subcommand that takes one
 _TRIALS_FIELD = {"ber-sweep": "sweep.trials", "diversity-sweep": "sweep.realizations"}
+# the path lists each subcommand's link reads: sense probes the surface directly
+_PATH_SIDES = {
+    "simulate": ("paths_tx_to_surface", "paths_surface_to_rx"),
+    "precode": ("paths_tx_to_surface", "paths_surface_to_rx"),
+    "sense": ("paths_tx_to_surface",),
+}
 
 
 def _set_flag(user, path: str, value) -> None:
@@ -523,6 +530,9 @@ def run(
         if value is not None:
             _set_flag(user, path, value)
     scenario, cfg = scenario_from_dict(user)
+    for side in _PATH_SIDES.get(subcommand, ()):
+        if not any(path.gain for path in getattr(scenario, side)):
+            raise ConfigError(f"{side}: every path gain is 0, so the link carries nothing")
     made = []  # the directories this run creates, deepest first
     head = os.path.abspath(out_dir)
     while not os.path.exists(head):

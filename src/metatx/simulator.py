@@ -146,16 +146,31 @@ def simulate_rx(
     return add_noise(y, scenario.sigma2, scenario.seed)
 
 
-def _probe_gains(scenario: ScenarioConfig, phases: np.ndarray, probes) -> tuple[np.ndarray, list]:
+def _probe_gains(scenario: ScenarioConfig, phases: np.ndarray, probes) -> tuple[np.ndarray, int, list]:
     """Link gains v(dir)^T W^H diag(e^{j phi}) h_eff to single-antenna probes,
-    shape (P,), and the indices of the probes in a pattern null: those whose
-    |gain| is at most 1e-12 of the strongest."""
+    shape (P,), scaled by 2^-e to about 1, with e and the indices of the
+    probes in a pattern null: those whose |gain| is at most 1e-12 of the
+    strongest. The rows and h_eff are each scaled by a power of two before
+    their product, so a gain below the float range keeps its digits."""
     link = build_link(scenario)
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])  # (P, M), real
-    rows = link.transform.apply(sel.T).conj().T
-    gains = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)
+    rows, e_rows = _unit_scaled(link.transform.apply(sel.T).conj().T)
+    h_eff, e_eff = _unit_scaled(link.h_eff)
+    gains = (rows * h_eff[np.newaxis, :]) @ np.exp(1j * phases)
     strength = np.abs(gains)
-    return gains, [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
+    return gains, e_rows + e_eff, [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
+
+
+def _stream_deviation(streams: np.ndarray) -> float:
+    """Maximum pairwise distance between the rows of ``streams`` (P, T), each
+    normalized to unit energy and rotated to the first row's global phase."""
+    normalized = []
+    for s in streams:
+        rot = np.vdot(s, streams[0])
+        rot = rot / abs(rot) if abs(rot) > 0 else 1.0
+        normalized.append(s * rot / np.linalg.norm(s))
+    pairs = itertools.combinations(normalized, 2)
+    return max((float(np.linalg.norm(a - b)) for a, b in pairs), default=0.0)
 
 
 def isotropy_check(
@@ -172,24 +187,14 @@ def isotropy_check(
     """
     if not np.any(surface.magnitude):
         raise ValueError("the magnitude series is zero throughout; no probe sees a stream")
-    gains, excluded = _probe_gains(scenario, surface.phases, probe_directions)
-    streams = np.outer(gains, surface.magnitude)  # (P, T)
-    norms = np.linalg.norm(streams, axis=1)
+    gains, _, excluded = _probe_gains(scenario, surface.phases, probe_directions)
     kept = [i for i in range(len(probe_directions)) if i not in excluded]
     if not kept:
         raise ValueError("all probes fall in pattern nulls")
-    ref = streams[kept[0]]
-    normalized = []
-    for i in kept:
-        s = streams[i]
-        rot = np.vdot(s, ref)
-        rot = rot / abs(rot) if abs(rot) > 0 else 1.0
-        normalized.append(s * rot / norms[i])
-    pairs = itertools.combinations(normalized, 2)
     return {
-        "max_deviation": max((float(np.linalg.norm(a - b)) for a, b in pairs), default=0.0),
+        "max_deviation": _stream_deviation(np.outer(gains[kept], surface.magnitude)),
         "excluded_probes": excluded,
-        "n_compared": len(normalized),
+        "n_compared": len(kept),
     }
 
 
@@ -428,19 +433,22 @@ def _unit_scaled(x):
     return _ldexp(x, -e), e
 
 
-def unit_carrier(scenario: ScenarioConfig) -> tuple[complex, float]:
+def unit_carrier(scenario: ScenarioConfig, link_exponent: int) -> tuple[complex, float]:
     """The carrier envelope scaled by 2^-e to a modulus in [1/2, 1), and
-    sigma2 scaled by 2^-2e: signal and noise scale alike and exactly (the
+    sigma2 scaled by 2^-2(e + link_exponent) for a link gain already scaled
+    by 2^-link_exponent: signal and noise scale alike and exactly (the
     square root of a power of four is exact), so no sample decision changes.
-    Raises ValueError where the scaled noise power is not a finite float.
+    Raises ValueError, naming sigma2, where the scaled noise power is not a
+    finite float.
     """
     envelope, e = _unit_scaled(scenario.carrier_envelope)
     try:
-        return complex(envelope), math.ldexp(scenario.sigma2, -2 * e)
+        return complex(envelope), math.ldexp(scenario.sigma2, -2 * (e + link_exponent))
     except OverflowError:
         raise ValueError(
-            f"sigma2 / |carrier_envelope|^2 must be a finite noise power, got sigma2 "
-            f"{scenario.sigma2!r} with carrier_envelope {scenario.carrier_envelope!r}"
+            f"sigma2: sigma2 / |carrier_envelope * link gain|^2 must be a finite noise power, "
+            f"got sigma2 {scenario.sigma2!r} with carrier_envelope {scenario.carrier_envelope!r} "
+            f"and a link gain near 2^{link_exponent}"
         ) from None
 
 
@@ -501,10 +509,13 @@ def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
     alpha, scale = _magnitude_drive(wave.samples)
     link = build_link(scenario)
     phases = pc.closed_form_phases(link.h_out, link.h_eff).phases[0]
-    envelope, sigma2 = unit_carrier(scenario)
-    # Every element carries the same series alpha(t), so the received signal
-    # is the phased link gain times that series.
-    gain = (link.h_out * link.h_eff[np.newaxis, :]) @ phases * envelope
+    # H_o and h_eff are each scaled by a power of two to about 1, and the
+    # noise power with them, so a link gain below the float range keeps its
+    # digits. Every element carries the same series alpha(t), so the
+    # received signal is the phased link gain times that series.
+    (h_out, e_out), (h_eff, e_eff) = _unit_scaled(link.h_out), _unit_scaled(link.h_eff)
+    envelope, sigma2 = unit_carrier(scenario, e_out + e_eff)
+    gain = (h_out * h_eff[np.newaxis, :]) @ phases * envelope
     y = add_noise(np.outer(gain, alpha), sigma2, scenario.seed)
     ref, aligned, metrics = demodulate(scenario, combine(y, gain, scale), bits, order, n_symbols)
     return {
@@ -659,13 +670,13 @@ def doppler_spoof_experiment(
     """
     seed = scenario.seed
     phases = 2 * np.pi * np.random.default_rng([seed, 0xD09]).random(scenario.n_elements)
-    gains, excluded = _probe_gains(scenario, phases, probe_directions)
+    gains, e_link, excluded = _probe_gains(scenario, phases, probe_directions)
+    envelope, sigma2 = unit_carrier(scenario, e_link)
 
     target = doppler_signature(rotors, duration_s, signal_rate_hz)
     drive_wave = istft_synthesize(target, seed=seed)
     alpha, scale = _magnitude_drive(drive_wave)
 
-    envelope, sigma2 = unit_carrier(scenario)
     coupling = gains * envelope
     recovered = [None] * len(coupling)
     for p, c in enumerate(coupling):

@@ -3,6 +3,7 @@ positions and steering vectors, element by element, the two-stream
 solver's angle gradient and Hessian assembled in full, its trust-region
 iteration with every trial solving its model from scratch, the probe gains
 and pattern-null exclusions as the two probe experiments wrote them inline,
+the probe streams of a coupled transmitter that phase-codes every symbol,
 and the overlap-add deviation of a window and hop."""
 
 import numpy as np
@@ -137,11 +138,22 @@ def reference_probe_gains(scenario, phases, probes, magnitude):
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])
     rows = link.transform.apply(sel.T).conj().T
     gains = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)
-    strength = np.abs(gains * sim.unit_carrier(scenario)[0])
+    strength = np.abs(gains * sim.unit_carrier(scenario, 0)[0])
     sense = [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
     norms = np.linalg.norm(np.outer(gains, magnitude), axis=1)
     isotropy = [i for i, n in enumerate(norms) if n <= 1e-12 * norms.max()]
     return gains, sense, isotropy
+
+
+def reference_coupled_streams(scenario, codes, probes):
+    """Noiseless probe streams (P, T) of a coupled transmitter: a direct
+    phase-modulation surface that re-codes every element's phase each symbol
+    period, ``codes`` of shape (K, T) in radians at unit magnitude, seen
+    through the same selection rows and h_eff as ``isotropy_check``'s."""
+    link = sim.build_link(scenario)
+    sel = np.stack([selection_vector(scenario.grid, d) for d in probes])
+    rows = link.transform.apply(sel.T).conj().T
+    return (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * codes)
 
 
 def cola_deviation(window: np.ndarray, hop: int) -> float:

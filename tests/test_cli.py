@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_array_equal
 
 import metatx.simulator as sim
 from metatx.cli import (
@@ -12,6 +12,7 @@ from metatx.cli import (
     SUBCOMMANDS,
     ConfigError,
     _json_dump,
+    _Outputs,
     effective_config,
     main,
     parse_config,
@@ -42,6 +43,23 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def assert_finite_artifacts(out_dir):
+    """Every JSON file of a run is strict, and every CSV table (its first
+    line a header) and ``.npy`` array holds finite values only."""
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    for path in out_dir.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject)
+    for path in out_dir.glob("*.csv"):
+        assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+    arrays = sorted(out_dir.glob("*.npy"))
+    for path in arrays:
+        assert np.isfinite(np.load(path, allow_pickle=False)).all()
+    return [path.name for path in arrays]
 
 
 class TestParseConfig:
@@ -244,45 +262,62 @@ def capture(monkeypatch, name):
 class TestArtifacts:
     """Each file layout, read back from what ``run`` writes."""
 
-    def test_symbol_csv_round_trip(self, tmp_path, monkeypatch):
+    def test_symbol_npy_round_trip(self, tmp_path, monkeypatch):
         report = capture(monkeypatch, "simulate")
         out_dir = tmp_path / "sim"
         run("simulate", write_config(tmp_path, SMALL_CONFIG), out_dir, quiet=True)
         for name in ("tx_symbols", "rx_symbols"):
-            path = out_dir / f"{name}.csv"
-            with open(path) as fh:
-                assert fh.readline() == "re0,im0\n"
-            data = np.loadtxt(path, delimiter=",", skiprows=1)
-            assert_allclose(data[:, 0] + 1j * data[:, 1], report[name], rtol=1e-15)
+            symbols = np.load(out_dir / f"{name}.npy", allow_pickle=False)
+            assert symbols.dtype == np.complex128 and symbols.shape == (report["n_symbols"],)
+            assert_array_equal(symbols, report[name])
 
-    def test_sense_csvs_and_sidecars(self, tmp_path, monkeypatch):
+    def test_precode_phases_npy(self, tmp_path):
+        out_dir = tmp_path / "precode"
+        run("precode", write_config(tmp_path, SMALL_CONFIG), out_dir, quiet=True)
+        phases = np.load(out_dir / "phases_rad.npy", allow_pickle=False)
+        assert phases.dtype == np.float64 and phases.shape == (4,)
+        payload = json.loads((out_dir / "precode.json").read_text())
+        assert_array_equal(phases, payload["phases_rad"][0])
+
+    def test_sense_npys_and_sidecars(self, tmp_path, monkeypatch):
         report = capture(monkeypatch, "doppler_spoof_experiment")
         out_dir = tmp_path / "sense"
         run("sense", write_config(tmp_path, SMALL_CONFIG), out_dir, quiet=True)
         drive = report["drive_waveform"]
-        assert_allclose(np.loadtxt(out_dir / "drive_waveform.csv"), drive, rtol=1e-15)
-        text = (out_dir / "drive_waveform.csv.json").read_text()
+        assert_array_equal(np.load(out_dir / "drive_waveform.npy", allow_pickle=False), drive)
+        text = (out_dir / "drive_waveform.npy.json").read_text()
         assert not text.endswith("\n")
         assert json.loads(text) == {
             "sample_rate_hz": 2000.0,
             "origin_s": 0.0,
-            "format": "csv",
+            "format": "npy",
             "n_samples": drive.size,
         }
-        spectrograms = {"target_spectrogram.csv": report["target"]}
+        spectrograms = {"target_spectrogram.npy": report["target"]}
         for i, spec in enumerate(report["recovered"]):
             if spec is not None:
-                spectrograms[f"recovered_{i}.csv"] = spec
+                spectrograms[f"recovered_{i}.npy"] = spec
         assert len(spectrograms) == 3
         for name, spec in spectrograms.items():
-            grid = np.loadtxt(out_dir / name, delimiter=",")
-            assert_allclose(grid, spec.magnitude, rtol=1e-15)
+            grid = np.load(out_dir / name, allow_pickle=False)
+            assert grid.dtype == np.float64 and grid.shape == spec.magnitude.shape
+            assert_array_equal(grid, spec.magnitude)
             assert json.loads((out_dir / f"{name}.json").read_text()) == {
                 "hop": spec.hop,
                 "window_length": spec.window_length,
                 "sample_rate_hz": spec.sample_rate_hz,
                 "n_samples": spec.n_samples,
             }
+
+    def test_tables_are_percent_17g_text(self, tmp_path):
+        # Python's % on every value, row by row under the header: specials,
+        # subnormals, the fixed/scientific switch points and an exact tie.
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e308, 1e-5,
+                  np.nextafter(1e-4, 0), 1e16, 1e17, 2.0**53 + 2, 1000000000000000.25, 0.1]
+        rows = np.array(values).reshape(-1, 2)
+        _Outputs(tmp_path).csv("table.csv", rows, "a,b")
+        text = "a,b\n" + "".join("%.17g,%.17g\n" % tuple(row) for row in rows.tolist())
+        assert (tmp_path / "table.csv").read_text() == text
 
     def test_precode_json_keys_in_order_without_solver_stats(self, tmp_path):
         out_dir = tmp_path / "precode"
@@ -495,6 +530,31 @@ class TestMain:
         assert f"error: {name}[1].gain: the modulus must be at most 1e+50, got " in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand, name", [
+        ("simulate", "paths_tx_to_surface"), ("simulate", "paths_surface_to_rx"),
+        ("precode", "paths_tx_to_surface"), ("precode", "paths_surface_to_rx"),
+        ("sense", "paths_tx_to_surface"),
+    ])
+    def test_all_zero_path_gains_refused_at_parse(self, tmp_path, capsys, subcommand, name):
+        zero = {"gain": {"re": 0.0, "im": -0.0}}
+        config = write_config(tmp_path, {**SMALL_CONFIG, name: [zero, zero]})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
+        assert f"error: {name}: every path gain is 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("subcommand", ["ber-sweep", "diversity-sweep", "two-stream", "sense"])
+    def test_all_zero_path_gains_run_where_the_side_is_not_read(self, tmp_path, subcommand):
+        # the sweeps and two-stream draw their own channels; sense probes the
+        # surface directly and reads no surface-to-rx path
+        zero = [{"gain": {"re": 0.0, "im": 0.0}}]
+        paths = {"paths_surface_to_rx": zero}
+        if subcommand != "sense":
+            paths["paths_tx_to_surface"] = zero
+        config = write_config(tmp_path, {**SMALL_CONFIG, **paths})
+        assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+
     # the solver's gradient squares the noise power 10^154 in Python floats;
     # past about -1541.3 dB the square overflows, which parsing refuses above
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -539,20 +599,33 @@ class TestMain:
         {"carrier_envelope": {"re": 1e-160, "im": 0.0}},
     ], ids=["steep-pattern", "tiny-envelope"])
     def test_link_gain_whose_square_underflows_runs_clean(self, tmp_path, subcommand, override):
-        # Combining divides by the squared gain, which is below the float range.
+        # The squared link gain is below the float range.
         config = write_config(tmp_path, {**override, "sense": {"duration_s": 1.0}})
         out_dir = tmp_path / "out"
         assert main([subcommand, "--config", str(config), "--out", str(out_dir), "--quiet"]) == 0
+        assert assert_finite_artifacts(out_dir)
 
-        def reject(token):
-            raise ValueError(f"non-finite JSON constant {token}")
-
-        for path in out_dir.iterdir():
-            if path.suffix == ".json":
-                json.loads(path.read_text(), parse_constant=reject)
-            elif path.suffix == ".csv":
-                # the first line may be a header
-                assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("subcommand", ["simulate", "sense", "precode"])
+    @pytest.mark.parametrize("gain, exponent", [(1e-200, 1.0), (1e-50, 20000)],
+                             ids=["gain-1e-200", "gain-1e-50-steep-pattern"])
+    def test_link_gain_below_the_float_range_runs_clean(self, tmp_path, subcommand, gain, exponent):
+        # The link gain, about 1e-400 or 1e-375, is below the float range as
+        # a product: H_o and h_eff (or the probe rows) scale by powers of two
+        # to about 1 before it is formed.
+        side = [{"gain": {"re": gain, "im": 0.0}}]
+        config = write_config(tmp_path, {"paths_tx_to_surface": side, "paths_surface_to_rx": side,
+                                         "pattern_exponent": exponent,
+                                         "simulate": {"n_symbols": 100},
+                                         "sense": {"duration_s": 1.0}})
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(config), "--out", str(out_dir), "--quiet"]) == 0
+        assert assert_finite_artifacts(out_dir)
+        if subcommand == "simulate":
+            assert json.loads((out_dir / "simulate_metrics.json").read_text())["ber"] == 0.0
+        elif subcommand == "sense":
+            metrics = json.loads((out_dir / "sense_metrics.json").read_text())
+            assert metrics["excluded_probes"] == [] and min(metrics["fidelities"]) > 0.99
 
     def test_precode_power_below_the_float_range_raises_no_float_error(self, tmp_path):
         # The aligned power through cos(theta)^20000 is about 1e-550, and
@@ -563,8 +636,8 @@ class TestMain:
                          "--quiet"]) == 0
 
     def test_steep_pattern_simulate_raises_no_float_error(self, tmp_path):
-        # The received samples are about 1e-275 of the drive: combining scales
-        # them by a power of two with the gain, so no product underflows.
+        # The link gain is about 1e-275: simulate scales its factors by powers
+        # of two to about 1 before their product, so no product underflows.
         config = write_config(tmp_path, {"pattern_exponent": 20000})
         out_dir = tmp_path / "out"
         with np.errstate(all="raise"):
@@ -572,8 +645,7 @@ class TestMain:
                          "--quiet"]) == 0
         metrics = json.loads((out_dir / "simulate_metrics.json").read_text())
         assert metrics["ber"] == 0.0 and np.isfinite(metrics["evm_db"])
-        for path in out_dir.glob("*.csv"):
-            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+        assert assert_finite_artifacts(out_dir)
 
     @pytest.mark.parametrize("subcommand", ["simulate", "sense", "precode"])
     @pytest.mark.parametrize("exponent", [700, 3000])
@@ -585,15 +657,16 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error")
     def test_steep_pattern_with_noise_fits_the_phase_without_overflow(self, tmp_path):
-        # The link gain is about 1e-139 per element, so combining puts the
-        # noise-dominated symbols near 5e260: their squared norm would overflow.
-        config = write_config(tmp_path, {"seed": 4, "pattern_exponent": 20000, "sigma2": 1e-30})
+        # The link gain is about 1e-275 and sigma2 / |gain|^2 about 1e306, so
+        # combining puts the noise-dominated symbols near 4e153: their squared
+        # norm would overflow.
+        config = write_config(tmp_path, {"seed": 4, "pattern_exponent": 20000, "sigma2": 1e-244,
+                                         "simulate": {"n_symbols": 100}})
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out_dir), "--quiet"]) == 0
         metrics = json.loads((out_dir / "simulate_metrics.json").read_text())
         assert 0.4 < metrics["ber"] < 0.6 and np.isfinite(metrics["evm_db"])
-        for path in out_dir.glob("*.csv"):
-            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+        assert assert_finite_artifacts(out_dir)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("subcommand", ["simulate", "sense"])
@@ -609,25 +682,26 @@ class TestMain:
         else:
             metrics = json.loads((out_dir / "sense_metrics.json").read_text())
             assert metrics["excluded_probes"] == [] and min(metrics["fidelities"]) > 0.9
-        for path in out_dir.glob("*.csv"):
-            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all()
+        assert assert_finite_artifacts(out_dir)
 
     @pytest.mark.parametrize("subcommand", ["simulate", "sense"])
     @pytest.mark.parametrize("override", [
         {"carrier_envelope": {"re": 1e-300, "im": 0.0}, "sigma2": 1e300},
         {"carrier_envelope": {"re": 1e-320, "im": 0.0}, "sigma2": 1e-3},  # subnormal envelope
-    ], ids=["tiny-envelope-huge-noise", "subnormal-envelope"])
+        # a link gain of about 1e-275 puts sigma2 / |gain|^2 near 1e520
+        {"seed": 4, "pattern_exponent": 20000, "sigma2": 1e-30},
+    ], ids=["tiny-envelope-huge-noise", "subnormal-envelope", "steep-pattern-noise"])
     def test_noise_power_beyond_the_float_range_names_sigma2(
         self, tmp_path, capsys, subcommand, override
     ):
-        # sigma2 / |envelope|^2 is not a float: the run is refused, not left
-        # to write non-finite samples.
+        # sigma2 / |envelope * link gain|^2 is not a float: the run is
+        # refused, not left to write non-finite samples.
         config = write_config(tmp_path, {**override, "sense": {"duration_s": 1.0}})
         out_dir = tmp_path / "out"
         assert main([subcommand, "--config", str(config), "--out", str(out_dir)]) == 1
         assert "error: sigma2: " in capsys.readouterr().err
         assert not out_dir.exists()
-        with pytest.raises(ConfigError, match="^sigma2: "):
+        with pytest.raises(ValueError, match="^sigma2: "):
             run(subcommand, config, tmp_path / "again")
 
     @pytest.mark.parametrize("subcommand", ["simulate", "sense"])
@@ -638,7 +712,7 @@ class TestMain:
         kept = tmp_path / "kept"
         kept.mkdir()
         for out_dir in (kept, kept / "new" / "nested"):
-            with pytest.raises(ConfigError, match="^sigma2: "):
+            with pytest.raises(ValueError, match="^sigma2: "):
                 run(subcommand, config, out_dir)
         assert list(kept.iterdir()) == []
 

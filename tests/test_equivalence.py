@@ -29,12 +29,7 @@ overlap-add loop must match exactly at hop n/2 (two addends per sample) and
 within 1e-15 at finer hops; the exp(1j angle) fast Griffin-Lim update that
 X/|X| replaced, and the ``sense`` artifacts built on it, within 1e-12. Fast
 Griffin-Lim must give every spoofing probe a fidelity no lower than the plain
-Griffin-Lim loop it replaced. ``write_csv`` must write the bytes of
-``np.savetxt`` on both sides of the block size below which ``%`` formats a
-block whole, and of ``%`` on adversarial values (powers of ten and their
-neighbours, the fixed/scientific switch points, exact ties, subnormals,
-specials, large integers and random bit patterns), must leave the ties to
-``%``, and on a default ``sense`` run must leave it only the exact zeros.
+Griffin-Lim loop it replaced.
 ``channel.raw_bits`` must give the bits of ``integers(0, 2, n)`` exactly, and
 ``ber_sweep``'s noise power must be the in-order sum's, bit for bit. The real
 rotor return must be the complex return's real part, ``doppler_signature``
@@ -47,7 +42,6 @@ value exactly.
 import itertools
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,7 +50,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from metatx import channel, csvio, sensing
+from metatx import channel, sensing
 from metatx import mixer as mx
 from metatx import modem as md
 from metatx import precoder as pc
@@ -73,7 +67,6 @@ from metatx.channel import (
     trial_generators,
 )
 from metatx.cli import parse_config, run, scenario_from_dict
-from metatx.csvio import write_csv
 from metatx.geometry import (
     ArrayGeometry,
     Direction,
@@ -128,8 +121,8 @@ def reference_simulate(scenario, cfg, out_dir):
     ref = md.qam_map(bits, order)[: symbols.size]
     fit = np.vdot(symbols, ref) / np.vdot(symbols, symbols)
     aligned = symbols * fit
-    write_csv(out_dir / "tx_symbols.csv", ref.view(float).reshape(-1, 2), "re0,im0")
-    write_csv(out_dir / "rx_symbols.csv", aligned.view(float).reshape(-1, 2), "re0,im0")
+    np.save(out_dir / "tx_symbols.npy", ref, allow_pickle=False)
+    np.save(out_dir / "rx_symbols.npy", aligned, allow_pickle=False)
     rx_bits = md.qam_demap(aligned, order)
     with open(out_dir / "simulate_metrics.json", "w") as fh:
         json.dump(
@@ -298,7 +291,7 @@ def reference_ber_sweep_per_trial(scenario, snr_db_list, order, precoding, trial
     return np.array(values), np.array(lo), np.array(hi), np.array(counts), flagged
 
 
-SIMULATE_FILES = ("tx_symbols.csv", "rx_symbols.csv", "simulate_metrics.json")
+SIMULATE_FILES = ("tx_symbols.npy", "rx_symbols.npy", "simulate_metrics.json")
 
 
 @pytest.mark.parametrize(
@@ -329,11 +322,8 @@ def test_simulate_subcommand_matches_tile_reference(tmp_path, extra):
     # rounding only.
     tx_symbols, rx_symbols, metrics_file = SIMULATE_FILES
     assert (tmp_path / "new" / tx_symbols).read_bytes() == (tmp_path / "ref" / tx_symbols).read_bytes()
-    new, ref = (
-        np.loadtxt(tmp_path / side / rx_symbols, delimiter=",", skiprows=1, ndmin=2)
-        for side in ("new", "ref")
-    )
-    assert_close(new[:, 0::2] + 1j * new[:, 1::2], ref[:, 0::2] + 1j * ref[:, 1::2])
+    new, ref = (np.load(tmp_path / side / rx_symbols) for side in ("new", "ref"))
+    assert_close(new, ref)
     metrics, ref_metrics = (
         json.loads((tmp_path / side / metrics_file).read_text()) for side in ("new", "ref")
     )
@@ -624,7 +614,8 @@ def test_folded_channels_match_w_hermitian_products():
     probes = [sc.grid[m] for m in range(5, 9)]
     rows = np.stack([selection_vector(sc.grid, d) @ w.conj().T for d in probes])
     phases = 2 * np.pi * rng.random(sc.n_elements)
-    assert_close(sim._probe_gains(sc, phases, probes)[0], rows @ (np.exp(1j * phases) * link.h_eff))
+    gains, e, _ = sim._probe_gains(sc, phases, probes)
+    assert_close(sim._ldexp(gains, e), rows @ (np.exp(1j * phases) * link.h_eff))
 
 
 # A probe on a point of the 16 x 32 default grid, where its selection vector
@@ -649,9 +640,9 @@ def test_probe_gains_match_the_inline_experiments(probes, exponent, envelope, se
     phases = 2 * np.pi * rng.random(sc.n_elements)
     directions = [sc.grid[p] if isinstance(p, int) else Direction(math.acos(p[0]), p[1])
                   for p in probes]
-    gains, excluded = sim._probe_gains(sc, phases, directions)
+    gains, e, excluded = sim._probe_gains(sc, phases, directions)
     ref, sense, isotropy = reference_probe_gains(sc, phases, directions, rng.random(50))
-    assert np.array_equal(gains, ref)
+    assert np.array_equal(sim._ldexp(gains, e), ref)
     assert excluded == sense == isotropy
 
 
@@ -661,9 +652,9 @@ def test_probe_gains_exclude_a_probe_in_a_pattern_null():
     sc = default_scenario(pattern_exponent=20.0)
     phases = 2 * np.pi * np.random.default_rng(8).random(sc.n_elements)
     directions = [Direction(0.1, 0.3), sc.grid[len(sc.grid) - 5], Direction(0.4, 5.0)]
-    gains, excluded = sim._probe_gains(sc, phases, directions)
+    gains, e, excluded = sim._probe_gains(sc, phases, directions)
     ref, sense, isotropy = reference_probe_gains(sc, phases, directions, np.linspace(0.1, 1, 20))
-    assert np.array_equal(gains, ref)
+    assert np.array_equal(sim._ldexp(gains, e), ref)
     assert excluded == sense == isotropy == [1]
 
 
@@ -1480,12 +1471,12 @@ def test_sense_subcommand_matches_exp_angle_reference(tmp_path, monkeypatch, pay
     monkeypatch.setattr(sim, "istft_synthesize", reference_istft)
     run("sense", config, tmp_path / "ref", quiet=True)
     new, ref = tmp_path / "new", tmp_path / "ref"
-    name = "target_spectrogram.csv"
+    name = "target_spectrogram.npy"
     assert (new / name).read_bytes() == (ref / name).read_bytes()
-    recovered = sorted(p.name for p in ref.glob("recovered_*.csv"))
-    assert recovered == sorted(p.name for p in new.glob("recovered_*.csv"))
-    for name in ["drive_waveform.csv", *recovered]:
-        assert_close(np.loadtxt(new / name, delimiter=","), np.loadtxt(ref / name, delimiter=","))
+    recovered = sorted(p.name for p in ref.glob("recovered_*.npy"))
+    assert recovered == sorted(p.name for p in new.glob("recovered_*.npy"))
+    for name in ["drive_waveform.npy", *recovered]:
+        assert_close(np.load(new / name), np.load(ref / name))
     metrics = [json.loads((d / "sense_metrics.json").read_text()) for d in (new, ref)]
     assert_close(metrics[0]["fidelities"], metrics[1]["fidelities"])
     assert metrics[0]["excluded_probes"] == metrics[1]["excluded_probes"]
@@ -1514,143 +1505,6 @@ def test_fast_griffin_lim_fidelity_at_least_plain(monkeypatch, payload):
     plain = spoof_fidelities(payload)
     assert [f is None for f in fast] == [f is None for f in plain]
     assert all(f >= p for f, p in zip(fast, plain) if f is not None), (fast, plain)
-
-
-# Small blocks go to ``%`` whole; 0 sends every block through numpy's digits.
-BOTH_PATHS = (csvio.PERCENT_BELOW, 0)
-
-
-def savetxt_bytes(path, rows, header=None):
-    np.savetxt(path, rows, delimiter=",", fmt="%.17g", header=header or "", comments="")
-    return path.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        np.linspace(-1.0, 1.0, 9),
-        np.arange(12.0).reshape(3, 4) / 7,
-        np.array([[0.1, -2.5, 3e-300]]),
-        np.array([7.25]),
-        np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 2.0**53 + 1]),
-        np.array([[np.nan, -0.0], [5e-324, np.inf]]),
-        np.random.default_rng(0).standard_normal((9000, 3)),
-    ],
-    ids=["1d", "2d", "one-row", "one-value", "specials", "specials-2d", "many-blocks"],
-)
-@pytest.mark.parametrize("header", [None, "re0,im0"], ids=["no-header", "header"])
-def test_write_csv_matches_savetxt_bytes(tmp_path, rows, header):
-    ref = savetxt_bytes(tmp_path / "ref.csv", rows, header)
-    for percent_below in BOTH_PATHS:
-        with mock.patch.object(csvio, "PERCENT_BELOW", percent_below):
-            write_csv(tmp_path / "new.csv", rows, header)
-        assert (tmp_path / "new.csv").read_bytes() == ref
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.integers(1, 40),
-    st.integers(1, 6),
-    st.data(),
-)
-def test_write_csv_matches_savetxt_bytes_on_drawn_floats(tmp_path_factory, n_rows, n_cols, data):
-    rows = np.array(
-        data.draw(st.lists(st.floats(width=64), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
-    ).reshape(n_rows, n_cols)
-    if data.draw(st.booleans()):
-        rows = rows[:, 0]
-    tmp = tmp_path_factory.mktemp("csv")
-    with mock.patch.object(csvio, "PERCENT_BELOW", data.draw(st.sampled_from(BOTH_PATHS))):
-        write_csv(tmp / "new.csv", rows)
-    assert (tmp / "new.csv").read_bytes() == savetxt_bytes(tmp / "ref.csv", rows)
-
-
-@pytest.mark.parametrize("shape", [
-    (1,), (csvio.PERCENT_BELOW - 1,), (csvio.PERCENT_BELOW,), (csvio.PERCENT_BELOW + 1,),
-    (csvio.PERCENT_BELOW // 2, 2), (csvio.PERCENT_BELOW // 2 + 1, 2),
-    (csvio.BLOCK_VALUES + csvio.PERCENT_BELOW - 1,),  # a last block below the crossover
-], ids=str)
-def test_write_csv_matches_savetxt_on_both_sides_of_the_crossover(tmp_path, formatted, shape):
-    rng = np.random.default_rng(4)
-    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
-    write_csv(tmp_path / "new.csv", rows)
-    assert (tmp_path / "new.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", rows)
-    tail = math.prod(shape) % csvio.BLOCK_VALUES  # every value of these rows is certified
-    assert len(formatted) == (tail if tail < csvio.PERCENT_BELOW else 0)
-
-
-def percent_bytes(values):
-    return "".join("%.17g\n" % v for v in values.tolist()).encode()
-
-
-def exact_ties():
-    """Values whose 18th significant digit is an exact 5: m + 1/4 and m + 3/4
-    in [1e15, 2^51), m + odd eighths in [1e14, 1e15)."""
-    rng = np.random.default_rng(1)
-    quarters = rng.integers(10**15, 2**51, 200) + rng.choice([0.25, 0.75], 200)
-    eighths = rng.integers(10**14, 10**15, 200) + rng.choice([0.125, 0.375, 0.625, 0.875], 200)
-    return np.concatenate([[1000000000000000.25], quarters, eighths])
-
-
-def adversarial_values():
-    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
-    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
-    rng = np.random.default_rng(2)
-    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(float)
-    big_ints = rng.integers(-(2**62), 2**62, 1000).astype(float)
-    return {
-        "powers-of-ten": np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]),
-        "switch-points": np.concatenate([switches, np.nextafter(switches, 0),
-                                         np.nextafter(switches, np.inf)]),
-        "ties": exact_ties(),
-        "specials": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
-                              np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0),
-                              np.finfo(float).max, -np.finfo(float).max]),
-        "subnormals": np.concatenate([subnormals, -subnormals]),
-        "2^62-integers": np.concatenate([big_ints, [2.0**62, -(2.0**62), 2.0**53 + 2]]),
-        "random-bits": np.random.default_rng(3).integers(0, 2**64, 10**5, dtype=np.uint64).view(float),
-    }
-
-
-@pytest.fixture
-def formatted(monkeypatch):
-    """Every value ``write_csv`` leaves to Python's ``%``, in order."""
-    values = []
-    percent = csvio._percent_format
-    monkeypatch.setattr(csvio, "_percent_format", lambda v: values.extend(v.tolist()) or percent(v))
-    return values
-
-
-@pytest.mark.parametrize("name", list(adversarial_values()))
-def test_write_csv_matches_percent_on_adversarial_values(tmp_path, formatted, name):
-    values = adversarial_values()[name]
-    values = np.concatenate([values, -values])
-    write_csv(tmp_path / "col.csv", values)
-    assert (tmp_path / "col.csv").read_bytes() == percent_bytes(values)
-    write_csv(tmp_path / "rows.csv", values.reshape(-1, 2))
-    assert (tmp_path / "rows.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", values.reshape(-1, 2))
-    if name == "ties":
-        # a tie rounds to even, which only the exact conversion of % knows
-        assert set(np.abs(values).tolist()) <= set(np.abs(formatted).tolist())
-
-
-def test_default_sense_run_formats_only_zeros_in_python(tmp_path, formatted):
-    # Every value of the sense artifacts but an exact zero is certified by the
-    # numpy path; a formatter that fell back everywhere would write the same
-    # bytes at the old per-value cost.
-    config = tmp_path / "config.json"
-    config.write_text("{}")
-    run("sense", config, tmp_path / "out", quiet=True)
-    grids = [np.loadtxt(p, delimiter=",", ndmin=2) for p in sorted((tmp_path / "out").glob("*.csv"))]
-    assert sum(g.size for g in grids) > 10_000
-    assert set(formatted) <= {0.0}
-    assert len(formatted) == sum(int(np.sum(g == 0)) for g in grids)
-
-
-def test_write_csv_refuses_more_than_two_axes_before_writing(tmp_path):
-    with pytest.raises(ValueError, match="1D or 2D"):
-        write_csv(tmp_path / "cube.csv", np.zeros((2, 2, 2)))
-    assert not (tmp_path / "cube.csv").exists()
 
 
 def reference_rotor_blade_signal(rotor_rate_hz, blade_count, max_doppler_hz, duration_s, sample_rate_hz):

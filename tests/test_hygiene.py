@@ -1,6 +1,6 @@
 """Source hygiene: no module of metatx imports a name it never uses, no
-module draws from numpy's legacy global random state, the CSV encoder imports
-numpy alone, only the CLI and its CSV encoder touch files, every function
+module draws from numpy's legacy global random state, only the CLI touches
+files, every function
 the benchmark's tracer patches by name still exists, the sweeps make one
 ``closed_form_phases`` call per block of trials, not one per trial, they
 seed their trials through ``channel.trial_generators``, not one
@@ -62,10 +62,10 @@ def test_detector_flags_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"
         "import json\nimport os.path\nimport numpy as np\n"
-        "from .csvio import write_csv, BLOCK_VALUES\n"
-        "def f(x: np.ndarray):\n    return os.path.join(write_csv.__name__)\n"
+        "from .modem import qam_map, QAM_ORDERS\n"
+        "def f(x: np.ndarray):\n    return os.path.join(qam_map.__name__)\n"
     )
-    assert unused_imports(source) == ["BLOCK_VALUES", "json"]
+    assert unused_imports(source) == ["QAM_ORDERS", "json"]
 
 
 def test_modules_found():
@@ -128,13 +128,6 @@ def test_imported_modules_detector():
     assert imported_modules(source) == {"numpy", "os", "xml"}
 
 
-def test_csv_encoder_imports_numpy_alone():
-    # Every run imports the encoder, and the set-up time counts it: its
-    # power-of-ten table is built from Python ints, not with fractions
-    # (about 13 ms to import) or decimal.
-    assert imported_modules((SRC / "csvio.py").read_text()) == {"numpy"}
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy(path):
     # scipy is a test dependency only; importing scipy.interpolate alone
@@ -150,11 +143,12 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-FILE_WRITERS = {"cli.py", "csvio.py"}  # the library computes; these lay out its files
+FILE_WRITERS = {"cli.py"}  # the library computes; the CLI lays out its files
 
 
 def file_access(source: str) -> list[str]:
-    """``json`` imports and ``open(...)`` calls, builtin or as a method."""
+    """``json`` imports, ``open(...)`` calls, builtin or as a method, and calls
+    of ``np.save``/``np.savetxt`` and of the ``.tofile`` method."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -166,6 +160,10 @@ def file_access(source: str) -> list[str]:
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "open":
                 found.append("open()")
+            elif name == "tofile" or (
+                name in ("save", "savetxt") and getattr(getattr(func, "value", None), "id", None) == "np"
+            ):
+                found.append(f"{name}()")
     return sorted(found)
 
 
@@ -178,6 +176,15 @@ def test_file_access_detector():
     )
     assert file_access(source) == ["from json", "import json", "open()", "open()"]
     assert file_access("import numpy as np\ndef f(x):\n    return np.opened(x)\n") == []
+    writers = (
+        "import numpy as np\n"
+        "def f(path, x):\n"
+        "    np.save(path, x)\n"
+        "    np.savetxt(path, x, fmt='%.17g')\n"
+        "    x.real.tofile(path)\n"
+        "    return np.saved, x.save, np.load(path)\n"
+    )
+    assert file_access(writers) == ["save()", "savetxt()", "tofile()"]
 
 
 @pytest.mark.parametrize(

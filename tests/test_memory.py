@@ -10,8 +10,8 @@ must not tile the one magnitude series into a (K, T) array; ``qam_decide``
 and ``qam_demap`` must not form the (N, order) distance matrix; ``ber_sweep`` must work through its trials in
 blocks of ``BER_BLOCK_SYMBOLS`` symbols, not all at once, and
 ``diversity_sweep`` through its realizations in blocks of ``TRIAL_BLOCK``;
-the CSV writer
-must not format a whole waveform or grid as one string.
+the CLI's array writer
+must not copy a waveform or grid on its way to disk.
 """
 
 import tracemalloc
@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from metatx.csvio import write_csv
+from metatx.cli import _Outputs
 from metatx.geometry import ArrayGeometry, hemisphere_grid
 from metatx.modem import QamConstellation, qam_decide, qam_demap
 from metatx.reflection import SurfaceConfig
@@ -156,9 +156,8 @@ def test_diversity_sweep_peak_is_one_block_whatever_the_trial_count():
 
 
 @pytest.mark.parametrize("shape", [(200_000,), (2000, 129)], ids=["waveform", "grid"])
-def test_csv_text_is_formatted_in_bounded_blocks(tmp_path, shape):
-    # Formatting all values in one string would hold their text (about 20 B
-    # per value) and a tuple of Python floats (about 32 B per value) at once,
-    # several times the array's own 8 B per value.
+def test_array_artifacts_are_written_without_a_copy(tmp_path, shape):
+    # np.save streams the array's own buffer after its header; a text or
+    # byte-string copy on the way would hold at least the array's bytes.
     values = np.random.default_rng(0).standard_normal(shape)
-    assert traced_peak(write_csv, tmp_path / "out.csv", values) < values.nbytes
+    assert traced_peak(_Outputs(tmp_path).npy, "out.npy", values) < values.nbytes

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import metatx.precoder as pc
+import metatx.simulator as sim
 from metatx.channel import TerminalArray, add_noise, rayleigh_matrix
 from metatx.geometry import ArrayGeometry, hemisphere_grid
 from metatx.reflection import SurfaceConfig
@@ -25,6 +27,7 @@ from metatx.simulator import (
     two_stream_experiment,
     wilson_interval,
 )
+from reference import reference_coupled_streams
 
 
 @pytest.fixture
@@ -167,6 +170,25 @@ class TestIsotropy:
         )
         out = isotropy_check(scenario, surface, [scenario.grid[5]])
         assert out["max_deviation"] == 0.0
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (16, 10)], ids=["K4", "K160"])
+    def test_coupled_transmitter_fails_the_comparison_the_msa_passes(self, rows, cols):
+        # Criterion 02's comparison on its scenarios and probes. A surface
+        # that phase-codes every symbol period (2-bit codes, 50 periods)
+        # shows each probe a different stream; over 20 draws each the
+        # deviation was at least 1.04 at K = 4 and 1.48 at K = 160.
+        sc = default_scenario(
+            geometry=ArrayGeometry(rows, cols, 0.02586, 0.05172), grid=hemisphere_grid(32, 64)
+        )
+        k = sc.n_elements
+        rng = np.random.default_rng(k)
+        step = len(sc.grid) // 8
+        probes = [sc.grid[3 + i * step] for i in range(8)]
+        codes = np.pi / 2 * rng.integers(0, 4, (k, 50))
+        assert sim._stream_deviation(reference_coupled_streams(sc, codes, probes)) > 0.5
+        surface = SurfaceConfig.uniform(rng.uniform(0, 2 * np.pi, k), rng.uniform(0.05, 1.0, 50))
+        out = isotropy_check(sc, surface, probes)
+        assert out["n_compared"] == 8 and out["max_deviation"] < 1e-10
 
     def test_zero_magnitude_series_refused(self, scenario):
         surface = SurfaceConfig.uniform(np.zeros(scenario.n_elements), np.zeros(30))
@@ -365,6 +387,50 @@ class TestDemodulate:
         report = simulate(default_scenario(sigma2=1e-3), 2, 16)
         assert report["n_symbols"] == 2
         assert report["evm_db"] > -100
+
+
+def scaled_paths(scenario, tx_shift: int, rx_shift: int, sigma2: float):
+    """``scenario`` with its tx and rx path gains times 2^tx_shift and
+    2^rx_shift, and the noise power ``sigma2``."""
+    def scale(paths, shift):
+        return [dataclasses.replace(p, gain=math.ldexp(1.0, shift) * p.gain) for p in paths]
+
+    return dataclasses.replace(
+        scenario,
+        paths_tx_to_surface=scale(scenario.paths_tx_to_surface, tx_shift),
+        paths_surface_to_rx=scale(scenario.paths_surface_to_rx, rx_shift),
+        sigma2=sigma2,
+    )
+
+
+# Path gains scaled by 2^a and 2^b, with sigma2 scaled by 2^2(a+b): the link
+# factors scale to about 1 exactly, and the noise power with them, so nothing
+# the receiver sees moves. A product of 2^-1200 is below the float range.
+GAIN_SHIFTS = pytest.mark.parametrize("shifts, sigma2", [
+    ((-600, -600), 0.0),
+    ((-250, -240), 1e-3),
+    ((160, -400), 1e-3),
+], ids=["product-underflows", "tiny-noisy", "mixed-noisy"])
+
+
+class TestLinkGainScaling:
+    @GAIN_SHIFTS
+    def test_simulate_gives_the_same_burst(self, shifts, sigma2):
+        base = default_scenario(seed=6, rx=TerminalArray.ula(2), sigma2=sigma2)
+        scaled = scaled_paths(base, *shifts, math.ldexp(sigma2, 2 * sum(shifts)))
+        a, b = simulate(scaled, 60, 64), simulate(base, 60, 64)
+        assert np.array_equal(a["rx_symbols"], b["rx_symbols"])
+        assert (a["evm_db"], a["ber"]) == (b["evm_db"], b["ber"])
+
+    @GAIN_SHIFTS
+    def test_spoofing_gives_the_same_fidelities(self, shifts, sigma2):
+        # sense reads the tx side only, so the rx shift leaves it alone
+        base = default_scenario(seed=7, sigma2=sigma2)
+        scaled = scaled_paths(base, *shifts, math.ldexp(sigma2, 2 * shifts[0]))
+        rotors, probes = [RotorSpec(4.0, 2, 300.0)], [base.grid[40], base.grid[300]]
+        a, b = (doppler_spoof_experiment(sc, rotors, probes, duration_s=1.0)
+                for sc in (scaled, base))
+        assert a["fidelities"] == b["fidelities"] and a["excluded_probes"] == []
 
 
 # Sum SINR of acceptance criterion 06's 20 experiments (8x8 surface, seeds
