@@ -29,7 +29,11 @@ overlap-add loop must match exactly at hop n/2 (two addends per sample) and
 within 1e-15 at finer hops; the exp(1j angle) fast Griffin-Lim update that
 X/|X| replaced, and the ``sense`` artifacts built on it, within 1e-12. Fast
 Griffin-Lim must give every spoofing probe a fidelity no lower than the plain
-Griffin-Lim loop it replaced.
+Griffin-Lim loop it replaced. A sweep table must be ``%`` of each value, and
+an array artifact must load back with its dtype, shape and bits, on
+adversarial values (powers of ten and their neighbours, the
+fixed/scientific switch points, exact ties, subnormals, specials, large
+integers and random bit patterns).
 ``channel.raw_bits`` must give the bits of ``integers(0, 2, n)`` exactly, and
 ``ber_sweep``'s noise power must be the in-order sum's, bit for bit. The real
 rotor return must be the complex return's real part, ``doppler_signature``
@@ -66,7 +70,7 @@ from metatx.channel import (
     selection_vector,
     trial_generators,
 )
-from metatx.cli import parse_config, run, scenario_from_dict
+from metatx.cli import _Outputs, parse_config, run, scenario_from_dict
 from metatx.geometry import (
     ArrayGeometry,
     Direction,
@@ -1505,6 +1509,59 @@ def test_fast_griffin_lim_fidelity_at_least_plain(monkeypatch, payload):
     plain = spoof_fidelities(payload)
     assert [f is None for f in fast] == [f is None for f in plain]
     assert all(f >= p for f, p in zip(fast, plain) if f is not None), (fast, plain)
+
+
+def exact_ties():
+    """Values whose 18th significant digit is an exact 5: m + 1/4 and m + 3/4
+    in [1e15, 2^51), m + odd eighths in [1e14, 1e15)."""
+    rng = np.random.default_rng(1)
+    quarters = rng.integers(10**15, 2**51, 200) + rng.choice([0.25, 0.75], 200)
+    eighths = rng.integers(10**14, 10**15, 200) + rng.choice([0.125, 0.375, 0.625, 0.875], 200)
+    return np.concatenate([[1000000000000000.25], quarters, eighths])
+
+
+def adversarial_values():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    rng = np.random.default_rng(2)
+    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(float)
+    big_ints = rng.integers(-(2**62), 2**62, 1000).astype(float)
+    return {
+        "powers-of-ten": np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]),
+        "switch-points": np.concatenate([switches, np.nextafter(switches, 0),
+                                         np.nextafter(switches, np.inf)]),
+        "ties": exact_ties(),
+        "specials": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                              np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0),
+                              np.finfo(float).max, -np.finfo(float).max]),
+        "subnormals": np.concatenate([subnormals, -subnormals]),
+        "2^62-integers": np.concatenate([big_ints, [2.0**62, -(2.0**62), 2.0**53 + 2]]),
+        "random-bits": np.random.default_rng(3).integers(0, 2**64, 10**5, dtype=np.uint64).view(float),
+    }
+
+
+@pytest.mark.parametrize("name", list(adversarial_values()))
+def test_tables_write_percent_on_adversarial_values(tmp_path, name):
+    # A sweep table is Python's ``%.17g`` of each value, two to a row.
+    values = adversarial_values()[name]
+    rows = values[: values.size // 2 * 2].reshape(-1, 2)
+    _Outputs(tmp_path).csv("table.csv", rows, "a,b")
+    text = "a,b\n" + "".join("%.17g,%.17g\n" % tuple(row) for row in rows.tolist())
+    assert (tmp_path / "table.csv").read_text() == text
+
+
+@pytest.mark.parametrize("name", list(adversarial_values()))
+def test_array_artifacts_load_back_bit_for_bit(tmp_path, name):
+    # Real and complex arrays keep dtype, shape and every bit, NaN payloads included.
+    values = adversarial_values()[name]
+    pairs = values[: values.size // 2 * 2]
+    out = _Outputs(tmp_path)
+    for file, array in [("real.npy", values), ("complex.npy", pairs.view(complex)),
+                        ("grid.npy", pairs.reshape(2, -1))]:
+        out.npy(file, array)
+        loaded = np.load(tmp_path / file, allow_pickle=False)
+        assert loaded.dtype == array.dtype and loaded.shape == array.shape
+        assert loaded.tobytes() == array.tobytes()
 
 
 def reference_rotor_blade_signal(rotor_rate_hz, blade_count, max_doppler_hz, duration_s, sample_rate_hz):
