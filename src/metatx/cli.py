@@ -228,9 +228,12 @@ def _sense_inputs(sense: dict) -> tuple[list[RotorSpec], list[Direction]]:
                           f"most {MAX_SENSE_SAMPLES}, got {samples!r}")
     nyquist = sense["signal_rate_hz"] / 2
     for i, r in enumerate(sense["rotors"]):
-        if r["max_doppler_hz"] >= nyquist:
-            raise ConfigError(f"sense.rotors[{i}].max_doppler_hz: must be below "
+        if abs(r["max_doppler_hz"]) >= nyquist:
+            raise ConfigError(f"sense.rotors[{i}].max_doppler_hz: the modulus must be below "
                               f"signal_rate_hz / 2 = {nyquist!r}, got {r['max_doppler_hz']!r}")
+        if not math.isfinite(2 * math.pi * r["rate_hz"] * sense["duration_s"]):  # sin's argument
+            raise ConfigError(f"sense.rotors[{i}].rate_hz: the rotor phase 2 pi rate_hz duration_s "
+                              f"must be finite, got {r['rate_hz']!r}")
     rotors = [RotorSpec(r["rate_hz"], r["blades"], r["max_doppler_hz"]) for r in sense["rotors"]]
     probes = [
         _checked(f"sense.probes[{i}]", lambda: Direction(p["theta_rad"], p["phi_rad"]))

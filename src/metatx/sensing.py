@@ -45,6 +45,8 @@ class Spectrogram:
         self.values = np.asarray(self.values)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d grid")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite, got non-finite values")
         if not np.iscomplexobj(self.values) and np.any(self.values < 0):
             raise ValueError("magnitude grids must be non-negative")
 
@@ -79,14 +81,12 @@ def stft(waveform: np.ndarray, sample_rate_hz: float) -> Spectrogram:
     columns the non-negative frequency bins.
     """
     x = np.asarray(waveform, dtype=float)
-    n, hop = WINDOW_LENGTH, HOP
-    if x.size < n:
+    if x.size < WINDOW_LENGTH:
         raise ValueError("waveform shorter than the analysis window")
-    pad = n // 2
-    xp = np.concatenate([np.zeros(pad), x, np.zeros(pad + n)])
-    n_frames = 1 + (xp.size - n) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(xp, n)[::hop][:n_frames]
-    values = np.fft.rfft(frames * hann_window(n), axis=1)
+    segments, n_frames = _signal_buffer(x.size)
+    segments.reshape(-1)[WINDOW_LENGTH // 2 : WINDOW_LENGTH // 2 + x.size] = x
+    values = np.empty((n_frames, WINDOW_LENGTH // 2 + 1), complex)
+    _analyse(segments, np.empty((n_frames, WINDOW_LENGTH)), values)
     return Spectrogram(values, sample_rate_hz, x.size)
 
 
@@ -100,49 +100,75 @@ def istft_synthesize(spec: Spectrogram, seed: int | None = 0) -> np.ndarray:
     algorithm", WASPAA 2013). Each pass projects onto the target magnitudes,
     t = |S| X/|X| with X the stft of the current waveform, then extrapolates
     t + 0.99 (t - t_prev); the waveform returned is that of the last
-    projection t, not of the extrapolation.
+    projection t, not of the extrapolation. The passes share one padded
+    signal buffer, zeroed outside the signal as stft pads it, and two grids.
     """
     window = hann_window(WINDOW_LENGTH)
-    length, n, hop, pad = spec.n_samples, WINDOW_LENGTH, HOP, WINDOW_LENGTH // 2
-    total = pad + length + pad + n
-    # frames past total are dropped; stft of `length` samples has no fewer than `kept`
-    kept = min(spec.n_frames, (total - n) // hop + 1)
-    weight = _overlap_add(np.broadcast_to(window**2, (kept, n)), hop, total)
+    length, pad = spec.n_samples, WINDOW_LENGTH // 2
+    segments, fit = _signal_buffer(length)
+    kept = min(spec.n_frames, fit)  # frames past the buffer are dropped
+    frames = np.empty((kept, WINDOW_LENGTH))
+    weight = np.empty_like(segments)
+    _add_frames(np.broadcast_to(window**2, frames.shape), weight)
     good = weight > 1e-12
+    signal = segments.reshape(-1)
 
     def synthesize(values):  # least squares: windowed overlap-add over window**2
-        x = _overlap_add(np.fft.irfft(values[:kept], n, axis=1) * window, hop, total)
-        x[good] /= weight[good]
-        return x[pad : pad + length]
+        np.fft.irfft(values, WINDOW_LENGTH, axis=1, out=frames)
+        np.multiply(frames, window, out=frames)
+        _add_frames(frames, segments)
+        np.divide(segments, weight, out=segments, where=good)
+        signal[:pad] = 0
+        signal[pad + length :] = 0
+        return signal[pad : pad + length]
 
     if np.iscomplexobj(spec.values):
-        return synthesize(spec.values)
+        return synthesize(spec.values[:kept])
 
     rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.random(spec.values.shape))
-    values = spec.values * phases
-    projected = values[:kept]
-    for _ in range(GRIFFIN_LIM_PASSES):
-        z = stft(synthesize(values), spec.sample_rate_hz).values[:kept]
-        mag = np.abs(z)
-        t = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
-        values = t + GRIFFIN_LIM_MOMENTUM * (t - projected)
-        projected = t
+    phases = 2j * np.pi * rng.random(spec.values.shape)
+    target = spec.values[:kept]
+    values = np.multiply(target, np.exp(phases, out=phases)[:kept], out=phases[:kept])
+    projected, spare = values, np.empty_like(values)
+    magnitude, nonzero = np.empty(values.shape), np.empty(values.shape, bool)
+    for k in range(GRIFFIN_LIM_PASSES):
+        if k:  # the extrapolation t + 0.99 (t - t_prev), written over t_prev
+            values = np.subtract(projected, spare, out=spare)
+            values *= GRIFFIN_LIM_MOMENTUM
+            values += projected
+        synthesize(values)
+        t = _analyse(segments, frames, spare)  # the reanalysed X, projected in place
+        np.greater(np.abs(t, out=magnitude), 0, out=nonzero)
+        np.divide(t, magnitude, out=t, where=nonzero)  # X/|X|, and 1 where |X| = 0
+        np.copyto(t, 1, where=np.logical_not(nonzero, out=nonzero))
+        np.multiply(target, t, out=t)
+        projected, spare = t, projected
     return synthesize(projected)
 
 
-def _overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
-    """Sum (F, n) frames, frame i starting at sample i * hop, into ``total`` samples.
+def _signal_buffer(length: int) -> tuple[np.ndarray, int]:
+    """Zeroed (segments, HOP) room for ``length`` samples padded as stft pads
+    them, and the number of frames at hop HOP that fit in the padded signal."""
+    total = WINDOW_LENGTH // 2 + length + WINDOW_LENGTH // 2 + WINDOW_LENGTH
+    return np.zeros((-(-total // HOP), HOP)), 1 + (total - WINDOW_LENGTH) // HOP
 
-    The hop divides n, so frames i = r (mod n/hop) abut without overlap and
-    each phase r is one contiguous slice add.
-    """
-    step = frames.shape[1] // hop
-    x = np.zeros(total)
-    for r in range(step):
-        phase = frames[r::step]
-        x[r * hop : r * hop + phase.size] += phase.ravel()
-    return x
+
+def _analyse(segments: np.ndarray, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rfft into ``out`` of the signal's first ``len(out)`` frames at hop HOP,
+    windowed in ``frames``."""
+    view = np.lib.stride_tricks.sliding_window_view(segments.reshape(-1), WINDOW_LENGTH)[::HOP]
+    np.multiply(view[: len(out)], hann_window(WINDOW_LENGTH), out=frames)
+    return np.fft.rfft(frames, axis=1, out=out)
+
+
+def _add_frames(frames: np.ndarray, segments: np.ndarray) -> None:
+    """Overlap-add (F, WINDOW_LENGTH) frames, frame i starting at sample
+    i * HOP, over ``segments``: block j of frame i adds onto segment i + j."""
+    step = WINDOW_LENGTH // HOP
+    blocks = frames.reshape(len(frames), step, HOP)
+    segments.fill(0)
+    for j in range(step):
+        segments[j : j + len(frames)] += blocks[:, j]
 
 
 def rotor_blade_signal(
@@ -160,8 +186,8 @@ def rotor_blade_signal(
     """
     if blade_count < 1:
         raise ValueError("blade_count must be >= 1")
-    if max_doppler_hz >= sample_rate_hz / 2:
-        raise ValueError("max Doppler must stay below Nyquist")
+    if abs(max_doppler_hz) >= sample_rate_hz / 2:
+        raise ValueError("|max Doppler| must stay below Nyquist")
     t = np.arange(int(round(duration_s * sample_rate_hz))) / sample_rate_hz
     signal = np.zeros(t.size)
     for blade in range(blade_count):

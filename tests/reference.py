@@ -4,7 +4,9 @@ solver's angle gradient and Hessian assembled in full, its trust-region
 iteration with every trial solving its model from scratch, the probe gains
 and pattern-null exclusions as the two probe experiments wrote them inline,
 the probe streams of a coupled transmitter that phase-codes every symbol,
-and the overlap-add deviation of a window and hop."""
+the overlap-add deviation of a window and hop, and the signal-domain STFT
+and fast Griffin-Lim that trimmed, re-padded and re-framed the waveform on
+every pass."""
 
 import numpy as np
 
@@ -12,6 +14,14 @@ from metatx import precoder as pc
 from metatx import simulator as sim
 from metatx.channel import TerminalArray, selection_vector
 from metatx.geometry import ArrayGeometry, Direction
+from metatx.sensing import (
+    GRIFFIN_LIM_MOMENTUM,
+    GRIFFIN_LIM_PASSES,
+    HOP,
+    WINDOW_LENGTH,
+    Spectrogram,
+    hann_window,
+)
 
 
 def element_positions(geom: ArrayGeometry) -> np.ndarray:
@@ -163,3 +173,63 @@ def cola_deviation(window: np.ndarray, hop: int) -> float:
     for shift in range(0, n, hop):
         acc += np.roll(window, shift)
     return float(np.max(np.abs(acc - acc.mean())))
+
+
+def signal_domain_stft(waveform: np.ndarray, sample_rate_hz: float) -> Spectrogram:
+    """``sensing.stft`` as it padded a fresh copy of the waveform."""
+    x = np.asarray(waveform, dtype=float)
+    n, hop = WINDOW_LENGTH, HOP
+    if x.size < n:
+        raise ValueError("waveform shorter than the analysis window")
+    pad = n // 2
+    xp = np.concatenate([np.zeros(pad), x, np.zeros(pad + n)])
+    n_frames = 1 + (xp.size - n) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(xp, n)[::hop][:n_frames]
+    values = np.fft.rfft(frames * hann_window(n), axis=1)
+    return Spectrogram(values, sample_rate_hz, x.size)
+
+
+def signal_domain_istft_synthesize(spec: Spectrogram, seed: int | None = 0) -> np.ndarray:
+    """``sensing.istft_synthesize`` as each pass trimmed the waveform out of a
+    fresh overlap-add buffer and reanalysed it through ``signal_domain_stft``."""
+    window = hann_window(WINDOW_LENGTH)
+    length, n, hop, pad = spec.n_samples, WINDOW_LENGTH, HOP, WINDOW_LENGTH // 2
+    total = pad + length + pad + n
+    # frames past total are dropped; stft of `length` samples has no fewer than `kept`
+    kept = min(spec.n_frames, (total - n) // hop + 1)
+    weight = signal_domain_overlap_add(np.broadcast_to(window**2, (kept, n)), hop, total)
+    good = weight > 1e-12
+
+    def synthesize(values):  # least squares: windowed overlap-add over window**2
+        x = signal_domain_overlap_add(np.fft.irfft(values[:kept], n, axis=1) * window, hop, total)
+        x[good] /= weight[good]
+        return x[pad : pad + length]
+
+    if np.iscomplexobj(spec.values):
+        return synthesize(spec.values)
+
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.random(spec.values.shape))
+    values = spec.values * phases
+    projected = values[:kept]
+    for _ in range(GRIFFIN_LIM_PASSES):
+        z = signal_domain_stft(synthesize(values), spec.sample_rate_hz).values[:kept]
+        mag = np.abs(z)
+        t = spec.values[:kept] * np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
+        values = t + GRIFFIN_LIM_MOMENTUM * (t - projected)
+        projected = t
+    return synthesize(projected)
+
+
+def signal_domain_overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
+    """Sum (F, n) frames, frame i starting at sample i * hop, into ``total`` samples.
+
+    The hop divides n, so frames i = r (mod n/hop) abut without overlap and
+    each phase r is one contiguous slice add.
+    """
+    step = frames.shape[1] // hop
+    x = np.zeros(total)
+    for r in range(step):
+        phase = frames[r::step]
+        x[r * hop : r * hop + phase.size] += phase.ravel()
+    return x

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import metatx.simulator as sim
@@ -495,10 +501,19 @@ class TestMain:
         ("sense", {"sense": {"duration_s": 1e300}}, "sense.duration_s"),  # 2e303 samples
         # 2**31 + 1 samples: one past the bound (never run, it would not fit in memory)
         ("sense", {"sense": {"duration_s": (2**31 + 1) / 2000}}, "sense.duration_s"),
+        # a Doppler of either sign at or past Nyquist aliases
+        ("sense", {"sense": {"rotors": [{"max_doppler_hz": -1500.0}]}}, "sense.rotors[0].max_doppler_hz"),
+        ("simulate", {"sense": {"rotors": [{}, {"max_doppler_hz": -1000.0}]}},
+         "sense.rotors[1].max_doppler_hz"),
+        # 2 pi * 1e308 Hz overflows, so the blades' sin(2 pi rate_hz t) would be NaN
+        ("sense", {"sense": {"rotors": [{}, {"rate_hz": 1e308}]}}, "sense.rotors[1].rate_hz"),
+        ("sense", {"sense": {"rotors": [{"rate_hz": -1e308}]}}, "sense.rotors[0].rate_hz"),
     ], ids=["snr-huge-negative", "snr-huge", "snr-overflowing", "snr-noise-square-overflowing",
             "sweep-snr-minus-3100", "sweep-snr-huge-negative", "sweep-snr-huge",
             "sense-20-samples", "sense-255-samples", "sense-infinite-samples",
-            "sense-huge-samples", "sense-one-past-the-bound"])
+            "sense-huge-samples", "sense-one-past-the-bound", "rotor-doppler-below-minus-nyquist",
+            "rotor-doppler-at-minus-nyquist", "rotor-rate-overflowing-phase",
+            "rotor-rate-overflowing-phase-negative"])
     def test_meaningless_value_refused_at_parse(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})
         out_dir = tmp_path / "out"
@@ -571,8 +586,11 @@ class TestMain:
         {"sense": {"duration_s": 2**31 / 2000}},  # the largest count: parsed here, never run
         {"paths_surface_to_rx": [{"delay_s": 1e297}]},  # a carrier phase of 3.6e307 rad
         {"paths_tx_to_surface": [{"gain": {"re": 0.0, "im": -1e50}}]},
+        {"sense": {"rotors": [{"max_doppler_hz": -999.0}]}},
+        {"sense": {"rotors": [{"rate_hz": -1e307}]}},  # a rotor phase of -1.3e308 rad
     ], ids=["snr-3000", "snr-minus-300", "sweep-snr-bounds", "sense-256-samples",
-            "sense-largest-count", "path-delay-finite-phase", "path-gain-at-the-bound"])
+            "sense-largest-count", "path-delay-finite-phase", "path-gain-at-the-bound",
+            "rotor-doppler-negative-below-nyquist", "rotor-rate-finite-phase"])
     def test_boundary_values_accepted(self, override):
         scenario_from_dict(override)
 
@@ -811,3 +829,41 @@ def test_rule_keys_name_default_leaves():
         key = where.replace("[0]", "[]")
         if isinstance(rule_target(key), str):
             assert "allowed" in _RULES.get(key, {}), key
+
+
+# Boundary values for the sense leaves of a 256-sample run at 2 kHz on the
+# small surface: 0, subnormals and 1e300 of both signs everywhere; the float
+# range's edge for the rotor rate, whose phase 2 pi rate_hz duration_s then
+# overflows; Nyquist and its neighbour below, of both signs, for the Doppler;
+# and each leaf's own minimum: one window of samples, one blade.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+BELOW_NYQUIST = float(np.nextafter(1000.0, 0.0))
+FUZZ_ROTOR = st.fixed_dictionaries({
+    "rate_hz": st.sampled_from([4.0, *EDGES, 1.7976931348623157e308, -1.7976931348623157e308]),
+    "blades": st.sampled_from([1, 0, 3]),
+    "max_doppler_hz": st.sampled_from(
+        [300.0, *EDGES, 1000.0, -1000.0, BELOW_NYQUIST, -BELOW_NYQUIST]),
+})
+FUZZ_SENSE = st.fixed_dictionaries({
+    "rotors": st.lists(FUZZ_ROTOR, min_size=1, max_size=2),
+    "duration_s": st.sampled_from([0.128, *EDGES]),
+    "signal_rate_hz": st.sampled_from([2000.0, *EDGES]),
+})
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(FUZZ_SENSE)
+def test_sense_section_runs_clean_or_names_a_sense_field(sense):
+    payload = {**SMALL_CONFIG, "sense": {**SMALL_CONFIG["sense"], **sense}}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(pathlib.Path(tmp), payload)
+        out_dir = pathlib.Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sense", "--config", str(config), "--out", str(out_dir), "--quiet"])
+        if code == 0:
+            assert assert_finite_artifacts(out_dir), sense
+        else:
+            assert code == 1 and err.getvalue().startswith("error: sense."), (sense, err.getvalue())
+            assert not out_dir.exists()

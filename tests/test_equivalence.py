@@ -27,7 +27,9 @@ values and derivative bit for bit. ``duc`` and ``ddc`` on the cached
 pulse taps must match the per-call tap loop exactly. The per-frame
 overlap-add loop must match exactly at hop n/2 (two addends per sample) and
 within 1e-15 at finer hops; the exp(1j angle) fast Griffin-Lim update that
-X/|X| replaced, and the ``sense`` artifacts built on it, within 1e-12. Fast
+X/|X| replaced, and the ``sense`` artifacts built on it, within 1e-12. The
+frame-domain STFT and fast Griffin-Lim, which never leave one padded signal
+buffer, must give the signal-domain paths' bytes, signed zeros included. Fast
 Griffin-Lim must give every spoofing probe a fidelity no lower than the plain
 Griffin-Lim loop it replaced. A sweep table must be ``%`` of each value, and
 an array artifact must load back with its dtype, shape and bits, on
@@ -92,7 +94,12 @@ from metatx.sensing import (
     stft,
 )
 from metatx.simulator import default_scenario, wilson_interval
-from reference import element_positions, reference_probe_gains
+from reference import (
+    element_positions,
+    reference_probe_gains,
+    signal_domain_istft_synthesize,
+    signal_domain_stft,
+)
 
 
 def reference_simulate(scenario, cfg, out_dir):
@@ -1465,6 +1472,48 @@ def test_griffin_lim_matches_exp_angle_reference_on_silent_frames():
     grid[:10] = np.abs(np.random.default_rng(6).standard_normal((10, 129)))
     spec = Spectrogram(grid, 2000.0, 4992)
     assert_close(istft_synthesize(spec), reference_istft(spec))
+
+
+DEFAULT_ROTORS = [RotorSpec(4.0, 2, 300.0), RotorSpec(6.5, 3, 500.0)]
+
+
+def assert_same_bytes(spec, seed=0):
+    new, old = istft_synthesize(spec, seed=seed), signal_domain_istft_synthesize(spec, seed=seed)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+# one window, one sample past it, and 1 to 20 s of the default rotors
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("duration_s", [0.128, 0.129, 1.0, 2.0, 7.3, 20.0])
+def test_frame_domain_griffin_lim_gives_the_signal_domain_bytes(duration_s, seed):
+    assert_same_bytes(doppler_signature(DEFAULT_ROTORS, duration_s, 2000.0), seed)
+
+
+@pytest.mark.parametrize("complex_values", [True, False], ids=["complex", "magnitude"])
+@pytest.mark.parametrize("grid", ["silent-frames", "zero-bins", "57-frames-in-1000"])
+def test_frame_domain_synthesis_gives_the_signal_domain_bytes_on_edge_grids(grid, complex_values):
+    # silent frames reanalyse to bins of exactly 0, whose unit phasor is 1;
+    # 57 frames cover 7296 samples, so frames past 1000 samples are dropped
+    rng = np.random.default_rng(12)
+    values = drawn_grid(rng, 57 if grid == "57-frames-in-1000" else 40, 256, complex_values)
+    n_samples = 4992
+    if grid == "silent-frames":
+        values[10:] = 0
+    elif grid == "zero-bins":
+        values[:, ::3] = 0
+    else:
+        n_samples = 1000
+    assert_same_bytes(Spectrogram(values, 2000.0, n_samples), seed=5)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(256, 6000).filter(lambda n: n % 128), st.floats(1e-3, 1e3))
+def test_frame_domain_stft_gives_the_signal_domain_bytes(length, scale):
+    x = scale * np.random.default_rng(length).standard_normal(length)
+    new, old = stft(x, 2000.0), signal_domain_stft(x, 2000.0)
+    assert new.values.tobytes() == old.values.tobytes()
+    assert istft_synthesize(new).tobytes() == signal_domain_istft_synthesize(old).tobytes()
 
 
 @pytest.mark.parametrize("payload", [{}, {"seed": 9, "sense": {"duration_s": 3.0}}], ids=["default", "seed9"])

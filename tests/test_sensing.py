@@ -106,6 +106,13 @@ class TestIstft:
         spec = Spectrogram(np.zeros((10, 129)), FS, 1280)
         assert np.all(istft_synthesize(spec) == 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)])
+    def test_non_finite_grids_refused(self, bad):
+        grid = np.ones((10, 129), dtype=type(bad))
+        grid[3, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Spectrogram(grid, FS, 1280)
+
     def test_framing_is_read_only(self):
         spec = Spectrogram(np.zeros((10, 129)), FS, 1280)
         assert (spec.hop, spec.window_length) == (128, 256)
@@ -173,6 +180,12 @@ class TestDopplerSignature:
     def test_doppler_above_nyquist(self):
         with pytest.raises(ValueError):
             doppler_signature([RotorSpec(4.0, 2, 1100.0)], 1.0, FS)
+
+    # a negative Doppler swing aliases as a positive one does
+    @pytest.mark.parametrize("max_doppler_hz", [-1000.0, -1100.0])
+    def test_doppler_at_or_below_minus_nyquist(self, max_doppler_hz):
+        with pytest.raises(ValueError, match="Nyquist"):
+            doppler_signature([RotorSpec(4.0, 2, max_doppler_hz)], 1.0, FS)
 
     def test_normalized_range(self):
         spec = doppler_signature([RotorSpec(5.0, 2, 300.0)], 1.0, FS)
