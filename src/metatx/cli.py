@@ -38,6 +38,9 @@ MAX_SENSE_SAMPLES = 2**31  # 12 days at 2 kHz; its sense arrays would pass 100 G
 # Largest path gain modulus: no passive path amplifies by 1000 dB, and with both
 # sides at the bound a K-element link's squared gain, about (1e100 K)^2, is finite.
 MAX_PATH_GAIN = 1e50
+# Most blades on one rotor: more than any propeller, rotor or fan carries, and
+# the signature synthesis makes one pass over every sample per blade.
+MAX_ROTOR_BLADES = 64
 
 
 class ConfigError(ValueError):
@@ -231,6 +234,13 @@ def _sense_inputs(sense: dict) -> tuple[list[RotorSpec], list[Direction]]:
         if abs(r["max_doppler_hz"]) >= nyquist:
             raise ConfigError(f"sense.rotors[{i}].max_doppler_hz: the modulus must be below "
                               f"signal_rate_hz / 2 = {nyquist!r}, got {r['max_doppler_hz']!r}")
+        if r["blades"] > MAX_ROTOR_BLADES:
+            raise ConfigError(f"sense.rotors[{i}].blades: must be at most {MAX_ROTOR_BLADES}, "
+                              f"got {r['blades']!r}")
+        # the blade phase 2 pi cumsum(inst_f) sums up to |max_doppler_hz| per sample
+        if not math.isfinite(2 * math.pi * abs(r["max_doppler_hz"]) * round(samples)):
+            raise ConfigError(f"sense.rotors[{i}].max_doppler_hz: the Doppler phase 2 pi "
+                              f"|max_doppler_hz| samples must be finite, got {r['max_doppler_hz']!r}")
         if not math.isfinite(2 * math.pi * r["rate_hz"] * sense["duration_s"]):  # sin's argument
             raise ConfigError(f"sense.rotors[{i}].rate_hz: the rotor phase 2 pi rate_hz duration_s "
                               f"must be finite, got {r['rate_hz']!r}")

@@ -132,12 +132,22 @@ def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarr
     """Row factor R (K_r, M) and column factor C (K_c, M) of the planar steering.
 
     U[(i, j), m] = R[i, m] C[j, m] with R[i, m] = exp(-j s i u_x(O_m)) and
-    C[j, m] = exp(-j s j u_y(O_m)), s = 2 pi spacing / wavelength:
-    (K_r + K_c) M exponentials instead of K M.
+    C[j, m] = exp(-j s j u_y(O_m)), s = 2 pi spacing / wavelength. Both gather
+    one table exp(-j i a) over the distinct moduli a of u_x and u_y (about half
+    of the 2 M on a uniform azimuth grid): max(K_r, K_c) exponentials per
+    distinct |u|, not (K_r + K_c) M. An entry is conjugated where u's sign bit
+    is set, which gives exp(-j i u) bit for bit (i (-a) = -(i a), cos is even
+    and sin odd), the sign of a zero imaginary part included.
     """
     proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.theta)
-    row = np.exp(-1j * np.outer(np.arange(1, geom.rows + 1), proj * np.cos(grid.phi)))
-    col = np.exp(-1j * np.outer(np.arange(1, geom.cols + 1), proj * np.sin(grid.phi)))
+    u = np.concatenate([proj * np.cos(grid.phi), proj * np.sin(grid.phi)])
+    mags, inverse = np.unique(np.abs(u), return_inverse=True)
+    table = -1j * np.outer(np.arange(1, max(geom.rows, geom.cols) + 1), mags)
+    np.exp(table, out=table)
+    m = len(grid)
+    row, col = table[: geom.rows, inverse[:m]], table[: geom.cols, inverse[m:]]
+    for factor, part in ((row, u[:m]), (col, u[m:])):
+        np.conjugate(factor, out=factor, where=np.signbit(part))
     return row, col
 
 

@@ -1,5 +1,6 @@
 """Dense and per-element references that only the tests use: element
-positions and steering vectors, element by element, the two-stream
+positions and steering vectors, element by element, the steering factors
+as one complex exponential per entry, the two-stream
 solver's angle gradient and Hessian assembled in full, its trust-region
 iteration with every trial solving its model from scratch, the probe gains
 and pattern-null exclusions as the two probe experiments wrote them inline,
@@ -43,6 +44,16 @@ def steering_vector(geom: ArrayGeometry, direction: Direction) -> np.ndarray:
     """Per-element phase progression exp(-j u(dir)^T p_k), shape (K,): the
     surface's elements seen as one terminal array."""
     return TerminalArray(element_positions(geom)).response(direction)
+
+
+def dense_exp_steering_factors(geom: ArrayGeometry, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The row (K_r, M) and column (K_c, M) steering factors with one complex
+    ``exp`` per entry, as ``steering_factors`` formed them before it shared
+    one table of exponentials between the axes."""
+    proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.theta)
+    row = np.exp(-1j * np.outer(np.arange(1, geom.rows + 1), proj * np.cos(grid.phi)))
+    col = np.exp(-1j * np.outer(np.arange(1, geom.cols + 1), proj * np.sin(grid.phi)))
+    return row, col
 
 
 def reference_joint_derivatives(phis, rows_pair, sigma2):

@@ -508,12 +508,23 @@ class TestMain:
         # 2 pi * 1e308 Hz overflows, so the blades' sin(2 pi rate_hz t) would be NaN
         ("sense", {"sense": {"rotors": [{}, {"rate_hz": 1e308}]}}, "sense.rotors[1].rate_hz"),
         ("sense", {"sense": {"rotors": [{"rate_hz": -1e308}]}}, "sense.rotors[0].rate_hz"),
+        # one pass over the samples per blade: 10**9 blades would run for days
+        ("sense", {"sense": {"rotors": [{"blades": 65}]}}, "sense.rotors[0].blades"),
+        ("ber-sweep", {"sense": {"rotors": [{}, {"blades": 10**9}]}}, "sense.rotors[1].blades"),
+        # 2 pi * 8e307 Hz * 256 samples overflows, so the blades' cumsum phase would be NaN
+        ("sense", {"sense": {"signal_rate_hz": 1.7e308, "duration_s": 256 / 1.7e308,
+                             "rotors": [{"max_doppler_hz": 8e307}]}}, "sense.rotors[0].max_doppler_hz"),
+        ("precode", {"sense": {"signal_rate_hz": 1.7e308, "duration_s": 256 / 1.7e308,
+                               "rotors": [{}, {"max_doppler_hz": -2e305}]}},
+         "sense.rotors[1].max_doppler_hz"),
     ], ids=["snr-huge-negative", "snr-huge", "snr-overflowing", "snr-noise-square-overflowing",
             "sweep-snr-minus-3100", "sweep-snr-huge-negative", "sweep-snr-huge",
             "sense-20-samples", "sense-255-samples", "sense-infinite-samples",
             "sense-huge-samples", "sense-one-past-the-bound", "rotor-doppler-below-minus-nyquist",
             "rotor-doppler-at-minus-nyquist", "rotor-rate-overflowing-phase",
-            "rotor-rate-overflowing-phase-negative"])
+            "rotor-rate-overflowing-phase-negative", "rotor-blades-one-past-the-bound",
+            "rotor-blades-billion", "rotor-doppler-overflowing-phase",
+            "rotor-doppler-overflowing-phase-negative"])
     def test_meaningless_value_refused_at_parse(self, tmp_path, capsys, subcommand, override, field):
         config = write_config(tmp_path, {**SMALL_CONFIG, **override})
         out_dir = tmp_path / "out"
@@ -588,9 +599,13 @@ class TestMain:
         {"paths_tx_to_surface": [{"gain": {"re": 0.0, "im": -1e50}}]},
         {"sense": {"rotors": [{"max_doppler_hz": -999.0}]}},
         {"sense": {"rotors": [{"rate_hz": -1e307}]}},  # a rotor phase of -1.3e308 rad
+        {"sense": {"rotors": [{"blades": 64}]}},
+        {"sense": {"signal_rate_hz": 1.7e308, "duration_s": 256 / 1.7e308,  # a Doppler
+                   "rotors": [{"max_doppler_hz": -1e305}]}},  # phase of -1.6e308 rad
     ], ids=["snr-3000", "snr-minus-300", "sweep-snr-bounds", "sense-256-samples",
             "sense-largest-count", "path-delay-finite-phase", "path-gain-at-the-bound",
-            "rotor-doppler-negative-below-nyquist", "rotor-rate-finite-phase"])
+            "rotor-doppler-negative-below-nyquist", "rotor-rate-finite-phase",
+            "rotor-blades-at-the-bound", "rotor-doppler-finite-phase"])
     def test_boundary_values_accepted(self, override):
         scenario_from_dict(override)
 

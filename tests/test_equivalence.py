@@ -42,7 +42,9 @@ rotor return must be the complex return's real part, ``doppler_signature``
 the normalise-and-clip grid it built by hand, and ``peak_normalized`` the
 hand-built ``magnitude / magnitude.max()`` of each probe, all bit for bit; the
 oracle's phasor table must give the per-entry ``exp(1j angle)`` optimum and
-value exactly.
+value exactly. ``steering_factors``, which gathers both factors from one
+table of exponentials over the distinct |u|, must give the bytes of one
+complex ``exp`` per entry, zero imaginary parts' signs included.
 """
 
 import itertools
@@ -80,6 +82,7 @@ from metatx.geometry import (
     FieldTransform,
     hemisphere_grid,
     phase_difference_matrix,
+    steering_factors,
     transform_matrix,
     unit_vector,
 )
@@ -95,6 +98,7 @@ from metatx.sensing import (
 )
 from metatx.simulator import default_scenario, wilson_interval
 from reference import (
+    dense_exp_steering_factors,
     element_positions,
     reference_probe_gains,
     signal_domain_istft_synthesize,
@@ -550,6 +554,42 @@ def test_separable_steering_matches_dense_at_paper_scale():
     for lo in range(0, geom.n_elements, 512):  # the dense reference in row blocks
         ref = reference_steering(positions[lo : lo + 512], grid)
         assert np.max(np.abs(u[lo : lo + 512] - ref)) <= 1e-12
+
+
+def assert_steering_bytes(geom, grid):
+    for new, ref in zip(steering_factors(geom, grid), dense_exp_steering_factors(geom, grid)):
+        assert new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 70),
+    st.integers(1, 70),
+    st.floats(0.1, 2.0),
+    st.one_of(st.integers(1, 16), st.integers(1, 8).map(lambda n: 4 * n)),
+    st.one_of(st.integers(1, 40), st.integers(1, 16).map(lambda n: 4 * n)),
+)
+def test_shared_table_steering_matches_dense_exp_bytes(rows, cols, spacing_wavelengths,
+                                                       n_theta, n_phi):
+    geom = ArrayGeometry(rows, cols, spacing_m=spacing_wavelengths * 0.05, wavelength_m=0.05)
+    assert_steering_bytes(geom, hemisphere_grid(n_theta, n_phi))
+
+
+def test_shared_table_steering_matches_dense_exp_bytes_at_paper_scale():
+    geom = ArrayGeometry(64, 64, spacing_m=0.02586, wavelength_m=0.05172)
+    assert_steering_bytes(geom, hemisphere_grid(32, 64))
+
+
+def test_shared_table_steering_keeps_the_sign_of_zero():
+    # theta = 0 gives u_x = u_y = 0 with the signs of cos(phi) and sin(phi), and
+    # phi = -0.0 gives u_y = -0.0: each entry's zero imaginary part keeps the
+    # sign that exp(-j i u) gives it, which u < 0 would not tell apart
+    grid = DirectionGrid([0.0, 0.0, 0.0, 0.0, 0.4, 0.4, 1.2],
+                         [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, -0.0, np.pi, 0.7])
+    u = np.concatenate([np.cos(grid.phi), np.sin(grid.phi)]) * np.tile(np.sin(grid.theta), 2)
+    assert (u == 0).sum() == 9 and np.signbit(u[u == 0]).sum() == 4
+    assert_steering_bytes(ArrayGeometry(5, 3, spacing_m=0.025, wavelength_m=0.05), grid)
 
 
 @pytest.mark.parametrize("n_rx", [1, 2, 4])
