@@ -85,9 +85,8 @@ def stft(waveform: np.ndarray, sample_rate_hz: float) -> Spectrogram:
         raise ValueError("waveform shorter than the analysis window")
     segments, n_frames = _signal_buffer(x.size)
     segments.reshape(-1)[WINDOW_LENGTH // 2 : WINDOW_LENGTH // 2 + x.size] = x
-    values = np.empty((n_frames, WINDOW_LENGTH // 2 + 1), complex)
-    _analyse(segments, np.empty((n_frames, WINDOW_LENGTH)), values)
-    return Spectrogram(values, sample_rate_hz, x.size)
+    frames = _frame_view(segments)[:n_frames] * hann_window(WINDOW_LENGTH)
+    return Spectrogram(np.fft.rfft(frames, axis=1), sample_rate_hz, x.size)
 
 
 def istft_synthesize(spec: Spectrogram, seed: int | None = 0) -> np.ndarray:
@@ -102,6 +101,9 @@ def istft_synthesize(spec: Spectrogram, seed: int | None = 0) -> np.ndarray:
     t + 0.99 (t - t_prev); the waveform returned is that of the last
     projection t, not of the extrapolation. The passes share one padded
     signal buffer, zeroed outside the signal as stft pads it, and two grids.
+    X/|X| is formed as X (1/|X|), the product numpy's complex-by-real
+    division computes; the two differ at most in zeros' signs, made +0 by
+    the overlap-add.
     """
     window = hann_window(WINDOW_LENGTH)
     length, pad = spec.n_samples, WINDOW_LENGTH // 2
@@ -112,6 +114,7 @@ def istft_synthesize(spec: Spectrogram, seed: int | None = 0) -> np.ndarray:
     _add_frames(np.broadcast_to(window**2, frames.shape), weight)
     good = weight > 1e-12
     signal = segments.reshape(-1)
+    view = _frame_view(segments)[:kept]
 
     def synthesize(values):  # least squares: windowed overlap-add over window**2
         np.fft.irfft(values, WINDOW_LENGTH, axis=1, out=frames)
@@ -137,9 +140,10 @@ def istft_synthesize(spec: Spectrogram, seed: int | None = 0) -> np.ndarray:
             values *= GRIFFIN_LIM_MOMENTUM
             values += projected
         synthesize(values)
-        t = _analyse(segments, frames, spare)  # the reanalysed X, projected in place
+        np.multiply(view, window, out=frames)
+        t = np.fft.rfft(frames, axis=1, out=spare)  # the reanalysed X, projected in place
         np.greater(np.abs(t, out=magnitude), 0, out=nonzero)
-        np.divide(t, magnitude, out=t, where=nonzero)  # X/|X|, and 1 where |X| = 0
+        t *= np.divide(1.0, magnitude, out=magnitude, where=nonzero)  # X/|X|, and 1 where |X| = 0
         np.copyto(t, 1, where=np.logical_not(nonzero, out=nonzero))
         np.multiply(target, t, out=t)
         projected, spare = t, projected
@@ -153,12 +157,9 @@ def _signal_buffer(length: int) -> tuple[np.ndarray, int]:
     return np.zeros((-(-total // HOP), HOP)), 1 + (total - WINDOW_LENGTH) // HOP
 
 
-def _analyse(segments: np.ndarray, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rfft into ``out`` of the signal's first ``len(out)`` frames at hop HOP,
-    windowed in ``frames``."""
-    view = np.lib.stride_tricks.sliding_window_view(segments.reshape(-1), WINDOW_LENGTH)[::HOP]
-    np.multiply(view[: len(out)], hann_window(WINDOW_LENGTH), out=frames)
-    return np.fft.rfft(frames, axis=1, out=out)
+def _frame_view(segments: np.ndarray) -> np.ndarray:
+    """Read-only view of the padded signal's frames at hop HOP, one per row."""
+    return np.lib.stride_tricks.sliding_window_view(segments.reshape(-1), WINDOW_LENGTH)[::HOP]
 
 
 def _add_frames(frames: np.ndarray, segments: np.ndarray) -> None:

@@ -5,13 +5,16 @@ solver's angle gradient and Hessian assembled in full, its trust-region
 iteration with every trial solving its model from scratch, the probe gains
 and pattern-null exclusions as the two probe experiments wrote them inline,
 the probe streams of a coupled transmitter that phase-codes every symbol,
-the overlap-add deviation of a window and hop, and the signal-domain STFT
+the overlap-add deviation of a window and hop, the signal-domain STFT
 and fast Griffin-Lim that trimmed, re-padded and re-framed the waveform on
-every pass."""
+every pass, and the predistortion inverse that bracketed each query by one
+``searchsorted`` on the whole table and searched the certificate's knot
+intervals anew."""
 
 import numpy as np
 
 from metatx import precoder as pc
+from metatx.mixer import NEWTON_STEPS, TABLE_POINTS, MagnitudeCurve
 from metatx import simulator as sim
 from metatx.channel import TerminalArray, selection_vector
 from metatx.geometry import ArrayGeometry, Direction
@@ -244,3 +247,54 @@ def signal_domain_overlap_add(frames: np.ndarray, hop: int, total: int) -> np.nd
         phase = frames[r::step]
         x[r * hop : r * hop + phase.size] += phase.ravel()
     return x
+
+
+def searchsorted_calibrate_predistortion(curve: MagnitudeCurve):
+    """``mixer.calibrate_predistortion`` as it bracketed each query by one
+    ``searchsorted`` on the table and evaluated the certificate's ends on
+    knot intervals searched anew."""
+    lo, hi = curve.domain
+    d = np.diff(curve._interp(np.linspace(lo, hi, 1024)))
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise ValueError("curve is not strictly monotone; cannot calibrate")
+    m_lo, m_hi = curve.range
+    xtol = 1e-14 + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    sign = 1.0 if d[0] > 0 else -1.0
+    v_tab = np.linspace(lo, hi, TABLE_POINTS)
+    i_tab = curve._interval(v_tab)
+    g_tab = sign * curve._interp(v_tab, i=i_tab)
+
+    def inverse(m):
+        m_arr = np.atleast_1d(np.asarray(m, dtype=float))
+        if np.any(m_arr < m_lo - 1e-12) or np.any(m_arr > m_hi + 1e-12):
+            raise ValueError(
+                f"magnitude outside curve range [{m_lo}, {m_hi}]"
+            )
+        target = sign * np.clip(m_arr, m_lo, m_hi)
+        j = np.clip(np.searchsorted(g_tab, target), 1, TABLE_POINTS - 1)
+        a, b = v_tab[j - 1], v_tab[j]
+        g_a, g_b = g_tab[j - 1], g_tab[j]
+        t = np.divide(target - g_a, g_b - g_a, out=np.full_like(target, 0.5), where=g_b > g_a)
+        v = np.clip(a + t * (b - a), a, b)
+        # v stays in [a, b], so its knot interval is the bracket's own
+        # unless a knot lies inside the bracket
+        i = i_tab[j - 1]
+        straddling = np.flatnonzero(i != i_tab[j])
+        for _ in range(NEWTON_STEPS):
+            i[straddling] = curve._interval(v[straddling])
+            g, s = curve._interp(v, slope=True, i=i)
+            r, s = sign * g - target, sign * s
+            v = np.clip(v - np.divide(r, s, out=np.zeros_like(r), where=s > 0), a, b)
+        ends = np.clip(np.stack([v - xtol / 2, v + xtol / 2]), lo, hi)
+        g_ends = sign * curve._interp(ends) - target
+        rejected = ~((g_ends[0] <= 0) & (g_ends[1] >= 0))
+        if np.any(rejected):
+            a, b, target = a[rejected], b[rejected], target[rejected]
+            while np.any(b - a > xtol):
+                mid = (a + b) / 2
+                above = sign * curve._interp(mid) < target  # root above mid
+                a, b = np.where(above, mid, a), np.where(above, b, mid)
+            v[rejected] = (a + b) / 2
+        return v if np.ndim(m) else float(v[0])
+
+    return inverse

@@ -21,7 +21,10 @@ and probes built on it, the full-matrices SVD, the
 materialized reflection array, and the CLI's ``simulate`` chain through a
 (K, T) magnitude tile), and within 2e-14 V for the predistortion inverse
 against both the per-query ``brentq`` and the whole-domain array bisection
-that the bracketed Newton inverse replaced. The numpy PCHIP of
+that the bracketed Newton inverse replaced; the inverse that brackets by
+bucket must give the bytes of the one that searched the whole table, on
+range ends, knots, table values and bucket edges with their float
+neighbours. The numpy PCHIP of
 ``MagnitudeCurve`` must give scipy's ``PchipInterpolator`` coefficients,
 values and derivative bit for bit. ``duc`` and ``ddc`` on the cached
 pulse taps must match the per-call tap loop exactly. The per-frame
@@ -101,6 +104,7 @@ from reference import (
     dense_exp_steering_factors,
     element_positions,
     reference_probe_gains,
+    searchsorted_calibrate_predistortion,
     signal_domain_istft_synthesize,
     signal_domain_stft,
 )
@@ -1297,6 +1301,38 @@ def test_newton_inverse_matches_bisection_and_brentq(curve):
         inverse(np.array([m_lo, m_hi + 1e-6]))
     with pytest.raises(ValueError, match="outside curve range"):
         inverse(m_lo - 1e-6)
+
+
+def inverse_edge_queries(curve):
+    """Magnitudes where a bracket search may tip: the range ends and 1e-13
+    beyond them, the knots, every table value and every bucket edge with
+    their float neighbours, and 1e5 uniform draws."""
+    m_lo, m_hi = curve.range
+    table = curve._interp(np.linspace(*curve.domain, mx.TABLE_POINTS))
+    edges = table[0] + (table[-1] - table[0]) * np.arange(mx.TABLE_POINTS + 1) / mx.TABLE_POINTS
+    points = np.concatenate([table, edges])
+    return np.concatenate([
+        [m_lo, m_hi, m_lo - 1e-13, m_hi + 1e-13], curve.magnitude,
+        points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+        np.random.default_rng(11).uniform(m_lo, m_hi, 100_000),
+    ])
+
+
+@pytest.mark.parametrize("curve, fullest", [
+    (mx.MagnitudeCurve.from_diode(mx.DiodeModel(), 0.10, 0.21), 3),
+    (rising_curve(), 5),
+    (mx.MagnitudeCurve.from_diode(mx.DiodeModel(), 0.0, 0.6), 1476),
+], ids=["falling-diode", "rising", "wide-diode"])
+def test_bucketed_inverse_gives_the_searchsorted_bytes(curve, fullest):
+    table = curve._interp(np.linspace(*curve.domain, mx.TABLE_POINTS))
+    share = np.abs(table - table[0]) / abs(table[-1] - table[0])
+    buckets = np.minimum((share * mx.TABLE_POINTS).astype(int), mx.TABLE_POINTS - 1)
+    assert np.bincount(buckets).max() == fullest  # the wide window searches 11 deep
+    m = inverse_edge_queries(curve)
+    inverse = mx.calibrate_predistortion(curve)
+    reference = searchsorted_calibrate_predistortion(curve)
+    assert inverse(m).tobytes() == reference(m).tobytes()
+    assert [inverse(x) for x in m[:40]] == [reference(x) for x in m[:40]]
 
 
 def bits(values) -> bytes:

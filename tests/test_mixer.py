@@ -132,6 +132,13 @@ class TestMagnitudeCurve:
         with pytest.raises(ValueError):
             reflect_magnitude(1.5, curve)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bias_refused(self, bad):
+        curve = MagnitudeCurve(np.array([0.0, 1.0]), np.array([0.2, 0.8]))
+        for query in (bad, np.array([0.5, bad]), np.array([[0.5], [bad]])):
+            with pytest.raises(ValueError, match=f"bias voltage must be finite, got {bad}"):
+                reflect_magnitude(query, curve)
+
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError):
             MagnitudeCurve(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.9, 0.5]))
@@ -179,6 +186,14 @@ class TestCalibration:
         inverse = calibrate_predistortion(MagnitudeCurve.from_diode(model, 0.10, 0.21))
         out = inverse(np.array([]))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_magnitude_refused(self, model, bad):
+        curve = MagnitudeCurve.from_diode(model, 0.10, 0.21)
+        inverse = calibrate_predistortion(curve)
+        for query in (bad, np.array([np.mean(curve.range), bad])):
+            with pytest.raises(ValueError, match=f"magnitude must be finite, got {bad}"):
+                inverse(query)
 
     @pytest.mark.parametrize("make", [
         lambda: MagnitudeCurve.from_diode(DiodeModel(), 0.10, 0.21),

@@ -1,5 +1,6 @@
 """Property tests of the modem, predistortion, manifold, two-stream solver,
-row-norm, selection-kernel, isotropy and per-trial seeding invariants."""
+row-norm, selection-kernel, isotropy and per-trial seeding invariants, and of
+the numpy complex-by-real division that fast Griffin-Lim relies on."""
 
 import warnings
 
@@ -205,6 +206,31 @@ def test_row_norms_equal_numpy_norm_of_each_row(x):
     for i in np.ndindex(x.shape[:-1]):
         assert norms[i] == np.linalg.norm(x[i])
         assert powers[i] == np.linalg.norm(x[i]) ** 2
+
+
+def test_complex_by_real_division_is_the_reciprocal_product():
+    # Fast Griffin-Lim forms X/|X| as X * (1/|X|). numpy divides by m + 0j as
+    # ((re + im 0) (1/m), (im - re 0) (1/m)), so the two are equal, and their
+    # bits differ at most in a zero's sign: re 0 + im (1/m) is +0 where
+    # im (1/m) alone is -0.
+    parts = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                      1.0, -1.5, 1e300, -1.7976931348623157e308])
+    scales = np.array([2.0**-1023, 2.2250738585072014e-308, 1e-300, 0.3, 1.0, 7.0,
+                       1e300, 1.7976931348623157e308])
+    rng = np.random.default_rng(0x61)
+
+    def draw(n):  # exponents from -700 to 700, either sign
+        return rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(0.5, 1.0, n),
+                                                     rng.integers(-700, 701, n))
+
+    grid = np.empty((parts.size, parts.size), complex)  # every sign of zero kept
+    grid.real, grid.imag = parts[:, None], parts
+    n = 10**6
+    for x, m in [(grid.reshape(-1, 1), scales), (draw(n) + 1j * draw(n), np.abs(draw(n)))]:
+        with np.errstate(over="ignore"):
+            quotient, product = (x / m).view(float), (x * (1.0 / m)).view(float)
+        assert np.all(quotient == product)
+        assert np.all((quotient.view(np.uint64) == product.view(np.uint64)) | (quotient == 0))
 
 
 @FAST
