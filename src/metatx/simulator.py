@@ -75,6 +75,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
+        if self.carrier_envelope == 0:
+            raise ValueError("carrier_envelope must be nonzero: a zero carrier sends no signal")
         if not self.pattern_exponent >= 0:
             raise ValueError(f"pattern_exponent must be >= 0, got {self.pattern_exponent!r}")
         if not np.any(_element_pattern(self.grid, self.pattern_exponent)):
@@ -146,19 +148,47 @@ def simulate_rx(
     return add_noise(y, scenario.sigma2, scenario.seed)
 
 
+def _unit_scaled(x):
+    """(x * 2^-e, e) with max |x| in [2^(e-1), 2^e): an exact rescale to about 1."""
+    x = np.asarray(x)
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e), e
+
+
+def _link_gains(scenario: ScenarioConfig, rows: np.ndarray, h_eff: np.ndarray, phasors):
+    """(rows * h_eff) @ phasors * carrier envelope, scaled by 2^-e, with e: the
+    rows (H_o or v^T W^H), h_eff and the envelope are each scaled by a power of
+    two to about 1 first, so a gain beyond the float range keeps its digits."""
+    (rows, e_rows), (h_eff, e_eff) = _unit_scaled(rows), _unit_scaled(h_eff)
+    envelope, e_env = _unit_scaled(scenario.carrier_envelope)
+    return (rows * h_eff[np.newaxis, :]) @ phasors * complex(envelope), e_rows + e_eff + e_env
+
+
+def _noise_power(scenario: ScenarioConfig, e: int) -> float:
+    """sigma2 * 2^-2e for a link gain scaled by 2^-e: signal and noise scale alike
+    and exactly (the square root of 2^-2e is exact), so no sample decision
+    changes. Raises ValueError, naming sigma2, where it is not a finite float."""
+    try:
+        return math.ldexp(scenario.sigma2, -2 * e)
+    except OverflowError:
+        raise ValueError(
+            f"sigma2: sigma2 / |carrier_envelope * link gain|^2 must be a finite noise power, "
+            f"got sigma2 {scenario.sigma2!r} with carrier_envelope {scenario.carrier_envelope!r} "
+            f"and a carrier_envelope * link gain near 2^{e}"
+        ) from None
+
+
 def _probe_gains(scenario: ScenarioConfig, phases: np.ndarray, probes) -> tuple[np.ndarray, int, list]:
-    """Link gains v(dir)^T W^H diag(e^{j phi}) h_eff to single-antenna probes,
-    shape (P,), scaled by 2^-e to about 1, with e and the indices of the
-    probes in a pattern null: those whose |gain| is at most 1e-12 of the
-    strongest. The rows and h_eff are each scaled by a power of two before
-    their product, so a gain below the float range keeps its digits."""
+    """Link gains v(dir)^T W^H diag(e^{j phi}) h_eff s_c to single-antenna
+    probes, shape (P,), scaled by 2^-e to about 1 as ``_link_gains`` scales
+    them, with e and the indices of the probes in a pattern null: those whose
+    |gain| is at most 1e-12 of the strongest."""
     link = build_link(scenario)
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])  # (P, M), real
-    rows, e_rows = _unit_scaled(link.transform.apply(sel.T).conj().T)
-    h_eff, e_eff = _unit_scaled(link.h_eff)
-    gains = (rows * h_eff[np.newaxis, :]) @ np.exp(1j * phases)
+    rows = link.transform.apply(sel.T).conj().T
+    gains, e = _link_gains(scenario, rows, link.h_eff, np.exp(1j * phases))
     strength = np.abs(gains)
-    return gains, e_rows + e_eff, [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
+    return gains, e, [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
 
 
 def _stream_deviation(streams: np.ndarray) -> float:
@@ -415,59 +445,17 @@ def _magnitude_drive(x: np.ndarray):
     return 0.5 + 0.45 * x / peak, 0.45 / peak
 
 
-# Below this modulus a gain's square is no longer a normal float.
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
-
-
-def _ldexp(x, e: int):
-    """x * 2**e for real or complex x: exact while the result is a normal float."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
-    return np.ldexp(x, e)
-
-
-def _unit_scaled(x):
-    """(x * 2^-e, e) with max |x| in [2^(e-1), 2^e): an exact rescale to about 1."""
-    e = int(np.frexp(np.max(np.abs(x)))[1])
-    return _ldexp(x, -e), e
-
-
-def unit_carrier(scenario: ScenarioConfig, link_exponent: int) -> tuple[complex, float]:
-    """The carrier envelope scaled by 2^-e to a modulus in [1/2, 1), and
-    sigma2 scaled by 2^-2(e + link_exponent) for a link gain already scaled
-    by 2^-link_exponent: signal and noise scale alike and exactly (the
-    square root of a power of four is exact), so no sample decision changes.
-    Raises ValueError, naming sigma2, where the scaled noise power is not a
-    finite float.
-    """
-    envelope, e = _unit_scaled(scenario.carrier_envelope)
-    try:
-        return complex(envelope), math.ldexp(scenario.sigma2, -2 * (e + link_exponent))
-    except OverflowError:
-        raise ValueError(
-            f"sigma2: sigma2 / |carrier_envelope * link gain|^2 must be a finite noise power, "
-            f"got sigma2 {scenario.sigma2!r} with carrier_envelope {scenario.carrier_envelope!r} "
-            f"and a link gain near 2^{link_exponent}"
-        ) from None
-
-
 def combine(y: np.ndarray, gain, scale: float) -> np.ndarray:
     """Recover the IF drive waveform from the received signal.
 
     Maximum-ratio combining by the link gain, z = gain^H y / ||gain||^2 on
     ``y`` of shape (N_r, T) (or (T,) for one antenna), then the DC offset of
-    the magnitude drive is removed and its scale undone. Where ||gain||^2
-    would underflow, the gain and ``y`` are scaled by powers of two to about 1
-    for the product and the division, and z back after them, all exact.
+    the magnitude drive is removed and its scale undone. Every caller forms
+    the gain from factors scaled by powers of two to about 1, so ||gain||^2
+    is a normal float.
     """
     gain = np.atleast_1d(gain)
-    if np.max(np.abs(gain)) >= _SQRT_TINY:
-        z = (gain.conj() @ np.atleast_2d(y)) / np.linalg.norm(gain) ** 2
-    else:
-        unit, e = _unit_scaled(gain)
-        y_unit, e_y = _unit_scaled(np.atleast_2d(y))
-        z = _ldexp((unit.conj() @ y_unit) / np.linalg.norm(unit) ** 2, e_y - e)
+    z = (gain.conj() @ np.atleast_2d(y)) / np.linalg.norm(gain) ** 2
     return np.real(z - np.mean(z)) / scale
 
 
@@ -509,14 +497,10 @@ def simulate(scenario: ScenarioConfig, n_symbols: int, order: int) -> dict:
     alpha, scale = _magnitude_drive(wave.samples)
     link = build_link(scenario)
     phases = pc.closed_form_phases(link.h_out, link.h_eff).phases[0]
-    # H_o and h_eff are each scaled by a power of two to about 1, and the
-    # noise power with them, so a link gain below the float range keeps its
-    # digits. Every element carries the same series alpha(t), so the
-    # received signal is the phased link gain times that series.
-    (h_out, e_out), (h_eff, e_eff) = _unit_scaled(link.h_out), _unit_scaled(link.h_eff)
-    envelope, sigma2 = unit_carrier(scenario, e_out + e_eff)
-    gain = (h_out * h_eff[np.newaxis, :]) @ phases * envelope
-    y = add_noise(np.outer(gain, alpha), sigma2, scenario.seed)
+    # Every element carries the same series alpha(t), so the received signal
+    # is the phased link gain times that series.
+    gain, e = _link_gains(scenario, link.h_out, link.h_eff, phases)
+    y = add_noise(np.outer(gain, alpha), _noise_power(scenario, e), scenario.seed)
     ref, aligned, metrics = demodulate(scenario, combine(y, gain, scale), bits, order, n_symbols)
     return {
         "tx_symbols": ref,
@@ -670,16 +654,15 @@ def doppler_spoof_experiment(
     """
     seed = scenario.seed
     phases = 2 * np.pi * np.random.default_rng([seed, 0xD09]).random(scenario.n_elements)
-    gains, e_link, excluded = _probe_gains(scenario, phases, probe_directions)
-    envelope, sigma2 = unit_carrier(scenario, e_link)
+    gains, e, excluded = _probe_gains(scenario, phases, probe_directions)
+    sigma2 = _noise_power(scenario, e)
 
     target = doppler_signature(rotors, duration_s, signal_rate_hz)
     drive_wave = istft_synthesize(target, seed=seed)
     alpha, scale = _magnitude_drive(drive_wave)
 
-    coupling = gains * envelope
-    recovered = [None] * len(coupling)
-    for p, c in enumerate(coupling):
+    recovered = [None] * len(gains)
+    for p, c in enumerate(gains):
         if p not in excluded:
             y = add_noise(c * alpha, sigma2, np.random.default_rng([seed, 0x0B5, p]))
             recovered[p] = stft(combine(y, c, scale), signal_rate_hz).peak_normalized()

@@ -4,12 +4,15 @@ as one complex exponential per entry, the two-stream
 solver's angle gradient and Hessian assembled in full, its trust-region
 iteration with every trial solving its model from scratch, the probe gains
 and pattern-null exclusions as the two probe experiments wrote them inline,
-the probe streams of a coupled transmitter that phase-codes every symbol,
+the probe streams of a coupled transmitter that phase-codes every symbol
+and of one that switches elements on to realise a spoofing drive,
 the overlap-add deviation of a window and hop, the signal-domain STFT
 and fast Griffin-Lim that trimmed, re-padded and re-framed the waveform on
 every pass, and the predistortion inverse that bracketed each query by one
 ``searchsorted`` on the whole table and searched the certificate's knot
 intervals anew."""
+
+import math
 
 import numpy as np
 
@@ -162,7 +165,9 @@ def reference_probe_gains(scenario, phases, probes, magnitude):
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])
     rows = link.transform.apply(sel.T).conj().T
     gains = (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * phases)
-    strength = np.abs(gains * sim.unit_carrier(scenario, 0)[0])
+    envelope = scenario.carrier_envelope
+    k = math.frexp(abs(envelope))[1]  # the envelope scaled by 2^-k to a modulus in [1/2, 1)
+    strength = np.abs(gains * complex(math.ldexp(envelope.real, -k), math.ldexp(envelope.imag, -k)))
     sense = [i for i, s in enumerate(strength) if s <= 1e-12 * strength.max()]
     norms = np.linalg.norm(np.outer(gains, magnitude), axis=1)
     isotropy = [i for i, n in enumerate(norms) if n <= 1e-12 * norms.max()]
@@ -178,6 +183,21 @@ def reference_coupled_streams(scenario, codes, probes):
     sel = np.stack([selection_vector(scenario.grid, d) for d in probes])
     rows = link.transform.apply(sel.T).conj().T
     return (rows * link.h_eff[np.newaxis, :]) @ np.exp(1j * codes)
+
+
+def reference_coupled_spoofing(scenario, phases, probes, alpha, order):
+    """Noiseless probe streams (P, T) of a coupled spoofing transmitter, which
+    realises the drive ``alpha`` in [0, 1] by switching elements: at each
+    sample the first round(K alpha(t)) elements of the permutation ``order``
+    are on at unit magnitude and their phase in ``phases``, the rest off.
+    Seen through the same rows v^T W^H and h_eff as ``_probe_gains``'s.
+    Returns the streams and each probe's gain with every element on."""
+    link = sim.build_link(scenario)
+    sel = np.stack([selection_vector(scenario.grid, d) for d in probes])
+    rows = link.transform.apply(sel.T).conj().T
+    terms = (rows * (link.h_eff * np.exp(1j * phases)))[:, order]
+    on = np.concatenate([np.zeros((len(probes), 1)), np.cumsum(terms, axis=1)], axis=1)
+    return on[:, np.rint(scenario.n_elements * alpha).astype(int)], on[:, -1]
 
 
 def cola_deviation(window: np.ndarray, hop: int) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -429,6 +430,7 @@ class TestMain:
             ("diversity-sweep", {"sweep": {"k_list": [True]}}, "sweep.k_list[0]"),
             ("simulate", {"carrier_envelope": {"re": "x", "im": 0}}, "carrier_envelope.re"),
             ("simulate", {"carrier_envelope": {"re": 1.0, "im": None}}, "carrier_envelope.im"),
+            ("sense", {"carrier_envelope": {"re": 0.0, "im": -0.0}}, "carrier_envelope"),
             ("simulate", {"paths_tx_to_surface": [{"gain": {"re": "x", "im": 0}}]},
              "paths_tx_to_surface[0].gain.re"),
             ("simulate", {"paths_surface_to_rx": [{}, {"gain": {"re": 1, "im": [0]}}]},
@@ -472,7 +474,8 @@ class TestMain:
              "sigma2-str", "sigma2-bool", "pattern-exponent-null", "two-stream-snr-str",
              "sweep-snr-entry-str", "sweep-snr-str", "sweep-snr-nan", "sigma2-nan",
              "k-list-float", "k-list-str", "k-list-0", "k-list-bool", "envelope-re-str",
-             "envelope-im-null", "tx-path-gain-str", "rx-path-gain-list", "fading-str",
+             "envelope-im-null", "envelope-zero", "tx-path-gain-str", "rx-path-gain-list",
+             "fading-str",
              "fading-list", "sweep-precoding-str", "modem-pulse-str", "seed-float",
              "seed-negative", "rolloff-str", "f-if-str", "sample-rate-null", "tx-spacing-str",
              "rx-spacing-list", "spacing-m-str", "wavelength-m-str", "duration-str",
@@ -882,3 +885,52 @@ def test_sense_section_runs_clean_or_names_a_sense_field(sense):
         else:
             assert code == 1 and err.getvalue().startswith("error: sense."), (sense, err.getvalue())
             assert not out_dir.exists()
+
+
+def link_paths(tx_gain: float, rx_gain: float) -> dict:
+    """The default config's two paths with the given real gains."""
+    sides = ("paths_tx_to_surface", "paths_surface_to_rx")
+    return {side: [{**_DEFAULT_CONFIG[side][0], "gain": {"re": gain, "im": 0.0}}]
+            for side, gain in zip(sides, (tx_gain, rx_gain))}
+
+
+# Configs that take the link gain, the envelope or the noise power to the
+# edges of the float range: tiny path gains, a huge envelope with huge noise,
+# a mixed run with a probe in a pattern null, steep patterns (q = 20000) and
+# a tiny envelope. The subcommands that refuse each, naming sigma2, follow.
+EDGE_CONFIGS = {
+    "default": {},
+    "tiny-paths": {**link_paths(1e-200, 2e-160), "sigma2": 1e-320},
+    "huge-envelope": {"carrier_envelope": {"re": 1e300, "im": -7e299}, "sigma2": 1e290,
+                      "rx": {"antennas": 3}},
+    "mixed": {"carrier_envelope": {"re": 0.3, "im": 0.7}, "pattern_exponent": 20,
+              "rx": {"antennas": 2}, "tx": {"antennas": 3}, "fading": "bypass",
+              "sweep": {"precoding": "none"}, "modem": {"pulse": "rect", "order": 64},
+              # the middle probe sits on the grid's lowest row, cos(theta) = 1/64
+              "sense": {"probes": [{"theta_rad": 0.4, "phi_rad": 0.5},
+                                   {"theta_rad": 1.5551706909421597, "phi_rad": math.pi / 2},
+                                   {"theta_rad": 0.9, "phi_rad": 3.5}]}},
+    "steep-pattern": {"pattern_exponent": 20000},
+    "tiny-envelope": {"carrier_envelope": {"re": 1e-160, "im": 0.0}},
+    "steep-pattern-noisy": {"pattern_exponent": 20000, **link_paths(1e-50, 1e-50),
+                            "sigma2": 1e-30},
+}
+EDGE_REFUSALS = {"tiny-paths": {"simulate"}, "steep-pattern-noisy": {"simulate", "sense"}}
+
+
+@pytest.mark.parametrize("name", EDGE_CONFIGS)
+def test_combine_receives_gains_whose_square_is_normal(tmp_path, monkeypatch, name):
+    # combine divides by ||gain||^2 with no rescale of its own: every gain a
+    # run hands it is a product of factors scaled by powers of two to about 1.
+    gains, real = [], sim.combine
+
+    def recorder(y, gain, scale):
+        gains.append(gain)
+        return real(y, gain, scale)
+
+    monkeypatch.setattr(sim, "combine", recorder)
+    config = write_config(tmp_path, EDGE_CONFIGS[name])
+    exits = {sub: main([sub, "--config", str(config), "--out", str(tmp_path / sub), "--quiet"])
+             for sub in SUBCOMMANDS}
+    assert exits == {sub: int(sub in EDGE_REFUSALS.get(name, ())) for sub in SUBCOMMANDS}
+    assert gains and all(np.linalg.norm(g) ** 2 >= np.finfo(float).tiny for g in gains)

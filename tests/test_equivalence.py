@@ -669,8 +669,16 @@ def test_folded_channels_match_w_hermitian_products():
     probes = [sc.grid[m] for m in range(5, 9)]
     rows = np.stack([selection_vector(sc.grid, d) @ w.conj().T for d in probes])
     phases = 2 * np.pi * rng.random(sc.n_elements)
+    phasors = np.exp(1j * phases)
+    dense = unscaled(*sim._link_gains(sc, rows, link.h_eff, phasors))
+    assert np.array_equal(dense, (rows * link.h_eff) @ phasors * sc.carrier_envelope)
     gains, e, _ = sim._probe_gains(sc, phases, probes)
-    assert_close(sim._ldexp(gains, e), rows @ (np.exp(1j * phases) * link.h_eff))
+    assert_close(unscaled(gains, e), dense)
+
+
+def unscaled(gains: np.ndarray, e: int) -> np.ndarray:
+    """Link gains scaled by 2^-e brought back: exact while every part stays normal."""
+    return np.ldexp(gains.real, e) + 1j * np.ldexp(gains.imag, e)
 
 
 # A probe on a point of the 16 x 32 default grid, where its selection vector
@@ -697,7 +705,7 @@ def test_probe_gains_match_the_inline_experiments(probes, exponent, envelope, se
                   for p in probes]
     gains, e, excluded = sim._probe_gains(sc, phases, directions)
     ref, sense, isotropy = reference_probe_gains(sc, phases, directions, rng.random(50))
-    assert np.array_equal(sim._ldexp(gains, e), ref)
+    assert np.array_equal(unscaled(gains, e), ref * sc.carrier_envelope)
     assert excluded == sense == isotropy
 
 
@@ -709,7 +717,7 @@ def test_probe_gains_exclude_a_probe_in_a_pattern_null():
     directions = [Direction(0.1, 0.3), sc.grid[len(sc.grid) - 5], Direction(0.4, 5.0)]
     gains, e, excluded = sim._probe_gains(sc, phases, directions)
     ref, sense, isotropy = reference_probe_gains(sc, phases, directions, np.linspace(0.1, 1, 20))
-    assert np.array_equal(sim._ldexp(gains, e), ref)
+    assert np.array_equal(unscaled(gains, e), ref * sc.carrier_envelope)
     assert excluded == sense == isotropy == [1]
 
 

@@ -10,7 +10,9 @@ two-stream solver's Newton finish takes no eigendecomposition and has no
 size limit, no function forms the dense (K, T) reflection array, the
 runtime needs numpy alone: no module imports scipy, and
 importing the CLI loads none of it, the sense chain scales its
-spectrograms to peak 1 only through ``Spectrogram.peak_normalized``, and
+spectrograms to peak 1 only through ``Spectrogram.peak_normalized``, only
+``simulator._unit_scaled`` and ``simulator._noise_power`` rescale by powers
+of two (``ldexp``, ``frexp``), and
 every public function and method of ``src/`` has a caller outside the tests:
 code that only tests reach lives in ``tests/reference.py``, every
 library parameter and dataclass field with a default is set by some caller
@@ -348,6 +350,37 @@ def test_module_names_detector():
         "def f(x):\n    LOCAL = 5\n    return x\nclass E:\n    pass\n"
     )
     assert module_names(source) == {"NEWTON_MAX_ANGLES", "A", "B", "C", "D", "f", "E"}
+
+
+EXACT_RESCALES = {"np.ldexp", "math.ldexp", "np.frexp"}
+# The functions that own the power-of-two rescale of link gains and noise.
+RESCALE_OWNERS = {"simulator.py": ["_unit_scaled", "_noise_power"]}
+
+
+def stray_rescales(source: str, owners: list[str]) -> list[str]:
+    """Exact-rescale calls in ``source`` outside the functions ``owners``."""
+    found = Counter(c for c in dotted_calls(source) if c in EXACT_RESCALES)
+    for owner in owners:
+        found -= Counter(c for c in dotted_calls(source, owner) if c in EXACT_RESCALES)
+    return sorted(found.elements())
+
+
+def test_stray_rescales_detector():
+    source = (
+        "import math\nimport numpy as np\n"
+        "def _unit_scaled(x):\n    return np.ldexp(x, -np.frexp(x)[1])\n"
+        "def f(x):\n    return math.ldexp(x, 3), np.ldexp(x, 1), np.exp(x)\n"
+        "Y = np.frexp(2.0)\n"
+    )
+    assert stray_rescales(source, ["_unit_scaled"]) == ["math.ldexp", "np.frexp", "np.ldexp"]
+    assert stray_rescales(source, ["_unit_scaled", "f"]) == ["np.frexp"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_power_of_two_rescales_stay_in_their_two_helpers(path):
+    # One place decides how link gains and noise scale to about 1; a rescale
+    # elsewhere would be a second copy of that decision, free to diverge.
+    assert stray_rescales(path.read_text(), RESCALE_OWNERS.get(path.name, [])) == []
 
 
 def test_newton_finish_takes_no_eigendecomposition_and_no_size_limit():
