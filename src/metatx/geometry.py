@@ -8,6 +8,7 @@ The surface lies in the z=0 plane, so only the front hemisphere
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,7 @@ class DirectionGrid:
         return int(np.argmin(dc**2 + dphi**2))
 
 
+@functools.lru_cache
 def hemisphere_grid(n_theta: int = 32, n_phi: int = 64) -> DirectionGrid:
     """Uniform grid in (cos theta, phi) over the front hemisphere, theta-major.
 
@@ -128,6 +130,7 @@ def unit_vector(direction: Direction) -> np.ndarray:
     return np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
 
 
+@functools.lru_cache(maxsize=2)
 def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:
     """Row factor R (K_r, M) and column factor C (K_c, M) of the planar steering.
 
@@ -138,6 +141,11 @@ def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarr
     distinct |u|, not (K_r + K_c) M. An entry is conjugated where u's sign bit
     is set, which gives exp(-j i u) bit for bit (i (-a) = -(i a), cos is even
     and sin odd), the sign of a zero imaginary part included.
+
+    Built once per (geometry, grid) per process, read-only, and retained for two
+    pairs (4.2 MB a pair at 64 x 64 on the 32 x 64 grid, 8.4 MB at 128 x 128). The
+    grid keys by identity, which ``hemisphere_grid``'s own cache keeps stable. The
+    gain reaches in-process callers (sweeps, the bench, the tests), not one-shot CLI runs.
     """
     proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.theta)
     u = np.concatenate([proj * np.cos(grid.phi), proj * np.sin(grid.phi)])
@@ -148,6 +156,7 @@ def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarr
     row, col = table[: geom.rows, inverse[:m]], table[: geom.cols, inverse[m:]]
     for factor, part in ((row, u[:m]), (col, u[m:])):
         np.conjugate(factor, out=factor, where=np.signbit(part))
+        factor.setflags(write=False)
     return row, col
 
 

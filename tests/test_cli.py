@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from metatx.cli import (
     run,
     scenario_from_dict,
 )
+from metatx.geometry import steering_factors
 
 SMALL_CONFIG = {
     "seed": 9,
@@ -161,6 +163,31 @@ class TestRun:
         assert a == b
         assert m1.outputs == m2.outputs
         assert m1.config_hash == m2.config_hash
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_second_run_in_one_process_writes_the_same_bytes(self, tmp_path, subcommand):
+        # The steering factors, grids, constellations and pulse taps are
+        # cached per process; a rerun must find them as the first run left them.
+        config = write_config(tmp_path, SMALL_CONFIG)
+        manifests = [asdict(run(subcommand, config, tmp_path / side, quiet=True))
+                     for side in ("a", "b")]
+        for manifest in manifests:
+            del manifest["started_utc"], manifest["finished_utc"]
+        assert manifests[0] == manifests[1]
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        for name in set(names) - {"run_manifest.json"}:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_second_simulate_reuses_the_steering_factors(self, tmp_path):
+        payload = {**SMALL_CONFIG, "geometry": {"rows": 16, "cols": 10},
+                   "grid": {"n_theta": 16, "n_phi": 32}}
+        config = write_config(tmp_path, payload)
+        steering_factors.cache_clear()
+        run("simulate", config, tmp_path / "a", quiet=True)
+        run("simulate", config, tmp_path / "b", quiet=True)
+        info = steering_factors.cache_info()
+        assert info.misses == 1 and info.hits >= 1
 
     def test_seed_override_changes_hash(self, tmp_path):
         config = write_config(tmp_path, SMALL_CONFIG)

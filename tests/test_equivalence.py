@@ -47,7 +47,9 @@ hand-built ``magnitude / magnitude.max()`` of each probe, all bit for bit; the
 oracle's phasor table must give the per-entry ``exp(1j angle)`` optimum and
 value exactly. ``steering_factors``, which gathers both factors from one
 table of exponentials over the distinct |u|, must give the bytes of one
-complex ``exp`` per entry, zero imaginary parts' signs included.
+complex ``exp`` per entry, zero imaginary parts' signs included; built
+once per (geometry, grid) and shared read-only, they must leave the link's
+channels byte-equal to a build on factors formed afresh per call.
 """
 
 import itertools
@@ -61,7 +63,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from metatx import channel, sensing
+from metatx import channel, geometry, sensing
 from metatx import mixer as mx
 from metatx import modem as md
 from metatx import precoder as pc
@@ -594,6 +596,25 @@ def test_shared_table_steering_keeps_the_sign_of_zero():
     u = np.concatenate([np.cos(grid.phi), np.sin(grid.phi)]) * np.tile(np.sin(grid.theta), 2)
     assert (u == 0).sum() == 9 and np.signbit(u[u == 0]).sum() == 4
     assert_steering_bytes(ArrayGeometry(5, 3, spacing_m=0.025, wavelength_m=0.05), grid)
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 10), (64, 64)])
+def test_cached_steering_factors_leave_the_link_unchanged(rows, cols, monkeypatch):
+    geom = ArrayGeometry(rows, cols, spacing_m=0.02586, wavelength_m=0.05172)
+    grid = hemisphere_grid(32, 64)
+    assert hemisphere_grid(32, 64) is grid
+    factors = steering_factors(geom, grid)
+    assert all(a is b for a, b in zip(steering_factors(geom, grid), factors))
+    for factor in factors:
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 0.0
+    assert_steering_bytes(geom, grid)
+    scenario = default_scenario(geometry=geom, grid=grid, seed=5)
+    link = sim.build_link(scenario)
+    monkeypatch.setattr(geometry, "steering_factors", steering_factors.__wrapped__)  # rebuilt per call
+    fresh = sim.build_link(scenario)
+    assert fresh.h_out.tobytes() == link.h_out.tobytes()
+    assert fresh.h_eff.tobytes() == link.h_eff.tobytes()
 
 
 @pytest.mark.parametrize("n_rx", [1, 2, 4])

@@ -13,6 +13,9 @@ importing the CLI loads none of it, the sense chain scales its
 spectrograms to peak 1 only through ``Spectrogram.peak_normalized``, only
 ``simulator._unit_scaled`` and ``simulator._noise_power`` rescale by powers
 of two (``ldexp``, ``frexp``), and
+the only functions ``functools`` caches are the four seed-independent
+builds (the QAM constellation, the pulse taps, the hemisphere grid and the
+steering factors), each returning read-only arrays only, and
 every public function and method of ``src/`` has a caller outside the tests:
 code that only tests reach lives in ``tests/reference.py``, every
 library parameter and dataclass field with a default is set by some caller
@@ -27,6 +30,7 @@ single draw.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -36,9 +40,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metatx import precoder as pc
+from metatx.geometry import ArrayGeometry, hemisphere_grid
 from metatx.channel import TerminalArray
 from metatx.simulator import TRIAL_BLOCK, ber_sweep, default_scenario, diversity_sweep
 
@@ -411,6 +417,73 @@ def test_spectrograms_normalise_only_through_peak_normalized(module, function, o
     assert "peak_normalized" in called_attributes(source, function)
     assert not {"Spectrogram", "np.clip", "np.max", "np.amax"} & set(calls)
     assert [c for c in calls if c.endswith(".max")] == own_peaks
+
+
+def cached_functions(source: str) -> list[str]:
+    """Functions decorated with ``lru_cache`` or ``cache``, called or not,
+    bare or as ``functools.`` attributes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append(node.name)
+    return sorted(found)
+
+
+def returned_arrays(value) -> list[np.ndarray]:
+    """The arrays a value holds: itself, a tuple's items or a dataclass's fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return [a for item in value for a in returned_arrays(item)]
+    return []
+
+
+def test_cached_function_detector():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=2)\ndef a(x):\n    return x\n"
+        "@lru_cache\ndef b(x):\n    return x\n"
+        "@functools.cache\ndef c(x):\n    return x\n"
+        "@functools.wraps(a)\ndef d(x):\n    return x\n"
+        "class E:\n    @functools.lru_cache\n    def f(self):\n        return self\n"
+    )
+    assert cached_functions(source) == ["a", "b", "c", "f"]
+    shared = np.zeros(2)
+    shared.setflags(write=False)
+    held = returned_arrays((shared, ArrayGeometry(1, 1, 1.0, 1.0), hemisphere_grid(1, 2), np.ones(3)))
+    assert [a.flags.writeable for a in held] == [False, False, False, True]
+
+
+# One sample call of each cached build, (module, function) -> arguments.
+CACHED_SAMPLES = {
+    ("modem", "constellation"): (16,),
+    ("modem", "_pulse_taps"): ("raised_cosine", 0.35, 8, 4),
+    ("geometry", "hemisphere_grid"): (2, 3),
+    ("geometry", "steering_factors"): (ArrayGeometry(3, 2, 0.025, 0.05), hemisphere_grid(2, 3)),
+}
+
+
+def test_only_the_seed_independent_builds_are_cached():
+    # A cache shares what it returns between callers for the life of the
+    # process: only builds that depend on their arguments alone belong there.
+    found = {(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in cached_functions(p.read_text())}
+    assert found == set(CACHED_SAMPLES)
+
+
+@pytest.mark.parametrize("module, function", CACHED_SAMPLES, ids=[".".join(k) for k in CACHED_SAMPLES])
+def test_cached_builds_return_read_only_arrays(module, function):
+    # A writable shared array lets one caller change every later caller's result.
+    build = getattr(importlib.import_module(f"metatx.{module}"), function)
+    value = build(*CACHED_SAMPLES[module, function])
+    assert build(*CACHED_SAMPLES[module, function]) is value
+    arrays = returned_arrays(value)
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def referenced_names(tree) -> Counter:
