@@ -144,8 +144,9 @@ def steering_factors(geom: ArrayGeometry, grid: DirectionGrid) -> tuple[np.ndarr
 
     Built once per (geometry, grid) per process, read-only, and retained for two
     pairs (4.2 MB a pair at 64 x 64 on the 32 x 64 grid, 8.4 MB at 128 x 128). The
-    grid keys by identity, which ``hemisphere_grid``'s own cache keeps stable. The
-    gain reaches in-process callers (sweeps, the bench, the tests), not one-shot CLI runs.
+    grid keys by identity, which ``hemisphere_grid``'s own cache keeps stable. Only
+    a process that builds one surface twice gains (the bench's jobs after the first,
+    the tests); no CLI subcommand does, so a one-shot CLI run gains nothing.
     """
     proj = 2 * np.pi * geom.spacing_m / geom.wavelength_m * np.sin(grid.theta)
     u = np.concatenate([proj * np.cos(grid.phi), proj * np.sin(grid.phi)])

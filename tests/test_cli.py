@@ -154,18 +154,8 @@ class TestParseConfig:
 
 
 class TestRun:
-    def test_ber_sweep_reproducible_bytes(self, tmp_path):
-        config = write_config(tmp_path, SMALL_CONFIG)
-        m1 = run("ber-sweep", config, tmp_path / "a", quiet=True)
-        m2 = run("ber-sweep", config, tmp_path / "b", quiet=True)
-        a = (tmp_path / "a" / "ber_sweep.csv").read_bytes()
-        b = (tmp_path / "b" / "ber_sweep.csv").read_bytes()
-        assert a == b
-        assert m1.outputs == m2.outputs
-        assert m1.config_hash == m2.config_hash
-
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
-    def test_second_run_in_one_process_writes_the_same_bytes(self, tmp_path, subcommand):
+    def test_reproducible_bytes(self, tmp_path, subcommand):
         # The steering factors, grids, constellations and pulse taps are
         # cached per process; a rerun must find them as the first run left them.
         config = write_config(tmp_path, SMALL_CONFIG)
