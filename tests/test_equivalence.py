@@ -49,7 +49,11 @@ value exactly. ``steering_factors``, which gathers both factors from one
 table of exponentials over the distinct |u|, must give the bytes of one
 complex ``exp`` per entry, zero imaginary parts' signs included; built
 once per (geometry, grid) and shared read-only, they must leave the link's
-channels byte-equal to a build on factors formed afresh per call.
+channels byte-equal to a build on factors formed afresh per call. The
+closed-form precoder's QR of H_o^H and N_r x N_r SVD must give the full
+SVD's bytes at one rx antenna, its sweep, ``precode`` and ``simulate``
+artifacts included; where LAPACK's wide SVD skips its LQ step, the phases
+must be the full SVD's times one unit-modulus factor, within 1e-12.
 """
 
 import itertools
@@ -630,6 +634,36 @@ def test_reduced_svd_matches_full_matrices(n_rx, k):
         assert new.power_bound == pytest.approx(ref.power_bound, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("k", [16, 160, 1024, 4096])
+def test_qr_route_gives_the_full_svd_bytes_at_one_rx(k):
+    # LAPACK's wide SVD of a 1 x K row is itself an LQ step and a 1 x 1 SVD.
+    h_eff, h_out = reference_draw_channels(np.random.default_rng([1, k]), 1, k)
+    new = pc.closed_form_phases(h_out, h_eff)
+    ref = reference_closed_form_phases(h_out, h_eff)
+    assert new.phases[0].tobytes() == ref.phases[0].tobytes()
+    assert new.objective == ref.objective
+    assert new.power_bound == ref.power_bound
+
+
+@pytest.mark.parametrize("n_rx, k, scale", [
+    (2, 2, 1.0), (3, 4, 1.0), (4, 6, 1.0), (4, 3, 1.0), (1, 1, 1.0), (1, 1, 1e-143), (1, 16, 1e-143),
+])
+def test_qr_route_off_the_lq_path_moves_one_global_phase(n_rx, k, scale):
+    # With K <= N_r or K < floor(17 N_r / 9) LAPACK bidiagonalises H_o itself,
+    # and below max|H_o| ~ 1e-138 it rescales H_o first: v1 may then differ
+    # from Q w1 by one unit-modulus factor, to rounding.
+    rng = np.random.default_rng([n_rx, k, 7])
+    h_out = rayleigh_matrix(rng, n_rx, k) * scale
+    h_eff = rayleigh_matrix(rng, k)
+    new = pc.closed_form_phases(h_out, h_eff)
+    ref = reference_closed_form_phases(h_out, h_eff)
+    factor = new.phases[0][0] / ref.phases[0][0]
+    assert abs(abs(factor) - 1) <= 1e-12
+    assert np.max(np.abs(new.phases[0] - factor * ref.phases[0])) <= 1e-12
+    assert new.objective == pytest.approx(ref.objective, rel=1e-12, abs=0)
+    assert new.power_bound == pytest.approx(ref.power_bound, rel=1e-12, abs=0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.integers(1, 4),
@@ -845,8 +879,11 @@ CRITERION_11_CONFIG = {
         (CRITERION_11_CONFIG, "ber-sweep", ("ber_sweep.csv", "ber_sweep_meta.json")),
         (CRITERION_11_CONFIG, "diversity-sweep", ("diversity_sweep.csv", "diversity_meta.json")),
         (MC_SWEEP_CONFIG, "ber-sweep", ("ber_sweep.csv", "ber_sweep_meta.json")),
+        (CRITERION_11_CONFIG, "precode", ("phases_rad.npy", "precode.json")),
+        (CRITERION_11_CONFIG, "simulate", ("rx_symbols.npy", "simulate_metrics.json")),
     ],
-    ids=["criterion11-ber", "criterion11-diversity", "mc-sweep-ber"],
+    ids=["criterion11-ber", "criterion11-diversity", "mc-sweep-ber", "criterion11-precode",
+         "criterion11-simulate"],
 )
 def test_sweep_artifacts_match_full_svd_bytes(tmp_path, monkeypatch, payload, subcommand, files):
     config = tmp_path / "config.json"

@@ -396,6 +396,33 @@ def test_newton_finish_takes_no_eigendecomposition_and_no_size_limit():
     assert "NEWTON_MAX_ANGLES" not in module_names(source)
 
 
+def svd_calls(source: str, function: str | None = None) -> list[str]:
+    """SVD calls (``np.linalg.svd``, ``scipy.linalg.svdvals``, a bare ``svd``) in ``function`` or the module."""
+    return [c for c in dotted_calls(source, function) if c.rsplit(".", 1)[-1] in {"svd", "svdvals"}]
+
+
+def test_svd_calls_detector():
+    source = (
+        "import numpy as np\nfrom scipy import linalg\nfrom numpy.linalg import svd\n"
+        "def f(x):\n    return np.linalg.svd(x), linalg.svdvals(x), np.linalg.qr(x)\n"
+        "def g(x):\n    return svd(x), x.svd_like()\n"
+    )
+    assert svd_calls(source, "f") == ["linalg.svdvals", "np.linalg.svd"]
+    assert svd_calls(source, "g") == ["svd"]
+    assert svd_calls(source) == ["linalg.svdvals", "np.linalg.svd", "svd"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_closed_form_precoder_takes_an_svd(path):
+    # The dominant mode has one home, which takes the SVD of the N_r x N_r
+    # QR factor; a caller's own SVD of H_o would be a second, wider copy.
+    source = path.read_text()
+    owned = svd_calls(source, "closed_form_phases") if path.name == "precoder.py" else []
+    assert svd_calls(source) == owned
+    if path.name == "precoder.py":
+        assert owned == ["np.linalg.svd"]
+
+
 @pytest.mark.parametrize("module, function", [
     ("simulator.py", "ber_sweep"), ("simulator.py", "diversity_sweep"),
     ("simulator.py", "_channel_blocks"), ("precoder.py", "closed_form_phases"),
