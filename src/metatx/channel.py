@@ -191,8 +191,8 @@ def effective_channels(
 def add_noise(y: np.ndarray, sigma2: float, seed) -> np.ndarray:
     """Add circularly-symmetric complex Gaussian noise of total variance sigma2.
 
-    Deterministic for a given seed; each Monte-Carlo trial should own an
-    independent seed rather than share generator state.
+    Deterministic for a given seed; a ``Generator`` passed as the seed is
+    read on from its current state.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
@@ -211,87 +211,6 @@ def rayleigh_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
 def rayleigh_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """``rayleigh_matrix`` from standard-normal parts drawn elsewhere."""
     return (re + 1j * im) / np.sqrt(2)
-
-
-# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-SEED_BLOCK = 256  # trial ids seeded per array pass of trial_generators
-
-
-def _pcg64_states(prefix_words: list, ids: np.ndarray) -> list:
-    """PCG64 ``{"state", "inc"}`` of ``default_rng([*prefix, id])`` per id:
-    SeedSequence's pool hash and ``generate_state(4, uint64)`` on uint32
-    arrays over the ids, then PCG64's srandom on Python ints."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
-    entropy = [np.full(ids.shape, w, np.uint32) for w in prefix_words] + [ids]
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(ids)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:  # entropy beyond the pool mixes into every word
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, words = _INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        words.append((value ^ (value >> 16)).astype(np.uint64))
-    # Each uint64 is a little-endian pair of words: the seed state (s0, s1)
-    # and sequence (q0, q1). srandom: state 0, inc = 2 seq + 1, one step,
-    # add the seed state, one more step.
-    states = []
-    for s0, s1, q0, q1 in (np.stack(words[0::2]) | np.stack(words[1::2]) << 32).T.tolist():
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        states.append({"state": state, "inc": inc})
-    return states
-
-
-def trial_generators(prefix, ids: range):
-    """Yield, for each trial id t in ``ids``, a generator whose stream is
-    ``np.random.default_rng([*prefix, t])``'s; the ids must be < 2**32.
-
-    One generator is reseated per trial: use each before taking the next.
-    Its states come from ``_pcg64_states`` a ``SEED_BLOCK`` of ids at a
-    time; the first id is also seeded by ``default_rng`` and compared, so a
-    NumPy that seeds otherwise fails loudly instead of changing the streams.
-    """
-    if len(ids) == 0:
-        return
-    if ids[0] < 0 or max(ids[0], ids[-1]) > _MASK32:
-        raise ValueError(f"trial ids must lie in [0, 2**32), got {ids}")
-    words = []
-    for value in map(int, prefix):
-        words += [(value >> s) & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
-    rng = np.random.default_rng([*prefix, ids[0]])
-    for start in range(0, len(ids), SEED_BLOCK):
-        states = _pcg64_states(words, np.asarray(ids[start : start + SEED_BLOCK], np.uint32))
-        if start == 0 and rng.bit_generator.state["state"] != states[0]:
-            raise RuntimeError(
-                f"numpy {np.__version__} seeds PCG64 otherwise than the SeedSequence "
-                "hash trial_generators reproduces"
-            )
-        for state in states:
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": state,
-                                       "has_uint32": 0, "uinteger": 0}
-            yield rng
 
 
 def raw_bits(words: np.ndarray, n_bits: int) -> np.ndarray:

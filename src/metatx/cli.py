@@ -596,6 +596,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -32,7 +32,6 @@ from .channel import (
     rayleigh_from_parts,
     rayleigh_matrix,
     selection_vector,
-    trial_generators,
 )
 from .geometry import ArrayGeometry, Direction, DirectionGrid, FieldTransform, hemisphere_grid
 from .reflection import SurfaceConfig
@@ -258,23 +257,20 @@ TRIAL_BLOCK = 32  # trials per stacked channel draw and closed_form_phases call 
 
 
 def _channel_blocks(seed: list, trials: int, n_rx: int, k: int, phases: bool = False):
-    """Yield (trial slice, h_eff (B, K), H_o (B, N_r, K), draws (B, K)) per
-    ``TRIAL_BLOCK`` trials. Trial t's generator ``[*seed, t]`` fills its rows:
-    a unit-norm Rayleigh h_eff, i.i.d. Rayleigh H_o, then with ``phases`` K
-    uniform draws. A standard-normal fill is its parts' draws in turn."""
-    normals = np.empty((TRIAL_BLOCK, 2 + 2 * n_rx, k))  # h_eff re, im; H_o re, im
-    draws = np.empty((TRIAL_BLOCK, k))
-    rngs = trial_generators(seed, range(trials))
+    """Yield (trial slice, h_eff (B, K), H_o (B, N_r, K), draws (B, K) or
+    None) per ``TRIAL_BLOCK`` trials, each read in trial order: from stream
+    ``[*seed, 0]`` a trial's standard normals (h_eff re, im, then H_o re,
+    im) give a unit-norm Rayleigh h_eff and i.i.d. Rayleigh H_o; with
+    ``phases``, stream ``[*seed, 1]`` gives its K uniform draws."""
+    normals = np.random.default_rng([*seed, 0])
+    uniforms = np.random.default_rng([*seed, 1]) if phases else None
     for start in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - start)
-        for i, rng in zip(range(n), rngs):
-            rng.standard_normal(out=normals[i])
-            if phases:
-                rng.random(out=draws[i])
-        h_eff = rayleigh_from_parts(normals[:n, 0], normals[:n, 1])
+        parts = normals.standard_normal((n, 2 + 2 * n_rx, k))
+        h_eff = rayleigh_from_parts(parts[:, 0], parts[:, 1])
         h_eff /= pc.row_norms(h_eff)[:, np.newaxis]
-        h_out = rayleigh_from_parts(normals[:n, 2 : 2 + n_rx], normals[:n, 2 + n_rx :])
-        yield slice(start, start + n), h_eff, h_out, draws[:n]
+        h_out = rayleigh_from_parts(parts[:, 2 : 2 + n_rx], parts[:, 2 + n_rx :])
+        yield slice(start, start + n), h_eff, h_out, uniforms.random((n, k)) if phases else None
 
 
 BER_BLOCK_SYMBOLS = 2048  # symbols per array pass of ber_sweep: bounds its working memory
@@ -329,13 +325,13 @@ def ber_sweep(
     p_ref *= abs(envelope) ** 2
     gain_power = np.float_power(pc.row_norms(gains), 2)
 
-    # Each trial draws from its own seed [seed, point, trial], bits first (as
-    # the raw words ``integers(0, 2, n_bits)`` reads) and then the noise's
-    # real and imaginary parts; map, channel, noise, maximum ratio combining,
-    # decide and a popcount on symbol indices then run once per block of
-    # trials. Gray coding makes a decision's bit errors the popcount of its
-    # index XOR the sent one. The stacked products round as the per-trial
-    # ones did.
+    # At each SNR point the bits come from stream [seed, point, 0] (as the
+    # raw words ``integers(0, 2, n_bits)`` reads) and the noise's real and
+    # imaginary parts from [seed, point, 1], each read in trial order; map,
+    # channel, noise, maximum ratio combining, decide and a popcount on
+    # symbol indices then run once per block of trials. Gray coding makes a
+    # decision's bit errors the popcount of its index XOR the sent one. The
+    # stacked products round as the per-trial ones did.
     n_bits = sym_per_trial * bits_per_symbol
     n_words = -(-n_bits // 2)  # raw 64-bit words behind integers(0, 2, n_bits)
     per_block = max(1, BER_BLOCK_SYMBOLS // sym_per_trial)
@@ -343,20 +339,17 @@ def ber_sweep(
     for point, snr_db in enumerate(snr_db_list):
         sigma2 = p_ref / 10 ** (snr_db / 10)
         errors = 0
-        rngs = trial_generators([scenario.seed, point], range(trials))
+        bit_words = np.random.default_rng([scenario.seed, point, 0]).bit_generator
+        noise_rng = np.random.default_rng([scenario.seed, point, 1])
         for start in range(0, trials, per_block):
             block = slice(start, min(start + per_block, trials))
             n_trials = block.stop - start
-            words = np.empty((n_trials, n_words), dtype=np.uint64)
-            noise = np.empty((n_trials, 2, n_rx, sym_per_trial))  # real, then imaginary
-            for i, rng in zip(range(n_trials), rngs):
-                words[i] = rng.bit_generator.random_raw(n_words)
-                if sigma2 > 0:
-                    rng.standard_normal(out=noise[i])
+            words = bit_words.random_raw((n_trials, n_words))
             tx_idx = md.qam_indices(raw_bits(words, n_bits), order)
             x = points[tx_idx].reshape(n_trials, 1, sym_per_trial)
             y = gains[block, :, None] * x
             if sigma2 > 0:
+                noise = noise_rng.standard_normal((n_trials, 2, n_rx, sym_per_trial))
                 y = y + np.sqrt(sigma2 / 2) * (noise[:, 0] + 1j * noise[:, 1])
             z = (gains[block, None, :].conj() @ y)[:, 0] / gain_power[block, None]
             errors += int(np.bitwise_count(md.qam_decide(z, order) ^ tx_idx).sum())

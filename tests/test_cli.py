@@ -371,6 +371,26 @@ class TestMain:
         assert code == 1
         assert "sigma2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, sweep", [("ber-sweep", "ber_sweep"),
+                                                    ("diversity-sweep", "diversity_sweep")])
+    def test_sweep_beyond_memory_exits_one(self, tmp_path, capsys, monkeypatch, subcommand, sweep):
+        # A trial count of 10**12 fails numpy's first (trials, ...) allocation;
+        # the stand-in raises as that allocation would, without allocating.
+        def beyond_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                              "(1000000000000, 1) and data type complex128")
+
+        monkeypatch.setattr(sim, sweep, beyond_memory)
+        config = write_config(tmp_path, SMALL_CONFIG)
+        out_dir = tmp_path / "out"
+        code = main([subcommand, "--config", str(config), "--out", str(out_dir),
+                     "--trials", str(10**12)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 14.6 TiB for an array with shape "
+            "(1000000000000, 1) and data type complex128\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "subcommand, sweep, flags, field",
         [

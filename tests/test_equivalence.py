@@ -67,7 +67,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from metatx import channel, geometry, sensing
+from metatx import geometry, sensing
 from metatx import mixer as mx
 from metatx import modem as md
 from metatx import precoder as pc
@@ -81,7 +81,6 @@ from metatx.channel import (
     rayleigh_matrix,
     raw_bits,
     selection_vector,
-    trial_generators,
 )
 from metatx.cli import _Outputs, parse_config, run, scenario_from_dict
 from metatx.geometry import (
@@ -173,8 +172,15 @@ def reference_draw_channels(rng, n_rx, k):
     return h_eff, h_out
 
 
+def reference_streams(seed):
+    """The stream pair of one sweep stage, ``[*seed, 0]`` and ``[*seed, 1]``,
+    each to be read one trial at a time."""
+    return np.random.default_rng([*seed, 0]), np.random.default_rng([*seed, 1])
+
+
 def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bits):
-    """The ber_sweep loop that redrew every trial's channel per SNR point."""
+    """The ber_sweep loop that redrew every trial's channel per SNR point,
+    reading each stream one trial at a time."""
     bits_per_symbol = md.QamConstellation(order).bits_per_symbol
     n_rx = scenario.rx.n_antennas
     k = scenario.n_elements
@@ -184,10 +190,10 @@ def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bit
         p_ref = 1.0
     else:
         acc = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-            h_eff, h_out = reference_draw_channels(rng, n_rx, k)
-            phi = np.exp(2j * np.pi * rng.random(k))
+        ch_rng, phase_rng = reference_streams([scenario.seed, 0xBA5E])
+        for _ in range(trials):
+            h_eff, h_out = reference_draw_channels(ch_rng, n_rx, k)
+            phi = np.exp(2j * np.pi * phase_rng.random(k))
             acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
         p_ref = acc / trials
     p_ref *= abs(scenario.carrier_envelope) ** 2
@@ -196,23 +202,23 @@ def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bit
         sigma2 = p_ref / 10 ** (snr_db / 10)
         errors = 0
         total = 0
-        for trial in range(trials):
-            rng = np.random.default_rng([scenario.seed, point, trial])
+        bit_rng, noise_rng = reference_streams([scenario.seed, point])
+        ch_rng, phase_rng = reference_streams([scenario.seed, 0xBA5E])
+        for _ in range(trials):
             if bypass:
                 gain = np.full(n_rx, scenario.carrier_envelope, dtype=complex)
             else:
-                ch_rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
                 h_eff, h_out = reference_draw_channels(ch_rng, n_rx, k)
                 if precoding == "closed_form":
                     phi = pc.closed_form_phases(h_out, h_eff).phases[0]
                 else:
-                    phi = np.exp(2j * np.pi * ch_rng.random(k))
+                    phi = np.exp(2j * np.pi * phase_rng.random(k))
                 gain = (h_out @ (phi * h_eff)) * scenario.carrier_envelope
-            tx_bits = rng.integers(0, 2, sym_per_trial * bits_per_symbol)
+            tx_bits = bit_rng.integers(0, 2, sym_per_trial * bits_per_symbol)
             x = md.qam_map(tx_bits, order)
             y = gain[:, None] * x[None, :]
             if sigma2 > 0:
-                y = add_noise(y, sigma2, rng)
+                y = add_noise(y, sigma2, noise_rng)
             g2 = float(np.linalg.norm(gain) ** 2)
             z = (gain.conj() @ y) / g2
             rx_bits = md.qam_demap(z, order)
@@ -227,12 +233,13 @@ def reference_ber_sweep(scenario, snr_db_list, order, precoding, trials, min_bit
 
 
 def reference_base_power(scenario, trials):
-    """The random-phase baseline's mean received power, summed in trial order."""
+    """The random-phase baseline's mean received power, summed in trial order
+    over channels and phases read one trial at a time."""
     acc = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-        h_eff, h_out = reference_draw_channels(rng, scenario.rx.n_antennas, scenario.n_elements)
-        phi = np.exp(2j * np.pi * rng.random(scenario.n_elements))
+    ch_rng, phase_rng = reference_streams([scenario.seed, 0xBA5E])
+    for _ in range(trials):
+        h_eff, h_out = reference_draw_channels(ch_rng, scenario.rx.n_antennas, scenario.n_elements)
+        phi = np.exp(2j * np.pi * phase_rng.random(scenario.n_elements))
         acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
     return acc / trials * abs(scenario.carrier_envelope) ** 2
 
@@ -267,7 +274,8 @@ def test_ber_sweep_noise_power_sums_trials_in_order(monkeypatch, n_rx):
 
 
 def reference_ber_sweep_per_trial(scenario, snr_db_list, order, precoding, trials, min_bits):
-    """The ber_sweep loop that mapped, combined and demapped one trial at a time."""
+    """The ber_sweep loop that mapped, combined and demapped one trial at a
+    time, reading each stream one trial at a time."""
     bits_per_symbol = md.QamConstellation(order).bits_per_symbol
     n_rx = scenario.rx.n_antennas
     k = scenario.n_elements
@@ -278,10 +286,10 @@ def reference_ber_sweep_per_trial(scenario, snr_db_list, order, precoding, trial
         gains = [np.full(n_rx, envelope, dtype=complex)] * trials
     else:
         acc, gains = 0.0, []
-        for trial in range(trials):
-            rng = np.random.default_rng([scenario.seed, 0xBA5E, trial])
-            h_eff, h_out = reference_draw_channels(rng, n_rx, k)
-            phi = np.exp(2j * np.pi * rng.random(k))
+        ch_rng, phase_rng = reference_streams([scenario.seed, 0xBA5E])
+        for _ in range(trials):
+            h_eff, h_out = reference_draw_channels(ch_rng, n_rx, k)
+            phi = np.exp(2j * np.pi * phase_rng.random(k))
             acc += float(np.linalg.norm(h_out @ (phi * h_eff)) ** 2)
             if precoding == "closed_form":
                 phi = pc.closed_form_phases(h_out, h_eff).phases[0]
@@ -293,13 +301,13 @@ def reference_ber_sweep_per_trial(scenario, snr_db_list, order, precoding, trial
         sigma2 = p_ref / 10 ** (snr_db / 10)
         errors = 0
         total = 0
-        for trial, gain in enumerate(gains):
-            rng = np.random.default_rng([scenario.seed, point, trial])
-            tx_bits = rng.integers(0, 2, sym_per_trial * bits_per_symbol)
+        bit_rng, noise_rng = reference_streams([scenario.seed, point])
+        for gain in gains:
+            tx_bits = bit_rng.integers(0, 2, sym_per_trial * bits_per_symbol)
             x = md.qam_map(tx_bits, order)
             y = gain[:, None] * x[None, :]
             if sigma2 > 0:
-                noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+                noise = noise_rng.standard_normal(y.shape) + 1j * noise_rng.standard_normal(y.shape)
                 y = y + np.sqrt(sigma2 / 2) * noise
             g2 = float(np.linalg.norm(gain) ** 2)
             z = (gain.conj() @ y) / g2
@@ -430,10 +438,13 @@ def reference_steering(positions, grid):
 
 
 def reference_closed_form_phases(h_out, h_eff):
-    """``closed_form_phases`` with the full-matrices SVD it used to call."""
+    """``closed_form_phases`` with the full-matrices SVD it used to call. At
+    one rx antenna the reduced SVD gives the same first row of V^H and
+    singular value, byte for byte, without the (K, K) V; from two antennas
+    on the full SVD is kept."""
     h_out = np.atleast_2d(np.asarray(h_out, dtype=complex))
     h_eff = np.asarray(h_eff, dtype=complex)
-    _, sing, vh = np.linalg.svd(h_out)
+    _, sing, vh = np.linalg.svd(h_out, full_matrices=h_out.shape[0] > 1)
     angles = np.angle(vh[0].conj()) - np.angle(h_eff)
     angles[h_eff == 0] = 0.0
     w = np.exp(1j * angles)
@@ -910,7 +921,7 @@ def test_diversity_sweep_two_rx_matches_full_svd(monkeypatch):
 def test_raw_word_bits_match_integers_and_the_noise_follows(n_bits):
     ref = np.random.default_rng([5, n_bits])
     bits, noise = ref.integers(0, 2, n_bits), ref.standard_normal((2, 3))
-    rng = next(trial_generators([5], range(n_bits, n_bits + 1)))
+    rng = np.random.default_rng([5, n_bits])
     words = rng.bit_generator.random_raw(-(-n_bits // 2))
     new = raw_bits(words, n_bits)
     assert new.dtype == bits.dtype and np.array_equal(new, bits)
@@ -918,18 +929,6 @@ def test_raw_word_bits_match_integers_and_the_noise_follows(n_bits):
     stacked = raw_bits(np.stack([words, words[::-1]]), n_bits)
     assert np.array_equal(stacked[0], bits)
     assert np.array_equal(stacked[1], raw_bits(words[::-1], n_bits))
-
-
-def test_trial_generators_refuse_a_numpy_that_seeds_otherwise(monkeypatch):
-    monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
-    with pytest.raises(RuntimeError, match=np.__version__):
-        next(trial_generators([1, 2], range(5)))
-
-
-@pytest.mark.parametrize("ids", [range(-1, 3), range(2**32 - 1, 2**32 + 1)], ids=str)
-def test_trial_generators_refuse_ids_outside_32_bits(ids):
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        next(trial_generators([1], ids))
 
 
 def reference_swapped(ch):

@@ -3,8 +3,8 @@ module draws from numpy's legacy global random state, only the CLI touches
 files, every function
 the benchmark's tracer patches by name still exists, the sweeps make one
 ``closed_form_phases`` call per block of trials, not one per trial, they
-seed their trials through ``channel.trial_generators``, not one
-``default_rng`` per trial, and take their norms through
+build one generator per stream, not one per trial, draw their bits as raw
+words, not through ``integers``, and take their norms through
 ``precoder.row_norms``, not one ``np.linalg.norm`` per row, and the
 two-stream solver's Newton finish takes no eigendecomposition and has no
 size limit, no function forms the dense (K, T) reflection array, the
@@ -24,9 +24,10 @@ the tests.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's public exports. Every random draw goes through a generator seeded
-per trial or per run (``np.random.default_rng``), which is what keeps reruns
-byte-identical and lets ``ber_sweep`` batch its trials without changing a
-single draw.
+per stream or per run (``np.random.default_rng``) and no module reseats a
+bit generator's ``state``: that keeps reruns byte-identical, and a sweep
+that reads each stream in trial order gives the same draws at any block
+size.
 """
 
 import ast
@@ -293,13 +294,61 @@ def test_no_function_forms_the_dense_reflection_array(path):
 
 
 @pytest.mark.parametrize("function", ["ber_sweep", "_channel_blocks"])
-def test_sweeps_build_no_generator_per_trial(function):
-    # A default_rng per trial costs more than the draws it serves;
-    # trial_generators gives the same streams, and the bits come from raw
-    # words, not integers().
-    called = called_attributes((SRC / "simulator.py").read_text(), function)
-    assert "trial_generators" in called
-    assert not {"default_rng", "integers"} & set(called)
+def test_sweeps_draw_no_bits_through_integers(function):
+    # The bits come from raw words, not integers().
+    assert "integers" not in called_attributes((SRC / "simulator.py").read_text(), function)
+
+
+def test_sweeps_build_their_generators_per_stage_not_per_trial(monkeypatch):
+    # ber_sweep reads a channel and a phase stream, then a bit and a noise
+    # stream per SNR point; diversity_sweep one stream per K. A generator
+    # per trial would cost more than the draws it serves.
+    real = np.random.default_rng
+    built = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(1) or real(*a))
+    scenario = default_scenario(seed=1, rx=TerminalArray.ula(2))
+    counts = []
+    for trials in (2, 33, 200):
+        built.clear()
+        ber_sweep(scenario, [5.0, 10.0, np.inf], 4, "closed_form", trials, trials * 8)
+        n_ber = len(built)
+        built.clear()
+        diversity_sweep(scenario, [4, 8], trials)
+        counts.append((n_ber, len(built)))
+    assert counts == [(2 + 2 * 3, 2)] * 3
+
+
+def assigned_attributes(source: str) -> list[str]:
+    """Attribute names bound by assignment anywhere in ``source``, augmented
+    and unpacking assignments too; an item set on an attribute binds none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute):
+                found.append(target.attr)
+    return sorted(found)
+
+
+def test_assigned_attributes_detector():
+    source = (
+        "def f(rng, a):\n    rng.bit_generator.state = {}\n    a.b, (c, *a.d) = 1, (2, 3)\n"
+        "    a.n += 1\n    a.x[0] = 3\n    a.state\n"
+    )
+    assert assigned_attributes(source) == ["b", "d", "n", "state"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reseats_a_bit_generator(path):
+    # Every stream starts from its default_rng seed; none is set through a
+    # bit generator's state.
+    assert "state" not in assigned_attributes(path.read_text())
 
 
 def test_ber_sweep_counts_bit_errors_on_symbol_indices():

@@ -133,9 +133,8 @@ def test_ber_sweep_peak_is_one_block_whatever_the_trial_count():
     # 128 symbols per trial make 16 trials a block. The block's words,
     # symbols, noise and decision temporaries peak near 11 block-sized
     # complex arrays; all 1024 trials at once would hold 64 times that. Each
-    # added trial keeps only its gain and powers (40 B) and, up to
-    # SEED_BLOCK trials, a seeded generator state: about 130 B, where one
-    # complex array of its symbols alone would take 2 KB.
+    # added trial keeps only its gain and powers (40 B), where one complex
+    # array of its symbols alone would take 2 KB.
     scenario = default_scenario(seed=2)
     block_bytes = BER_BLOCK_SYMBOLS * COMPLEX_BYTES
     peaks = {

@@ -1,5 +1,5 @@
 """Property tests of the modem, predistortion, manifold, two-stream solver,
-row-norm, selection-kernel, isotropy and per-trial seeding invariants, and of
+row-norm, selection-kernel and isotropy invariants, and of
 the numpy complex-by-real division that fast Griffin-Lim relies on."""
 
 import warnings
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from metatx.channel import MAX_KERNEL_GAIN, rayleigh_matrix, selection_vector, trial_generators
+from metatx.channel import MAX_KERNEL_GAIN, rayleigh_matrix, selection_vector
 from metatx.geometry import Direction, hemisphere_grid
 from metatx.mixer import MagnitudeCurve, calibrate_predistortion, reflect_magnitude
 from metatx.modem import QAM_ORDERS, QamConstellation, qam_decide, qam_demap, qam_indices, qam_map
@@ -305,38 +305,3 @@ def test_selection_vector_falls_back_in_coverage_margin():
         v = selection_vector(grid, near_zenith)
     assert abs(v.sum() - 1) <= 1e-12
     assert np.count_nonzero(v) == 1 and v[grid.nearest_index(near_zenith)] == 1.0
-
-
-@st.composite
-def seeded_trials(draw):
-    """A seed prefix of 1-3 integers up to 2^96 and a run of trial ids below 2^32."""
-    prefix = draw(st.lists(st.integers(0, 2**96), min_size=1, max_size=3))
-    start = draw(st.integers(0, 2**32 - 1))
-    count = draw(st.integers(1, min(40, 2**32 - start)))
-    return prefix, range(start, start + count)
-
-
-# Prefixes of one to five 32-bit words: with the trial id, the longest
-# entropy passes SeedSequence's 4-word pool and takes its extra mixing loop.
-SEED_PREFIXES = [[7], [0, 0], [2**32 + 5, 1], [2**64 + 7, 2], [11, 0xBA5E],
-                 [3, 1, 4], [0, 0, 0], [2**64 + 7, 2, 9]]
-TRIAL_IDS = [range(300), range(2**31, 2**31 + 1), range(2**32 - 1, 2**32)]
-
-
-def with_fixed_seed_cases(test):
-    """Add every SEED_PREFIXES x TRIAL_IDS pair as a hypothesis example."""
-    for prefix in SEED_PREFIXES:
-        for ids in TRIAL_IDS:
-            test = example((prefix, ids))(test)
-    return test
-
-
-@FAST
-@with_fixed_seed_cases
-@given(seeded_trials())
-def test_trial_generators_seed_as_default_rng(case):
-    prefix, ids = case
-    for t, rng in zip(ids, trial_generators(prefix, ids), strict=True):
-        ref = np.random.default_rng([*prefix, t])
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))

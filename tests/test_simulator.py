@@ -318,10 +318,11 @@ class TestDiversitySweep:
     def test_single_element_power(self):
         sc = default_scenario(seed=3)
         result = diversity_sweep(sc, [1], realizations=500)
-        # K=1: optimized power is |h_o|^2 |h_eff|^2 with unit-norm h_eff
+        # K=1: optimized power is |h_o|^2 |h_eff|^2 with unit-norm h_eff,
+        # each trial read in turn from K index 0's stream [seed, 0, 0]
         rng_powers = []
-        for trial in range(500):
-            rng = np.random.default_rng([sc.seed, 0, trial])
+        rng = np.random.default_rng([sc.seed, 0, 0])
+        for _ in range(500):
             h_eff = rayleigh_matrix(rng, 1)
             h_eff = h_eff / np.linalg.norm(h_eff)
             h_out = rayleigh_matrix(rng, 1, 1)
@@ -346,6 +347,27 @@ class TestDiversitySweep:
         # one realization has no standard error, zero has no mean
         with pytest.raises(ValueError, match="realizations"):
             diversity_sweep(default_scenario(), [4, 8], realizations=realizations)
+
+
+def sweep_pair():
+    """A closed-form BER sweep at 2 rx with an infinite SNR point and a
+    diversity sweep, 70 trials each: blocks of 1 to 100 trials split them
+    unevenly or not at all."""
+    sc = default_scenario(seed=8, rx=TerminalArray.ula(2), carrier_envelope=0.7 - 0.2j)
+    return (ber_sweep(sc, [2.0, 9.0, np.inf], 16, "closed_form", 70, 70 * 40 * 4),
+            diversity_sweep(sc, [4, 9], 70))
+
+
+@pytest.mark.parametrize("trial_block, block_symbols", [(1, 7), (7, 2048), (32, 10**6), (100, 37)])
+def test_sweeps_are_block_size_invariant(monkeypatch, trial_block, block_symbols):
+    # Every stream is read in trial order, so the blocking moves no draw.
+    expected = sweep_pair()
+    monkeypatch.setattr(sim, "TRIAL_BLOCK", trial_block)
+    monkeypatch.setattr(sim, "BER_BLOCK_SYMBOLS", block_symbols)
+    for new, ref in zip(sweep_pair(), expected):
+        for f in dataclasses.fields(sim.SweepResult):
+            a, b = getattr(new, f.name), getattr(ref, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
 class TestCombine:
